@@ -12,10 +12,11 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .market import (
 )
 from .estimators import (
     GammaNegativeError,
+    SeparableWeights,
     SingularDesignError,
     compute_weights,
     loo_weight_tensor,
@@ -36,6 +38,7 @@ from .estimators import (
 from .equilibrium import (
     RHO_EXISTENCE_THRESHOLD,
     CouplingSystem,
+    EquilibriumSolution,
     InfeasibleCError,
     NoEquilibriumError,
     NumericFailure,
@@ -82,7 +85,7 @@ def _as_float(doc, key, where):
         return float(doc[key])
     except KeyError:
         raise ConfigError(f"{where}: missing key {key!r}") from None
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{where}: {key!r} must be a number, got {doc[key]!r}") from None
 
 
@@ -102,7 +105,10 @@ def _dist_from_config(doc, where) -> ValueDistribution:
         wts = params.get("weights")
         if not isinstance(pts, list) or not isinstance(wts, list):
             raise ConfigError(f"{where}: discrete value_dist needs 'points' and 'weights' lists")
-        return ValueDistribution.discrete(pts, wts)
+        try:
+            return ValueDistribution.discrete(pts, wts)
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(f"{where}: discrete points and weights must be numbers") from None
     raise ConfigError(f"{where}: unknown value_dist kind {kind!r}")
 
 
@@ -147,14 +153,14 @@ def market_from_config(doc: dict) -> MarketInstance:
             raise ConfigError(f"{where}: delta must be a list")
         try:
             delta = tuple(float(v) for v in delta)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ConfigError(f"{where}: delta entries must be numbers") from None
-        eta = float(b.get("eta", 1.0))
+        eta = _as_float(b, "eta", where) if "eta" in b else 1.0
         buyers.append(DataBuyer(estimator=est, value_dist=dist, delta_row=delta, eta=eta))
 
     try:
         fd = (float(fd[0]), float(fd[1]))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError("feature_domain entries must be numbers") from None
     return MarketInstance(sources=tuple(sources), buyers=tuple(buyers), feature_domain=fd)
 
@@ -206,32 +212,50 @@ def _load_market(path: str) -> MarketInstance:
 
 
 # ---------------------------------------------------------------------------
-# shared pipeline pieces
+# shared pipeline
 # ---------------------------------------------------------------------------
 
-def _fail(msg: str, code: int) -> int:
-    print(f"error: {msg}", file=sys.stderr)
-    return code
+@dataclass
+class _Run:
+    """How far the pipeline got on one market; ``error`` says why it stopped."""
+
+    xi: np.ndarray | None = None
+    rho: float | None = None
+    w: SeparableWeights | None = None
+    system: CouplingSystem | None = None
+    sol: EquilibriumSolution | None = None
+    error: Exception | None = None
 
 
-def _rho_without_losses(m: MarketInstance) -> float | None:
-    """Spectral radius from the leave-one-out tensor alone.
+def _run(m: MarketInstance) -> _Run:
+    """Weights, coupling system and slopes of one market.
 
-    The coupling matrix never involves the full-design weights, so existence
-    can still be decided when those are unavailable.
+    Existence depends on the leave-one-out tensor alone, so when the
+    full-design weights are unavailable (singular full design, negative
+    gamma) rho still comes from xi, and a rho past the gate reports no
+    equilibrium ahead of the weights error.
     """
+    r = _Run()
     try:
-        return spectral_radius(coupling_matrix(loo_weight_tensor(m)))
-    except SingularDesignError:
-        return None
-
-
-def _solve_pipeline(m: MarketInstance):
-    """Returns (weights, system, solution) or raises toward the exit codes."""
-    w = compute_weights(m)
-    system = build_coupling_system(w, m)
-    sol = solve_equilibrium_d(system)
-    return w, system, sol
+        r.w = compute_weights(m)
+    except (SingularDesignError, GammaNegativeError) as err:
+        r.error = err
+        try:
+            r.xi = loo_weight_tensor(m)
+        except SingularDesignError:
+            return r
+        r.rho = spectral_radius(coupling_matrix(r.xi))
+        if r.rho >= RHO_EXISTENCE_THRESHOLD:
+            r.error = NoEquilibriumError(r.rho)
+        return r
+    r.xi = r.w.xi
+    r.system = build_coupling_system(r.w, m)
+    r.rho = r.system.rho
+    try:
+        r.sol = solve_equilibrium_d(r.system)
+    except (NoEquilibriumError, NumericFailure, ValueError) as err:
+        r.error = err
+    return r
 
 
 def _print_matrix(label: str, arr: np.ndarray):
@@ -251,29 +275,11 @@ def _print_vector(label: str, vec: np.ndarray):
 # ---------------------------------------------------------------------------
 
 def _cmd_solve(args) -> int:
-    try:
-        m = _load_market(args.config)
-    except ConfigError as err:
-        return _fail(str(err), EXIT_INPUT)
-
-    try:
-        w, system, sol = _solve_pipeline(m)
-    except SingularDesignError as err:
-        if err.dropped_source is None:
-            # the coupling may still certify nonexistence even when the
-            # full-design losses cannot be computed
-            rho = _rho_without_losses(m)
-            if rho is not None and rho >= RHO_EXISTENCE_THRESHOLD:
-                print(f"no equilibrium: spectral radius {_fmt(rho)} >= 1 - 1e-9", file=sys.stderr)
-                return EXIT_NO_EQUILIBRIUM
-        return _fail(str(err), EXIT_INPUT)
-    except GammaNegativeError as err:
-        return _fail(str(err), EXIT_INPUT)
-    except NoEquilibriumError as err:
-        print(f"no equilibrium: spectral radius {_fmt(err.rho)} >= 1 - 1e-9", file=sys.stderr)
-        return EXIT_NO_EQUILIBRIUM
-    except (NumericFailure, ValueError) as err:
-        return _fail(str(err), EXIT_INPUT)
+    m = _load_market(args.config)
+    r = _run(m)
+    if r.error is not None:
+        raise r.error
+    w, sol = r.w, r.sol
 
     infeasible_c = None
     try:
@@ -289,7 +295,7 @@ def _cmd_solve(args) -> int:
         welfare_note = str(err)
 
     print(f"market: {m.n_sources} sources, {m.n_buyers} buyers")
-    print(f"spectral radius: {_fmt(system.rho)}")
+    print(f"spectral radius: {_fmt(r.rho)}")
     print(f"solve residual: {_fmt(sol.residual)}")
     print()
     _print_matrix("gamma (per source)", w.gamma)
@@ -314,7 +320,7 @@ def _cmd_solve(args) -> int:
         payload = {
             "n_sources": m.n_sources,
             "n_buyers": m.n_buyers,
-            "rho": system.rho,
+            "rho": r.rho,
             "beta": w.beta.tolist(),
             "xi": w.xi.tolist(),
             "gamma": w.gamma.tolist(),
@@ -349,7 +355,7 @@ def _cmd_solve(args) -> int:
                 json.dump(payload, fh, indent=2)
                 fh.write("\n")
         except OSError as err:
-            return _fail(f"cannot write {args.json_out}: {err}", EXIT_INPUT)
+            raise ConfigError(f"cannot write {args.json_out}: {err}") from None
     return EXIT_OK
 
 
@@ -389,131 +395,76 @@ def _sweep_columns(n: int, mm: int) -> list:
 
 def _sweep_row(m: MarketInstance, value: float) -> list:
     n, mm = m.n_sources, m.n_buyers
-    gamma_cells = [""] * (n * mm)
-    xi_cells = [""] * (n * (n - 1) * mm)
-    d_cells = [""] * (n * mm)
-    e_star = [""] * n
-    e_hat = [""] * n
-    losses = ["", "", ""]
+    r = _run(m)
+    blank = [""] * (n * mm)
+    gamma = blank if r.w is None else [_fmt(r.w.gamma[j, i]) for i in range(n) for j in range(mm)]
+    xi = ([""] * (n * (n - 1) * mm) if r.xi is None else
+          [_fmt(r.xi[j, i, l]) for i in range(n) for l in range(n) if l != i for j in range(mm)])
+    head = [_fmt(value)] + gamma + xi + ["" if r.rho is None else _fmt(r.rho)]
+    if r.sol is None:
+        status = "no_equilibrium" if isinstance(r.error, NoEquilibriumError) else "error"
+        # slopes, both effort profiles and the three welfare cells stay empty
+        return head + blank + [""] * (2 * n + 3) + [status]
 
-    w = None
+    d = [_fmt(r.sol.d[j, i]) for i in range(n) for j in range(mm)]
+    welfare = [""] * (n + 3)
     try:
-        w = compute_weights(m)
-        xi = w.xi
-    except (SingularDesignError, GammaNegativeError):
-        try:
-            xi = loo_weight_tensor(m)
-        except SingularDesignError:
-            xi = None
-
-    if xi is None:
-        return [_fmt(value)] + gamma_cells + xi_cells + [""] + d_cells + e_star + e_hat + losses + ["error"]
-
-    rho = spectral_radius(coupling_matrix(xi))
-    xi_cells = [_fmt(xi[j, i, l])
-                for i in range(n) for l in range(n) if l != i for j in range(mm)]
-    if w is not None:
-        gamma_cells = [_fmt(w.gamma[j, i]) for i in range(n) for j in range(mm)]
-
-    status = "ok"
-    if w is None or rho >= RHO_EXISTENCE_THRESHOLD:
-        status = "no_equilibrium" if rho >= RHO_EXISTENCE_THRESHOLD else "error"
-        return [_fmt(value)] + gamma_cells + xi_cells + [_fmt(rho)] + d_cells + e_star + e_hat + losses + [status]
-
-    system = CouplingSystem(
-        A=coupling_matrix(xi), gamma_vec=w.gamma.T.reshape(-1).copy(), rho=rho,
-        n_sources=n, n_buyers=mm, alphas=np.asarray(m.alphas(), dtype=float),
-    )
-    try:
-        sol = solve_equilibrium_d(system)
-    except (NoEquilibriumError, NumericFailure, ValueError):
-        return [_fmt(value)] + gamma_cells + xi_cells + [_fmt(rho)] + d_cells + e_star + e_hat + losses + ["error"]
-
-    d_cells = [_fmt(sol.d[j, i]) for i in range(n) for j in range(mm)]
-    e_star = [_fmt(v) for v in sol.efforts]
-    try:
-        report = price_of_anarchy(sol, w, m)
-        e_hat = [_fmt(v) for v in report.efforts_opt]
-        losses = [_fmt(report.loss_eq), _fmt(report.loss_opt), _fmt(report.poa)]
+        rep = price_of_anarchy(r.sol, r.w, m)
+        welfare = [_fmt(v) for v in rep.efforts_opt] + [_fmt(rep.loss_eq), _fmt(rep.loss_opt), _fmt(rep.poa)]
     except (EtaNotOneError, DegenerateSourceError, UndefinedPoaError):
         pass
-    return [_fmt(value)] + gamma_cells + xi_cells + [_fmt(rho)] + d_cells + e_star + e_hat + losses + [status]
+    return head + d + [_fmt(v) for v in r.sol.efforts] + welfare + ["ok"]
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        spec = _load_json(args.spec)
-    except ConfigError as err:
-        return _fail(str(err), EXIT_INPUT)
-
+    spec = _load_json(args.spec)
     if not isinstance(spec, dict):
-        return _fail("sweep spec must be an object", EXIT_INPUT)
+        raise ConfigError("sweep spec must be an object")
     param = spec.get("param")
     rng_doc = spec.get("range")
     base = spec.get("base")
     if not isinstance(param, str) or not isinstance(rng_doc, dict) or base is None:
-        return _fail("sweep spec needs 'param', 'range' and 'base'", EXIT_INPUT)
+        raise ConfigError("sweep spec needs 'param', 'range' and 'base'")
 
     try:
         lo = float(rng_doc["from"])
         hi = float(rng_doc["to"])
         steps = rng_doc["steps"]
-    except (KeyError, TypeError, ValueError):
-        return _fail("range needs numeric 'from', 'to' and integer 'steps'", EXIT_INPUT)
+    except (KeyError, TypeError, ValueError, OverflowError):
+        raise ConfigError("range needs numeric 'from', 'to' and integer 'steps'") from None
     if not isinstance(steps, int) or isinstance(steps, bool) or steps < 2:
-        return _fail(f"range.steps must be an integer >= 2, got {steps!r}", EXIT_INPUT)
+        raise ConfigError(f"range.steps must be an integer >= 2, got {steps!r}")
     if not (np.isfinite(lo) and np.isfinite(hi)):
-        return _fail("range bounds must be finite", EXIT_INPUT)
+        raise ConfigError("range bounds must be finite")
 
     if isinstance(base, str):
-        base_path = base
-        if not os.path.isabs(base_path):
-            base_path = os.path.join(os.path.dirname(os.path.abspath(args.spec)), base_path)
-        try:
-            base = _load_json(base_path)
-        except ConfigError as err:
-            return _fail(str(err), EXIT_INPUT)
+        # an absolute base path replaces the spec's directory in the join
+        base = _load_json(os.path.join(os.path.dirname(os.path.abspath(args.spec)), base))
     if not isinstance(base, dict):
-        return _fail("sweep base must be a config object or a path to one", EXIT_INPUT)
+        raise ConfigError("sweep base must be a config object or a path to one")
 
     values = np.linspace(lo, hi, steps)
     markets = []
     for v in values:
         doc = copy.deepcopy(base)
-        try:
-            _apply_param(doc, param, float(v))
-            m = market_from_config(doc)
-        except ConfigError as err:
-            return _fail(str(err), EXIT_INPUT)
+        _apply_param(doc, param, float(v))
+        m = market_from_config(doc)
         violations = validate_market(m)
         if violations:
             v0 = violations[0]
-            return _fail(
-                f"sweep value {param}={_fmt(v)} yields an invalid market: [{v0.code}] {v0.where}: {v0.message}",
-                EXIT_INPUT,
+            raise ConfigError(
+                f"sweep value {param}={_fmt(v)} yields an invalid market: [{v0.code}] {v0.where}: {v0.message}"
             )
         markets.append(m)
 
-    n, mm = markets[0].n_sources, markets[0].n_buyers
-    try:
-        threads = int(os.environ.get("DM_THREADS", "1"))
-    except ValueError:
-        threads = 1
-    threads = max(1, threads)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(_sweep_row, markets, [float(v) for v in values]))
-    else:
-        rows = [_sweep_row(m, float(v)) for m, v in zip(markets, values)]
-
-    lines = [",".join(_sweep_columns(n, mm))]
+    rows = [_sweep_row(m, float(v)) for m, v in zip(markets, values)]
+    lines = [",".join(_sweep_columns(markets[0].n_sources, markets[0].n_buyers))]
     lines += [",".join(r) for r in rows]
     try:
         with open(args.out, "wb") as fh:
             fh.write(("\n".join(lines) + "\n").encode("utf-8"))
     except OSError as err:
-        return _fail(f"cannot write {args.out}: {err}", EXIT_INPUT)
+        raise ConfigError(f"cannot write {args.out}: {err}") from None
     print(f"wrote {len(rows)} rows to {args.out}")
     return EXIT_OK
 
@@ -523,26 +474,22 @@ def _cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_check(args) -> int:
-    try:
-        m = _load_market(args.config)
-    except ConfigError as err:
-        return _fail(str(err), EXIT_INPUT)
+    # one sample has no spread, and a grid of one point or an empty box
+    # searches nothing: each would certify without testing anything
+    if args.samples < 2 or args.steps < 2 or not (math.isfinite(args.radius) and args.radius > 0.0):
+        raise ValueError("check needs --samples >= 2, --steps >= 2 and a positive finite --radius")
+    m = _load_market(args.config)
 
     try:
         coeffs = tuple(float(v) for v in args.f_coeffs.split(","))
         f = TrueFunction(coeffs)
     except ValueError as err:
-        return _fail(f"bad --f-coeffs: {err}", EXIT_INPUT)
+        raise ValueError(f"bad --f-coeffs: {err}") from None
 
-    try:
-        w, system, sol = _solve_pipeline(m)
-        sol = complete_solution(sol, w, m)
-    except NoEquilibriumError as err:
-        print(f"no equilibrium: spectral radius {_fmt(err.rho)} >= 1 - 1e-9", file=sys.stderr)
-        return EXIT_NO_EQUILIBRIUM
-    except (SingularDesignError, GammaNegativeError, InfeasibleCError,
-            NumericFailure, ValueError) as err:
-        return _fail(str(err), EXIT_INPUT)
+    r = _run(m)
+    if r.error is not None:
+        raise r.error
+    w, system, sol = r.w, r.system, complete_solution(r.sol, r.w, m)
 
     direct_d = sol.d.copy()
     if args.perturb:
@@ -552,13 +499,13 @@ def _cmd_check(args) -> int:
             if not (0 <= j < m.n_buyers and 0 <= i < m.n_sources):
                 raise ValueError("index out of range")
         except ValueError as err:
-            return _fail(f"bad --perturb (expected BUYER,SOURCE,DELTA): {err}", EXIT_INPUT)
+            raise ValueError(f"bad --perturb (expected BUYER,SOURCE,DELTA): {err}") from None
         d_mod = sol.d.copy()
         d_mod[j, i] += amt
         try:
             sol = solution_from_d(d_mod, w, m, system=system)
         except (InfeasibleCError, ValueError) as err:
-            return _fail(f"perturbed slopes are not checkable: {err}", EXIT_INPUT)
+            raise ValueError(f"perturbed slopes are not checkable: {err}") from None
         print(f"perturbed d[{j + 1},{i + 1}] by {_fmt(amt)}")
 
     print(f"spectral radius: {_fmt(system.rho)}")
@@ -586,13 +533,13 @@ def _cmd_check(args) -> int:
             failures.append("fixed-point iteration failed to converge despite rho < 0.99")
 
     checks = monte_carlo_payments(sol, w, m, f, n_samples=args.samples, seed=args.seed)
-    worst = 0.0
     for chk in checks:
-        worst = max(worst, abs(chk.z_score))
         print(f"payment buyer {chk.buyer + 1} source {chk.source + 1}: "
               f"empirical {_fmt(chk.empirical_mean)} analytic {_fmt(chk.analytic_mean)} "
               f"z {chk.z_score:+.2f}")
-    if worst >= 4.0:
+    # np.max propagates NaN, and a NaN z-score must fail
+    worst = float(np.max(np.abs([chk.z_score for chk in checks]), initial=0.0))
+    if not worst < 4.0:
         failures.append(f"payment simulation disagrees with closed form (|z| = {worst:.2f})")
 
     if failures:
@@ -609,21 +556,11 @@ def _cmd_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_welfare(args) -> int:
-    try:
-        m = _load_market(args.config)
-    except ConfigError as err:
-        return _fail(str(err), EXIT_INPUT)
-    try:
-        w, system, sol = _solve_pipeline(m)
-    except NoEquilibriumError as err:
-        print(f"no equilibrium: spectral radius {_fmt(err.rho)} >= 1 - 1e-9", file=sys.stderr)
-        return EXIT_NO_EQUILIBRIUM
-    except (SingularDesignError, GammaNegativeError, NumericFailure, ValueError) as err:
-        return _fail(str(err), EXIT_INPUT)
-    try:
-        report = price_of_anarchy(sol, w, m)
-    except (EtaNotOneError, DegenerateSourceError, UndefinedPoaError) as err:
-        return _fail(str(err), EXIT_INPUT)
+    m = _load_market(args.config)
+    r = _run(m)
+    if r.error is not None:
+        raise r.error
+    report = price_of_anarchy(r.sol, r.w, m)
 
     _print_vector("equilibrium efforts", report.efforts_eq)
     _print_vector("socially optimal efforts", report.efforts_opt)
@@ -637,6 +574,14 @@ def _cmd_welfare(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+# Input and model errors: each exits 1 with its message.
+_INPUT_ERRORS = (
+    ConfigError, SingularDesignError, GammaNegativeError, InfeasibleCError,
+    NumericFailure, EtaNotOneError, DegenerateSourceError, UndefinedPoaError,
+    ValueError, OverflowError,
+)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="datamarket",
@@ -647,10 +592,12 @@ def main(argv=None) -> int:
     p_solve = sub.add_parser("solve", help="solve one market and report the equilibrium")
     p_solve.add_argument("config", help="market config JSON")
     p_solve.add_argument("--json-out", default=None, help="also write the full solution as JSON")
+    p_solve.set_defaults(handler=_cmd_solve)
 
     p_sweep = sub.add_parser("sweep", help="sweep one scalar parameter, write a CSV")
     p_sweep.add_argument("spec", help="sweep spec JSON (param, range, base)")
     p_sweep.add_argument("--out", required=True, help="output CSV path")
+    p_sweep.set_defaults(handler=_cmd_sweep)
 
     p_check = sub.add_parser("check", help="certify a solved market with independent oracles")
     p_check.add_argument("config", help="market config JSON")
@@ -662,18 +609,21 @@ def main(argv=None) -> int:
                          help="ground-truth polynomial coefficients, low order first")
     p_check.add_argument("--perturb", default=None, metavar="BUYER,SOURCE,DELTA",
                          help="nudge one slope before checking (diagnostic)")
+    p_check.set_defaults(handler=_cmd_check)
 
     p_welfare = sub.add_parser("welfare", help="equilibrium welfare versus the social optimum")
     p_welfare.add_argument("config", help="market config JSON")
+    p_welfare.set_defaults(handler=_cmd_welfare)
 
     args = parser.parse_args(argv)
-    handler = {
-        "solve": _cmd_solve,
-        "sweep": _cmd_sweep,
-        "check": _cmd_check,
-        "welfare": _cmd_welfare,
-    }[args.command]
-    return handler(args)
+    try:
+        return args.handler(args)
+    except NoEquilibriumError as err:
+        print(err, file=sys.stderr)
+        return EXIT_NO_EQUILIBRIUM
+    except _INPUT_ERRORS as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -182,7 +182,6 @@ class CPolytope:
     E: np.ndarray
     L: np.ndarray
     slack: np.ndarray
-    feasible: bool
 
     def __post_init__(self):
         for a in (self.E, self.L, self.slack):
@@ -258,7 +257,7 @@ def c_polytope(sol: EquilibriumSolution, w: SeparableWeights, m: MarketInstance)
     worst = int(np.argmin(slack))
     if slack[worst] < -1e-12:
         raise InfeasibleCError(worst, float(slack[worst]))
-    return CPolytope(E=E, L=L, slack=slack, feasible=True)
+    return CPolytope(E=E, L=L, slack=slack)
 
 
 def canonical_c(polytope: CPolytope, d: np.ndarray) -> np.ndarray:

@@ -204,6 +204,14 @@ def _check_value_dist(dist: ValueDistribution, where: str, out: list):
             out.append(Violation("value-dist-invalid", where, f"discrete weights sum to {sum(wts)}, expected 1"))
 
 
+def _moments_finite(dist: ValueDistribution, degree: int) -> bool:
+    """Whether every raw moment a degree-``degree`` fit needs is a finite float."""
+    try:
+        return all(math.isfinite(dist.moment(p)) for p in range(2 * degree + 1))
+    except OverflowError:
+        return False
+
+
 def validate_market(m: MarketInstance) -> list:
     """Check a market instance and return all violations found.
 
@@ -236,6 +244,7 @@ def validate_market(m: MarketInstance) -> list:
 
     for j, b in enumerate(m.buyers):
         where = f"buyers[{j}]"
+        n_found = len(out)
         est = b.estimator
         if est.kind not in ESTIMATOR_KINDS:
             out.append(Violation("estimator-kind-unknown", where, f"unknown estimator kind {est.kind!r}"))
@@ -248,6 +257,10 @@ def validate_market(m: MarketInstance) -> list:
                 out.append(Violation("insufficient-sources", where,
                                      f"degree {est.degree} needs at least {est.degree + 1} sources, market has {m.n_sources}"))
         _check_value_dist(b.value_dist, where, out)
+        # only once the degree is known valid, so the moment count is bounded
+        if len(out) == n_found and not _moments_finite(b.value_dist, est.degree):
+            out.append(Violation("value-dist-invalid", where,
+                                 f"raw moments up to order {2 * est.degree} overflow a float"))
         if not (_finite(b.eta) and b.eta > 0.0):
             out.append(Violation("eta-nonpositive", where, f"eta must be positive and finite, got {b.eta}"))
         row = b.delta_row

@@ -14,7 +14,7 @@ import numpy as np
 
 from .market import MarketInstance
 from .estimators import SeparableWeights
-from .equilibrium import EquilibriumSolution
+from .equilibrium import EquilibriumSolution, NumericFailure
 
 __all__ = [
     "EtaNotOneError",
@@ -89,7 +89,8 @@ def price_of_anarchy(sol: EquilibriumSolution, w: SeparableWeights,
     weakly over-supplied everywhere; when at least two buyers are coupled
     through some positive leave-one-out weight and every adjusted weight is
     positive, the over-supply is strict somewhere and the ratio exceeds one.
-    Both facts are asserted rather than trusted.
+    Both facts are checked rather than trusted: a breach raises
+    NumericFailure.
     """
     _require_unit_eta(m)
     efforts_opt = social_optimum_efforts(w, m)
@@ -100,14 +101,15 @@ def price_of_anarchy(sol: EquilibriumSolution, w: SeparableWeights,
 
     gap = sol.efforts - efforts_opt
     slack = 1e-9 * (1.0 + float(np.abs(efforts_opt).max()))
-    assert gap.min() > -slack, "equilibrium efforts fell below the social optimum"
+    if not gap.min() > -slack:
+        raise NumericFailure("equilibrium efforts fell below the social optimum")
 
     n = m.n_sources
     off_diag = w.xi.copy()
     off_diag[:, np.arange(n), np.arange(n)] = 0.0
     coupled = m.n_buyers >= 2 and bool((off_diag > 0.0).any()) and bool((w.gamma > 0.0).all())
-    if coupled:
-        assert gap.max() > 0.0, "coupled market failed to over-incentivize effort"
+    if coupled and not gap.max() > 0.0:
+        raise NumericFailure("coupled market failed to over-incentivize effort")
 
     return WelfareReport(
         efforts_eq=np.array(sol.efforts, dtype=float),

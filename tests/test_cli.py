@@ -1,14 +1,47 @@
 import csv
+import dataclasses
 import json
+import math
+import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import datamarket.cli
+import datamarket.equilibrium
 from datamarket.cli import ConfigError, main, market_from_config, market_to_config
 
 from conftest import two_firm_market
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# Three sources, two linear buyers with strong competition weights: buyer 2's
+# adjusted loss weight on source 1 is negative, and rho = 2.
+NEG_GAMMA_DELTA = 0.510888884466533
+NEG_GAMMA_DOC = {
+    "sources": [{"x": x, "alpha": 1.0}
+                for x in (-0.4798051045255536, 0.18588203620856802, 0.6797630420628176)],
+    "buyers": [
+        {"estimator": {"kind": "linear-regression", "degree": 1},
+         "value_dist": {"kind": "uniform", "params": {"lo": -1.0, "hi": 1.0}},
+         "delta": [0.0, NEG_GAMMA_DELTA]},
+        {"estimator": {"kind": "linear-regression", "degree": 1},
+         "value_dist": {"kind": "point-mass", "params": {"x0": 0.639253438238554}},
+         "delta": [NEG_GAMMA_DELTA, 0.0]},
+    ],
+    "feature_domain": [-1.0, 1.5],
+}
+
+
+def _set_leaf(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
 
 
 def write_config(tmp_path, m, name="market.json"):
@@ -43,6 +76,84 @@ def test_config_errors():
         market_from_config(bad_buyer)
 
 
+@pytest.mark.parametrize("path, value", [
+    (("buyers", 0, "eta"), "abc"),
+    (("buyers", 0, "eta"), None),
+    (("buyers", 0, "eta"), []),
+    (("buyers", 1, "eta"), {}),
+    (("sources", 0, "x"), 10 ** 400),
+    (("buyers", 0, "delta"), [0.0, 10 ** 400]),
+    (("feature_domain", 0), 10 ** 400),
+    (("buyers", 0, "value_dist"), {"kind": "discrete", "params": {"points": [None], "weights": [1.0]}}),
+])
+def test_config_rejects_non_numbers(tmp_path, capsys, path, value):
+    doc = market_to_config(two_firm_market(0.0))
+    _set_leaf(doc, path, value)
+    with pytest.raises(ConfigError):
+        market_from_config(doc)
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["solve", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_config_eta_defaults_to_one():
+    doc = market_to_config(two_firm_market(0.0))
+    del doc["buyers"][1]["eta"]
+    assert market_from_config(doc).buyers[1].eta == 1.0
+
+
+def test_solve_huge_uniform_bound_exits_1(tmp_path, capsys):
+    # finite, but its raw moments overflow a float
+    doc = market_to_config(two_firm_market(0.0))
+    doc["buyers"][0]["value_dist"]["params"]["hi"] = 1e308
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["solve", str(cfg)]) == 1
+    assert "overflow" in capsys.readouterr().err
+
+
+def _leaf_paths(node, path=()):
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [path]
+    return [p for key, child in items for p in _leaf_paths(child, path + (key,))]
+
+
+with open(os.path.join(ROOT, "configs", "two_firm.json"), encoding="utf-8") as _fh:
+    _TWO_FIRM = json.load(_fh)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=st.lists(st.tuples(st.sampled_from(_leaf_paths(_TWO_FIRM)), _JSON_VALUES),
+                      min_size=1, max_size=2))
+def test_solve_any_config_ends_in_an_exit_code(tmp_path, capsys, edits):
+    doc = json.loads(json.dumps(_TWO_FIRM))
+    for path, value in edits:
+        _set_leaf(doc, path, value)
+    cfg = tmp_path / "fuzz.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["solve", str(cfg)]) in (0, 1, 2)
+    capsys.readouterr()
+
+
+def test_readme_config_example_solves(tmp_path):
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    block = re.search(r"### Market config\n.*?```json\n(.*?)```", readme, re.S).group(1)
+    cfg = tmp_path / "readme.json"
+    cfg.write_text(block)
+    assert main(["solve", str(cfg)]) == 0
+
+
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------
@@ -73,6 +184,52 @@ def test_solve_no_equilibrium_exits_2(tmp_path, capsys):
     # well-conditioned variant past the existence threshold
     cfg2 = write_config(tmp_path, two_firm_market(1.0 - 5e-5), name="near.json")
     assert main(["solve", str(cfg2)]) == 2
+
+
+@pytest.mark.parametrize("command", ["check", "welfare"])
+def test_coincident_sources_exit_2_in_every_command(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, two_firm_market(1.0))
+    assert main([command, str(cfg)]) == 2
+    assert "no equilibrium" in capsys.readouterr().err
+
+
+def test_negative_gamma_past_the_gate_has_no_equilibrium(tmp_path, capsys):
+    # existence is decided by xi alone, ahead of the negative adjusted weight
+    cfg = tmp_path / "neg_gamma.json"
+    cfg.write_text(json.dumps(NEG_GAMMA_DOC))
+    for command in ("solve", "check", "welfare"):
+        assert main([command, str(cfg)]) == 2
+        assert "no equilibrium: spectral radius 2 " in capsys.readouterr().err
+
+    spec = write_sweep(tmp_path, NEG_GAMMA_DOC, 1.0, 2.0, 2, param="sources[0].alpha")
+    out = tmp_path / "neg.csv"
+    assert main(["sweep", str(spec), "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.open()))
+    assert [r["status"] for r in rows] == ["no_equilibrium"] * 2
+    assert all(r["gamma_1_1"] == "" and float(r["rho"]) == pytest.approx(2.0) for r in rows)
+
+
+@pytest.mark.parametrize("command, markets", [("solve", 1), ("welfare", 1), ("check", 1), ("sweep", 3)])
+def test_coupling_matrix_built_once_per_market(tmp_path, monkeypatch, command, markets):
+    calls = []
+    real = datamarket.equilibrium.coupling_matrix
+
+    def counted(xi):
+        calls.append(1)
+        return real(xi)
+
+    monkeypatch.setattr(datamarket.equilibrium, "coupling_matrix", counted)
+    monkeypatch.setattr(datamarket.cli, "coupling_matrix", counted)
+    cfg = str(write_config(tmp_path, two_firm_market(0.0)))
+    spec = str(write_sweep(tmp_path, market_to_config(two_firm_market(0.0)), -1.0, 0.0, 3))
+    argv = {
+        "solve": ["solve", cfg],
+        "welfare": ["welfare", cfg],
+        "check": ["check", cfg, "--samples", "1000", "--steps", "5"],
+        "sweep": ["sweep", spec, "--out", str(tmp_path / "rows.csv")],
+    }[command]
+    assert main(argv) == 0
+    assert len(calls) == markets
 
 
 def test_solve_input_errors(tmp_path, capsys):
@@ -127,6 +284,39 @@ def test_check_perturbed_fails(tmp_path, capsys):
 def test_check_bad_perturb_flag(tmp_path):
     cfg = write_config(tmp_path, two_firm_market(0.0))
     assert main(["check", str(cfg), "--perturb", "9,9,0.5", "--samples", "1000"]) == 1
+
+
+def test_check_overflowing_slopes_exit_1(tmp_path, capsys):
+    # a vanishing eta scales the slopes to ~1e308: the deviation box overflows
+    cfg = write_config(tmp_path, two_firm_market(0.0, etas=(1e-308, 1.0)))
+    assert main(["check", str(cfg), "--samples", "200", "--steps", "3"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("flags", [
+    ["--samples", "1"], ["--samples", "0"],
+    ["--steps", "1"], ["--steps", "0"],
+    ["--radius", "-1"], ["--radius", "0"], ["--radius", "nan"], ["--radius", "inf"],
+])
+def test_check_rejects_vacuous_search(tmp_path, capsys, flags):
+    cfg = write_config(tmp_path, two_firm_market(0.0))
+    assert main(["check", str(cfg)] + flags) == 1
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    assert captured.err.startswith("error: check needs")
+
+
+def test_check_nan_z_score_fails(tmp_path, monkeypatch, capsys):
+    real = datamarket.cli.monte_carlo_payments
+
+    def nan_z(*args, **kwargs):
+        checks = real(*args, **kwargs)
+        return [dataclasses.replace(checks[0], z_score=math.nan)] + checks[1:]
+
+    monkeypatch.setattr(datamarket.cli, "monte_carlo_payments", nan_z)
+    cfg = write_config(tmp_path, two_firm_market(0.0))
+    assert main(["check", str(cfg), "--samples", "1000"]) == 3
+    assert "certification: FAIL" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

@@ -196,6 +196,22 @@ def test_eta_and_distribution_violations():
     assert codes.count("value-dist-invalid") == 2
 
 
+@pytest.mark.parametrize("dist", [
+    ValueDistribution.uniform(0.0, 1e308),
+    ValueDistribution.point_mass(1e200),
+    ValueDistribution.discrete([0.0, 1e200], [0.5, 0.5]),
+])
+def test_overflowing_moments_rejected(dist):
+    # finite bounds whose raw moments up to order 2 do not fit a float
+    buyer = DataBuyer(EstimatorSpec.linear(), dist, (0.0,))
+    m = MarketInstance(
+        sources=(DataSource(0.0, 1.0), DataSource(1.0, 1.0)),
+        buyers=(buyer,),
+        feature_domain=(-1.0, 1.0),
+    )
+    assert _codes(m) == ["value-dist-invalid"]
+
+
 def test_estimator_violations():
     dist = ValueDistribution.uniform(-1.0, 1.0)
     buyers = (

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from datamarket import (
     DegenerateSourceError,
     EtaNotOneError,
+    NumericFailure,
     build_coupling_system,
     compute_weights,
     price_of_anarchy,
@@ -134,3 +136,16 @@ def test_degenerate_source_rejected():
     assert not w.gamma.any()
     with pytest.raises(DegenerateSourceError):
         social_optimum_efforts(w, m)
+
+
+@pytest.mark.parametrize("shift, message", [
+    (-0.1, "below the social optimum"),
+    # a coupled market must over-supply effort somewhere
+    (0.0, "over-incentivize"),
+])
+def test_welfare_invariants_raise_typed_errors(shift, message):
+    m = two_firm_market(0.0)
+    w, sol = _solved(m)
+    efforts = social_optimum_efforts(w, m) + shift
+    with pytest.raises(NumericFailure, match=message):
+        price_of_anarchy(dataclasses.replace(sol, efforts=efforts), w, m)
