@@ -10,6 +10,7 @@ only up to a polytope; ``canonical_c`` picks one natural point of it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -102,56 +103,34 @@ class CouplingSystem:
 
 
 def coupling_matrix(xi: np.ndarray) -> np.ndarray:
-    """Assemble the stacked coupling matrix from the leave-one-out tensor."""
-    n_buyers, n_sources, _ = xi.shape
-    A = np.zeros((n_sources * n_buyers, n_sources * n_buyers))
-    for q in range(n_sources):
-        for k in range(n_buyers):
-            row = q * n_buyers + k
-            for l in range(n_sources):
-                if l == q:
-                    continue
-                for j in range(n_buyers):
-                    if j == k:
-                        continue
-                    A[row, l * n_buyers + j] = xi[j, l, q]
-    return A
+    """Assemble the stacked coupling matrix from the leave-one-out tensor.
 
-
-def spectral_radius(a: np.ndarray, max_iters: int = 20000, tol: float = 1e-13) -> float:
-    """Spectral radius of a nonnegative square matrix, deterministically.
-
-    Power iteration with a fixed all-ones start would cycle on matrices with
-    periodic block structure (the stacked coupling matrix of a two-buyer
-    market is exactly that), so the iteration runs on ``a + I``: the shift
-    breaks the periodicity and moves the dominant eigenvalue to
-    ``1 + rho(a)`` without changing eigenvectors.  Convergence is declared
-    on the eigen-residual; if the cap is hit, the last Rayleigh quotient is
-    returned.
+    ``A[(q, k), (l, j)] = xi[j, l, q]`` for ``l != q`` and ``j != k``.  It is
+    filled in place as one C-ordered (source, buyer, source, buyer) array, so
+    the final reshape is a view and the output is the only large allocation.
     """
+    n_buyers, n_sources, _ = xi.shape
+    A = np.zeros((n_sources, n_buyers, n_sources, n_buyers))
+    other_buyer = ~np.eye(n_buyers, dtype=bool)
+    np.copyto(A, np.transpose(xi, (2, 1, 0))[:, None, :, :],
+              where=other_buyer[None, :, None, :])
+    own = np.arange(n_sources)
+    A[own, :, own, :] = 0.0
+    return A.reshape(n_sources * n_buyers, n_sources * n_buyers)
+
+
+def spectral_radius(a: np.ndarray) -> float:
+    """Spectral radius of a nonnegative square matrix, from its dense eigenvalues."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if a.size == 0:
         return 0.0
+    if not np.isfinite(a).all():
+        raise ValueError("spectral_radius expects a finite matrix")
     if a.min() < 0.0:
         raise ValueError("spectral_radius expects a nonnegative matrix")
-    if not a.any():
-        return 0.0
-
-    n = a.shape[0]
-    shifted = a + np.eye(n)
-    x = np.ones(n) / np.sqrt(n)
-    y = shifted @ x
-    lam = 1.0
-    for _ in range(max_iters):
-        norm_y = float(np.linalg.norm(y))
-        x = y / norm_y
-        y = shifted @ x
-        lam = float(x @ y)
-        if float(np.abs(y - lam * x).max()) <= tol * max(1.0, lam):
-            break
-    return max(lam - 1.0, 0.0)
+    return float(np.abs(np.linalg.eigvals(a)).max())
 
 
 def build_coupling_system(w: SeparableWeights, m: MarketInstance) -> CouplingSystem:
@@ -209,8 +188,8 @@ class EquilibriumSolution:
 def _induced_quantities(d: np.ndarray, alphas: np.ndarray):
     d_total = d.sum(axis=0)
     for i, t in enumerate(d_total):
-        if not t > 0.0:
-            raise ValueError(f"source {i} attracts zero total slope; its effort is undefined")
+        if not 0.0 < t < math.inf:
+            raise ValueError(f"source {i} attracts total slope {t:.6g}; its effort is undefined")
     efforts = np.array([effort_from_d_total(t, a) for t, a in zip(d_total, alphas)])
     variances = np.array([variance_from_d_total(t, a) for t, a in zip(d_total, alphas)])
     return d_total, efforts, variances

@@ -74,10 +74,6 @@ def _design_matrix(locations, degree: int) -> np.ndarray:
     return np.vander(np.asarray(locations, dtype=float), degree + 1, increasing=True)
 
 
-def _basis_at(x: float, degree: int) -> np.ndarray:
-    return float(x) ** np.arange(degree + 1)
-
-
 def _fit_operator(locations, degree: int) -> np.ndarray:
     """Matrix W with fitted coefficients = W @ y.
 

@@ -141,8 +141,17 @@ def test_solve_any_config_ends_in_an_exit_code(tmp_path, capsys, edits):
         _set_leaf(doc, path, value)
     cfg = tmp_path / "fuzz.json"
     cfg.write_text(json.dumps(doc))
-    assert main(["solve", str(cfg)]) in (0, 1, 2)
+    out = tmp_path / "fuzz_solution.json"
+    out.unlink(missing_ok=True)
+    code = main(["solve", str(cfg), "--json-out", str(out)])
+    assert code in (0, 1, 2)
+    if code == 0:
+        json.loads(out.read_text(), parse_constant=_reject_constant)
     capsys.readouterr()
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
 
 
 def test_readme_config_example_solves(tmp_path):
@@ -232,6 +241,25 @@ def test_coupling_matrix_built_once_per_market(tmp_path, monkeypatch, command, m
     assert len(calls) == markets
 
 
+def test_solve_vanishing_eta_exits_1(tmp_path, capsys):
+    # a slope of ~1e308 overflows the per-source total to inf
+    cfg = write_config(tmp_path, two_firm_market(0.0, etas=(1e-308, 1.0)))
+    out = tmp_path / "sol.json"
+    assert main(["solve", str(cfg), "--json-out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: source 0 attracts total slope inf")
+    assert "nan" not in captured.out.lower()
+    assert not out.exists()
+
+    spec = write_sweep(tmp_path, market_to_config(two_firm_market(0.0)), 1e-308, 1.0, 2,
+                       param="buyers[0].eta")
+    rows_csv = tmp_path / "eta.csv"
+    assert main(["sweep", str(spec), "--out", str(rows_csv)]) == 0
+    rows = list(csv.DictReader(rows_csv.open()))
+    assert [r["status"] for r in rows] == ["error", "ok"]
+    assert rows[0]["d_1_1"] == ""
+
+
 def test_solve_input_errors(tmp_path, capsys):
     assert main(["solve", str(tmp_path / "missing.json")]) == 1
 
@@ -287,10 +315,13 @@ def test_check_bad_perturb_flag(tmp_path):
 
 
 def test_check_overflowing_slopes_exit_1(tmp_path, capsys):
-    # a vanishing eta scales the slopes to ~1e308: the deviation box overflows
+    # a vanishing eta scales the slopes to ~1e308: their total overflows and
+    # the solve rejects it before any oracle runs
     cfg = write_config(tmp_path, two_firm_market(0.0, etas=(1e-308, 1.0)))
     assert main(["check", str(cfg), "--samples", "200", "--steps", "3"]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: source 0 attracts total slope inf")
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("flags", [

@@ -32,8 +32,7 @@ def test_spectral_radius_trivial_cases():
 
 
 def test_spectral_radius_periodic_block():
-    # 2-cycle structure: eigenvalues come in +/- pairs, which defeats plain
-    # power iteration; the shifted iteration must still nail the radius
+    # 2-cycle structure: eigenvalues come in +/- pairs of equal modulus
     a = np.array([[0.0, 1.0], [0.25, 0.0]])
     assert spectral_radius(a) == pytest.approx(0.5, rel=1e-11)
 
@@ -58,6 +57,19 @@ def test_spectral_radius_rejects_bad_input():
         spectral_radius(np.array([[0.1, -0.2], [0.0, 0.1]]))
     with pytest.raises(ValueError):
         spectral_radius(np.zeros((2, 3)))
+    # a NaN radius would pass the existence gate
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            spectral_radius(np.array([[0.1, bad], [0.0, 0.1]]))
+
+
+@pytest.mark.parametrize("x1", [-0.999, -0.99, -0.9, 0.0, 0.5])
+def test_spectral_radius_two_firm_closed_form(x1):
+    # near-decoupled markets (x1 -> -1) are where an iterative radius is slowest
+    m = two_firm_market(x1)
+    system = build_coupling_system(compute_weights(m), m)
+    expected = (x1 + 1.0) ** 2 / (2.0 * (x1 ** 2 + 1.0))
+    assert system.rho == pytest.approx(expected, rel=1e-9, abs=0.0)
 
 
 def test_spectral_radius_deterministic():
@@ -69,6 +81,35 @@ def test_spectral_radius_deterministic():
 # ---------------------------------------------------------------------------
 # coupling system assembly
 # ---------------------------------------------------------------------------
+
+def _coupling_matrix_loops(xi):
+    n_buyers, n_sources, _ = xi.shape
+    A = np.zeros((n_sources * n_buyers, n_sources * n_buyers))
+    for q in range(n_sources):
+        for k in range(n_buyers):
+            row = q * n_buyers + k
+            for l in range(n_sources):
+                if l == q:
+                    continue
+                for j in range(n_buyers):
+                    if j == k:
+                        continue
+                    A[row, l * n_buyers + j] = xi[j, l, q]
+    return A
+
+
+@pytest.mark.parametrize("n_buyers", [1, 2, 3, 5])
+@pytest.mark.parametrize("n_sources", [2, 3, 6])
+def test_coupling_matrix_matches_loop_assembly(n_buyers, n_sources):
+    rng = np.random.default_rng(100 * n_buyers + n_sources)
+    xi = rng.uniform(0.0, 2.0, (n_buyers, n_sources, n_sources))
+    A = coupling_matrix(xi)
+    assert np.array_equal(A, _coupling_matrix_loops(xi))
+    assert A.flags.c_contiguous
+    assert A.nbytes == (n_sources * n_buyers) ** 2 * 8
+    if n_buyers == 1:
+        assert not A.any()
+
 
 def test_coupling_structure_two_firm():
     m = two_firm_market(0.0)
