@@ -25,6 +25,7 @@ from .estimators import (
     SeparableWeights,
     h_weight,
     compute_weights,
+    weight_rows,
     loo_weight_tensor,
     loss_weight_matrix,
 )
@@ -40,6 +41,7 @@ from .equilibrium import (
     coupling_matrix,
     build_coupling_system,
     solve_equilibrium_d,
+    solve_rows,
     c_polytope,
     canonical_c,
     complete_solution,
@@ -53,6 +55,7 @@ from .welfare import (
     social_loss,
     social_optimum_efforts,
     price_of_anarchy,
+    welfare_rows,
 )
 from .oracle import (
     TrueFunction,
@@ -72,14 +75,15 @@ __all__ = [
     "MarketInstance", "Violation", "validate_market",
     "effort_from_d_total", "variance_from_d_total",
     "SingularDesignError", "GammaNegativeError", "SeparableWeights",
-    "h_weight", "compute_weights", "loo_weight_tensor", "loss_weight_matrix",
+    "h_weight", "compute_weights", "weight_rows", "loo_weight_tensor", "loss_weight_matrix",
     "RHO_EXISTENCE_THRESHOLD", "NoEquilibriumError", "NumericFailure",
     "InfeasibleCError", "CouplingSystem", "CPolytope", "EquilibriumSolution",
     "spectral_radius", "coupling_matrix", "build_coupling_system",
-    "solve_equilibrium_d", "c_polytope", "canonical_c", "complete_solution",
+    "solve_equilibrium_d", "solve_rows", "c_polytope", "canonical_c", "complete_solution",
     "solution_from_d",
     "EtaNotOneError", "DegenerateSourceError", "UndefinedPoaError",
     "WelfareReport", "social_loss", "social_optimum_efforts", "price_of_anarchy",
+    "welfare_rows",
     "TrueFunction", "BestResponseReport", "NeumannResult", "PaymentCheck",
     "eval_buyer_cost", "best_response_check", "neumann_dynamics",
     "monte_carlo_payments",

@@ -33,7 +33,7 @@ from .estimators import (
     SeparableWeights,
     SingularDesignError,
     compute_weights,
-    loo_weight_tensor,
+    weight_rows,
 )
 from .equilibrium import (
     RHO_EXISTENCE_THRESHOLD,
@@ -47,6 +47,7 @@ from .equilibrium import (
     coupling_matrix,
     solution_from_d,
     solve_equilibrium_d,
+    solve_rows,
     spectral_radius,
 )
 from .welfare import (
@@ -54,6 +55,7 @@ from .welfare import (
     EtaNotOneError,
     UndefinedPoaError,
     price_of_anarchy,
+    welfare_rows,
 )
 from .oracle import (
     TrueFunction,
@@ -66,6 +68,13 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NO_EQUILIBRIUM = 2
 EXIT_CERTIFICATION = 3
+
+# A sweep is one curve: more points than this is a malformed spec, and an
+# unbounded count would exhaust memory before the first row.
+MAX_SWEEP_STEPS = 10_000
+# Coupling-matrix entries (8 bytes each) per batch of sweep rows computed
+# together, so a sweep of a large market stays within a few megabytes.
+_BATCH_ENTRIES = 1 << 20
 
 
 class ConfigError(Exception):
@@ -240,10 +249,10 @@ def _run(m: MarketInstance) -> _Run:
         r.w = compute_weights(m)
     except (SingularDesignError, GammaNegativeError) as err:
         r.error = err
-        try:
-            r.xi = loo_weight_tensor(m)
-        except SingularDesignError:
+        if err.xi is None:
+            # the leave-one-out fit failed too
             return r
+        r.xi = err.xi
         r.rho = spectral_radius(coupling_matrix(r.xi))
         if r.rho >= RHO_EXISTENCE_THRESHOLD:
             r.error = NoEquilibriumError(r.rho)
@@ -393,27 +402,65 @@ def _sweep_columns(n: int, mm: int) -> list:
     return cols
 
 
-def _sweep_row(m: MarketInstance, value: float) -> list:
-    n, mm = m.n_sources, m.n_buyers
-    r = _run(m)
-    blank = [""] * (n * mm)
-    gamma = blank if r.w is None else [_fmt(r.w.gamma[j, i]) for i in range(n) for j in range(mm)]
-    xi = ([""] * (n * (n - 1) * mm) if r.xi is None else
-          [_fmt(r.xi[j, i, l]) for i in range(n) for l in range(n) if l != i for j in range(mm)])
-    head = [_fmt(value)] + gamma + xi + ["" if r.rho is None else _fmt(r.rho)]
-    if r.sol is None:
-        status = "no_equilibrium" if isinstance(r.error, NoEquilibriumError) else "error"
-        # slopes, both effort profiles and the three welfare cells stay empty
-        return head + blank + [""] * (2 * n + 3) + [status]
+def _sweep_lines(markets: list, values: np.ndarray) -> list:
+    """CSV lines of a batch of sweep rows, computed together.
 
-    d = [_fmt(r.sol.d[j, i]) for i in range(n) for j in range(mm)]
-    welfare = [""] * (n + 3)
-    try:
-        rep = price_of_anarchy(r.sol, r.w, m)
-        welfare = [_fmt(v) for v in rep.efforts_opt] + [_fmt(rep.loss_eq), _fmt(rep.loss_opt), _fmt(rep.poa)]
-    except (EtaNotOneError, DegenerateSourceError, UndefinedPoaError):
-        pass
-    return head + d + [_fmt(v) for v in r.sol.efforts] + welfare + ["ok"]
+    Row r equals what ``_run`` gives on markets[r]: the same stages run once
+    over the stack, and a row that stops early gets a status instead of
+    raising.  A NumericFailure from the welfare checks still aborts.
+    """
+    n, mm = markets[0].n_sources, markets[0].n_buyers
+    alphas = np.array([m.alphas() for m in markets], dtype=float)
+    etas = np.array([[b.eta for b in m.buyers] for m in markets], dtype=float)
+
+    w, errors, xi_errors = weight_rows(markets)
+    weighted = np.array([e is None for e in errors], dtype=bool)
+    has_xi = np.array([e is None for e in xi_errors], dtype=bool)
+    A = coupling_matrix(w.xi[has_xi])
+    rho = np.zeros(len(markets))
+    rho[has_xi] = spectral_radius(A)
+    past_gate = has_xi & (rho >= RHO_EXISTENCE_THRESHOLD)
+
+    to_solve = weighted & ~past_gate
+    sol, solve_errors = solve_rows(A[to_solve[has_xi]], w.gamma[to_solve], alphas[to_solve])
+    solved = np.array([e is None for e in solve_errors], dtype=bool)
+    ok = to_solve.copy()
+    ok[to_solve] = solved
+
+    rows_w = SeparableWeights(beta=w.beta[ok], xi=w.xi[ok], gamma=w.gamma[ok])
+    rep, welfare_errors = welfare_rows(sol.efforts[solved], rows_w, alphas[ok], etas[ok])
+    for err in welfare_errors:
+        if isinstance(err, NumericFailure):
+            raise err
+    has_welfare = ok.copy()
+    has_welfare[ok] = [e is None for e in welfare_errors]
+
+    off_diag = ~np.eye(n, dtype=bool)
+    columns = [
+        # (rows that have the cells, the cells of those rows), in CSV order
+        (np.ones(len(markets), dtype=bool), values[:, None]),
+        (weighted, np.swapaxes(w.gamma[weighted], -1, -2).reshape(-1, n * mm)),
+        (has_xi, np.moveaxis(w.xi[has_xi], 1, -1)[:, off_diag].reshape(-1, n * (n - 1) * mm)),
+        (has_xi, rho[has_xi, None]),
+        (ok, np.swapaxes(sol.d[solved], -1, -2).reshape(-1, n * mm)),
+        (ok, sol.efforts[solved]),
+        (has_welfare, np.column_stack([rep.efforts_opt, rep.loss_eq, rep.loss_opt, rep.poa])
+         [has_welfare[ok]]),
+    ]
+    width = sum(cells.shape[1] for _, cells in columns)
+    table = np.zeros((len(markets), width))
+    filled = np.zeros((len(markets), width), dtype=bool)
+    start = 0
+    for present, cells in columns:
+        stop = start + cells.shape[1]
+        table[present, start:stop] = cells
+        filled[present, start:stop] = True
+        start = stop
+
+    status = np.where(ok, "ok", np.where(past_gate, "no_equilibrium", "error")).tolist()
+    return [",".join([f"{v:.12g}" if keep else "" for v, keep in zip(row.tolist(), mask.tolist())]
+                     + [s])
+            for row, mask, s in zip(table, filled, status)]
 
 
 def _cmd_sweep(args) -> int:
@@ -432,8 +479,8 @@ def _cmd_sweep(args) -> int:
         steps = rng_doc["steps"]
     except (KeyError, TypeError, ValueError, OverflowError):
         raise ConfigError("range needs numeric 'from', 'to' and integer 'steps'") from None
-    if not isinstance(steps, int) or isinstance(steps, bool) or steps < 2:
-        raise ConfigError(f"range.steps must be an integer >= 2, got {steps!r}")
+    if not isinstance(steps, int) or isinstance(steps, bool) or not 2 <= steps <= MAX_SWEEP_STEPS:
+        raise ConfigError(f"range.steps must be an integer from 2 to {MAX_SWEEP_STEPS}, got {steps!r}")
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ConfigError("range bounds must be finite")
 
@@ -445,8 +492,10 @@ def _cmd_sweep(args) -> int:
 
     values = np.linspace(lo, hi, steps)
     markets = []
+    # a market keeps no reference into its document, so one copy serves
+    # every value
+    doc = copy.deepcopy(base)
     for v in values:
-        doc = copy.deepcopy(base)
         _apply_param(doc, param, float(v))
         m = market_from_config(doc)
         violations = validate_market(m)
@@ -457,15 +506,17 @@ def _cmd_sweep(args) -> int:
             )
         markets.append(m)
 
-    rows = [_sweep_row(m, float(v)) for m, v in zip(markets, values)]
-    lines = [",".join(_sweep_columns(markets[0].n_sources, markets[0].n_buyers))]
-    lines += [",".join(r) for r in rows]
+    n, mm = markets[0].n_sources, markets[0].n_buyers
+    lines = [",".join(_sweep_columns(n, mm))]
+    batch = max(1, _BATCH_ENTRIES // (n * mm) ** 2)
+    for start in range(0, len(markets), batch):
+        lines += _sweep_lines(markets[start:start + batch], values[start:start + batch])
     try:
         with open(args.out, "wb") as fh:
             fh.write(("\n".join(lines) + "\n").encode("utf-8"))
     except OSError as err:
         raise ConfigError(f"cannot write {args.out}: {err}") from None
-    print(f"wrote {len(rows)} rows to {args.out}")
+    print(f"wrote {len(markets)} rows to {args.out}")
     return EXIT_OK
 
 

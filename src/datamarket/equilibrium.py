@@ -30,6 +30,7 @@ __all__ = [
     "coupling_matrix",
     "build_coupling_system",
     "solve_equilibrium_d",
+    "solve_rows",
     "c_polytope",
     "canonical_c",
     "complete_solution",
@@ -108,29 +109,36 @@ def coupling_matrix(xi: np.ndarray) -> np.ndarray:
     ``A[(q, k), (l, j)] = xi[j, l, q]`` for ``l != q`` and ``j != k``.  It is
     filled in place as one C-ordered (source, buyer, source, buyer) array, so
     the final reshape is a view and the output is the only large allocation.
+    Leading axes of ``xi`` (one tensor per market) carry over to A.
     """
-    n_buyers, n_sources, _ = xi.shape
-    A = np.zeros((n_sources, n_buyers, n_sources, n_buyers))
+    *lead, n_buyers, n_sources, _ = xi.shape
+    A = np.zeros((*lead, n_sources, n_buyers, n_sources, n_buyers))
     other_buyer = ~np.eye(n_buyers, dtype=bool)
-    np.copyto(A, np.transpose(xi, (2, 1, 0))[:, None, :, :],
+    np.copyto(A, np.swapaxes(xi, -1, -3)[..., :, None, :, :],
               where=other_buyer[None, :, None, :])
     own = np.arange(n_sources)
-    A[own, :, own, :] = 0.0
-    return A.reshape(n_sources * n_buyers, n_sources * n_buyers)
+    A[..., own, :, own, :] = 0.0
+    return A.reshape(*lead, n_sources * n_buyers, n_sources * n_buyers)
 
 
-def spectral_radius(a: np.ndarray) -> float:
-    """Spectral radius of a nonnegative square matrix, from its dense eigenvalues."""
+def spectral_radius(a: np.ndarray):
+    """Spectral radius of a nonnegative square matrix, from its dense eigenvalues.
+
+    Leading axes hold a stack of matrices; the result is then one radius
+    per matrix instead of a float.
+    """
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if a.size == 0:
-        return 0.0
-    if not np.isfinite(a).all():
-        raise ValueError("spectral_radius expects a finite matrix")
-    if a.min() < 0.0:
-        raise ValueError("spectral_radius expects a nonnegative matrix")
-    return float(np.abs(np.linalg.eigvals(a)).max())
+        rho = np.zeros(a.shape[:-2])
+    else:
+        if not np.isfinite(a).all():
+            raise ValueError("spectral_radius expects a finite matrix")
+        if a.min() < 0.0:
+            raise ValueError("spectral_radius expects a nonnegative matrix")
+        rho = np.abs(np.linalg.eigvals(a)).max(axis=-1)
+    return float(rho) if a.ndim == 2 else rho
 
 
 def build_coupling_system(w: SeparableWeights, m: MarketInstance) -> CouplingSystem:
@@ -174,6 +182,8 @@ class EquilibriumSolution:
     d is (M, N) buyer-major; d_total, efforts and variances are per source.
     The payment fields are filled by ``complete_solution`` (or
     ``solution_from_d``) and stay None straight out of the linear solve.
+    ``solve_rows`` returns one for a stack of systems, with a leading row
+    axis on every field.
     """
 
     d: np.ndarray
@@ -185,14 +195,66 @@ class EquilibriumSolution:
     c_canonical: np.ndarray | None = None
 
 
-def _induced_quantities(d: np.ndarray, alphas: np.ndarray):
-    d_total = d.sum(axis=0)
-    for i, t in enumerate(d_total):
-        if not 0.0 < t < math.inf:
-            raise ValueError(f"source {i} attracts total slope {t:.6g}; its effort is undefined")
-    efforts = np.array([effort_from_d_total(t, a) for t, a in zip(d_total, alphas)])
-    variances = np.array([variance_from_d_total(t, a) for t, a in zip(d_total, alphas)])
-    return d_total, efforts, variances
+def _induced_quantities(d: np.ndarray, alphas: np.ndarray) -> tuple:
+    """Total slopes, efforts and variances of stacked slopes ``d[r, j, i]``.
+
+    Returns them with a list holding, per row, the ValueError that makes the
+    row's efforts undefined, or None.
+    """
+    # a vanishing eta can push the total to inf; the check below reports it
+    with np.errstate(over="ignore"):
+        d_total = d.sum(axis=-2)
+    efforts = np.full(d_total.shape, np.nan)
+    variances = np.full(d_total.shape, np.nan)
+    errors = [None] * len(d_total)
+    for r, (totals, rates) in enumerate(zip(d_total.tolist(), alphas.tolist())):
+        try:
+            for i, t in enumerate(totals):
+                if not 0.0 < t < math.inf:
+                    raise ValueError(f"source {i} attracts total slope {t:.6g}; its effort is undefined")
+            efforts[r] = [effort_from_d_total(t, a) for t, a in zip(totals, rates)]
+            variances[r] = [variance_from_d_total(t, a) for t, a in zip(totals, rates)]
+        except ValueError as err:
+            errors[r] = err
+    return d_total, efforts, variances, errors
+
+
+def solve_rows(A: np.ndarray, gamma: np.ndarray, alphas: np.ndarray) -> tuple:
+    """Solve a stack of systems ``d = A d + gamma`` and validate each row.
+
+    ``A`` is (R, NM, NM) as ``coupling_matrix`` stacks it, ``gamma`` (R, M, N)
+    buyer-major and ``alphas`` (R, N); every row must already have passed the
+    existence gate.  Returns an EquilibriumSolution whose fields carry the
+    leading row axis, and per row the NumericFailure or ValueError that
+    ``solve_equilibrium_d`` raises on it, or None.
+    """
+    n_rows, n_buyers, n_sources = gamma.shape
+    n = n_sources * n_buyers
+    gamma_vec = np.swapaxes(gamma, -1, -2).reshape(n_rows, n)
+    # I - A built in place: the stack's only matrix-sized temporary
+    eye_minus_a = np.zeros_like(A)
+    eye_minus_a[..., np.arange(n), np.arange(n)] = 1.0
+    np.subtract(eye_minus_a, A, out=eye_minus_a)
+    dvec = np.linalg.solve(eye_minus_a, gamma_vec[..., None])[..., 0]
+
+    scale = 1.0 + np.abs(dvec).max(axis=-1, initial=0.0)
+    residual = np.abs(dvec - (A @ dvec[..., None])[..., 0] - gamma_vec).max(axis=-1) / scale
+    lowest = dvec.min(axis=-1, initial=0.0)
+    errors = [None] * n_rows
+    for r in np.flatnonzero((residual > _RESIDUAL_HARD_LIMIT) | (lowest < -1e-12 * scale)):
+        if residual[r] > _RESIDUAL_HARD_LIMIT:
+            errors[r] = NumericFailure(
+                f"fixed-point residual {residual[r]:.3g} exceeds {_RESIDUAL_HARD_LIMIT:g}")
+        else:
+            errors[r] = NumericFailure(f"negative slope {lowest[r]:.3g} in the solved system")
+    dvec = np.maximum(dvec, 0.0)
+
+    # source-major stacking: (R, N, M) viewed buyer-major as (R, M, N)
+    d = dvec.reshape(n_rows, n_sources, n_buyers).swapaxes(-1, -2)
+    d_total, efforts, variances, induced_errors = _induced_quantities(d, alphas)
+    sol = EquilibriumSolution(d=d, d_total=d_total, efforts=efforts,
+                              variances=variances, residual=residual)
+    return sol, [e or i for e, i in zip(errors, induced_errors)]
 
 
 def solve_equilibrium_d(system: CouplingSystem) -> EquilibriumSolution:
@@ -204,21 +266,12 @@ def solve_equilibrium_d(system: CouplingSystem) -> EquilibriumSolution:
     """
     if system.rho >= RHO_EXISTENCE_THRESHOLD:
         raise NoEquilibriumError(system.rho)
-    n = system.A.shape[0]
-    dvec = np.linalg.solve(np.eye(n) - system.A, system.gamma_vec)
-
-    scale = 1.0 + float(np.abs(dvec).max(initial=0.0))
-    residual = float(np.abs(dvec - system.A @ dvec - system.gamma_vec).max()) / scale
-    if residual > _RESIDUAL_HARD_LIMIT:
-        raise NumericFailure(f"fixed-point residual {residual:.3g} exceeds {_RESIDUAL_HARD_LIMIT:g}")
-    if dvec.min(initial=0.0) < -1e-12 * scale:
-        raise NumericFailure(f"negative slope {dvec.min():.3g} in the solved system")
-    dvec = np.maximum(dvec, 0.0)
-
-    d = system.unstack(dvec)
-    d_total, efforts, variances = _induced_quantities(d, system.alphas)
-    return EquilibriumSolution(d=d, d_total=d_total, efforts=efforts,
-                               variances=variances, residual=residual)
+    gamma = system.unstack(system.gamma_vec)
+    sol, errors = solve_rows(system.A[None], gamma[None], system.alphas[None])
+    if errors[0] is not None:
+        raise errors[0]
+    return EquilibriumSolution(d=sol.d[0], d_total=sol.d_total[0], efforts=sol.efforts[0],
+                               variances=sol.variances[0], residual=float(sol.residual[0]))
 
 
 def c_polytope(sol: EquilibriumSolution, w: SeparableWeights, m: MarketInstance) -> CPolytope:
@@ -269,7 +322,10 @@ def solution_from_d(d: np.ndarray, w: SeparableWeights, m: MarketInstance,
     """
     d = np.asarray(d, dtype=float)
     alphas = np.asarray(m.alphas(), dtype=float)
-    d_total, efforts, variances = _induced_quantities(d, alphas)
+    d_total, efforts, variances, errors = _induced_quantities(d[None], alphas[None])
+    if errors[0] is not None:
+        raise errors[0]
+    d_total, efforts, variances = d_total[0], efforts[0], variances[0]
     if system is not None:
         dvec = system.stack(d)
         scale = 1.0 + float(np.abs(dvec).max(initial=0.0))

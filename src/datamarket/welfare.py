@@ -24,6 +24,7 @@ __all__ = [
     "social_loss",
     "social_optimum_efforts",
     "price_of_anarchy",
+    "welfare_rows",
 ]
 
 
@@ -41,6 +42,12 @@ class UndefinedPoaError(Exception):
 
 @dataclass(frozen=True)
 class WelfareReport:
+    """Efforts and social losses at equilibrium and at the optimum.
+
+    ``welfare_rows`` returns one for a stack of markets, with a leading row
+    axis on every field.
+    """
+
     efforts_eq: np.ndarray
     efforts_opt: np.ndarray
     loss_eq: float
@@ -48,19 +55,52 @@ class WelfareReport:
     poa: float
 
 
-def _require_unit_eta(m: MarketInstance):
-    for j, b in enumerate(m.buyers):
-        if b.eta != 1.0:
-            raise EtaNotOneError(f"buyer {j} has eta {b.eta}; welfare accounting requires eta == 1")
+def _eta_errors(etas: np.ndarray) -> list:
+    """Per row of buyer etas, the EtaNotOneError for the first eta that is not 1."""
+    errors = [None] * len(etas)
+    for r, row in enumerate(etas.tolist()):
+        for j, eta in enumerate(row):
+            if eta != 1.0:
+                errors[r] = EtaNotOneError(
+                    f"buyer {j} has eta {eta}; welfare accounting requires eta == 1")
+                break
+    return errors
+
+
+def _raise_first(errors: list):
+    if errors[0] is not None:
+        raise errors[0]
+
+
+def _etas(m: MarketInstance) -> np.ndarray:
+    return np.array([[b.eta for b in m.buyers]], dtype=float)
+
+
+def _social_loss(efforts: np.ndarray, weights: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """Row-wise total expected loss plus total effort."""
+    return (weights * np.exp(-2.0 * alphas * efforts)).sum(axis=-1) + efforts.sum(axis=-1)
+
+
+def _optimum(weights: np.ndarray, alphas: np.ndarray) -> tuple:
+    """Row-wise optimal efforts and per row the first DegenerateSourceError."""
+    errors = [None] * len(weights)
+    for r, row in enumerate(weights.tolist()):
+        for i, g in enumerate(row):
+            if not g > 0.0:
+                errors[r] = DegenerateSourceError(
+                    f"source {i} has zero aggregate loss weight; the social loss has no finite minimizer")
+                break
+    # degenerate rows give log(0); they are reported, not used
+    with np.errstate(all="ignore"):
+        return np.log(2.0 * alphas * weights) / (2.0 * alphas), errors
 
 
 def social_loss(efforts, w: SeparableWeights, m: MarketInstance) -> float:
     """Total expected estimation loss plus total effort at the given profile."""
-    _require_unit_eta(m)
+    _raise_first(_eta_errors(_etas(m)))
     e = np.asarray(efforts, dtype=float)
-    weights = w.gamma.sum(axis=0)
     alphas = np.asarray(m.alphas(), dtype=float)
-    return float(np.sum(weights * np.exp(-2.0 * alphas * e)) + e.sum())
+    return float(_social_loss(e[None], w.gamma.sum(axis=0)[None], alphas[None])[0])
 
 
 def social_optimum_efforts(w: SeparableWeights, m: MarketInstance) -> np.ndarray:
@@ -71,14 +111,51 @@ def social_optimum_efforts(w: SeparableWeights, m: MarketInstance) -> np.ndarray
     ``log(2 * alpha * G) / (2 * alpha)``, with G the source's aggregate
     loss weight.
     """
-    weights = w.gamma.sum(axis=0)
     alphas = np.asarray(m.alphas(), dtype=float)
-    for i, g in enumerate(weights):
-        if not g > 0.0:
-            raise DegenerateSourceError(
-                f"source {i} has zero aggregate loss weight; the social loss has no finite minimizer"
-            )
-    return np.log(2.0 * alphas * weights) / (2.0 * alphas)
+    efforts, errors = _optimum(w.gamma.sum(axis=0)[None], alphas[None])
+    _raise_first(errors)
+    return efforts[0]
+
+
+def welfare_rows(efforts: np.ndarray, w: SeparableWeights, alphas: np.ndarray,
+                 etas: np.ndarray) -> tuple:
+    """Equilibrium against optimal welfare for a stack of solved markets.
+
+    Every argument carries a leading row axis: equilibrium efforts (R, N),
+    the rows' weights, alphas (R, N) and buyer etas (R, M).  Returns a
+    WelfareReport whose fields carry that axis, and per row the error
+    ``price_of_anarchy`` raises on it, or None.
+    """
+    weights = w.gamma.sum(axis=-2)
+    efforts_opt, opt_errors = _optimum(weights, alphas)
+    # rows that fail a check below may hold inf or NaN; no warning for them
+    with np.errstate(all="ignore"):
+        loss_eq = _social_loss(efforts, weights, alphas)
+        loss_opt = _social_loss(efforts_opt, weights, alphas)
+        gap = efforts - efforts_opt
+        below = ~(gap.min(axis=-1) > -1e-9 * (1.0 + np.abs(efforts_opt).max(axis=-1)))
+        poa = loss_eq / loss_opt
+
+    n_buyers, n = w.gamma.shape[-2:]
+    off_diag = w.xi.copy()
+    off_diag[..., np.arange(n), np.arange(n)] = 0.0
+    coupled = (n_buyers >= 2) & (off_diag > 0.0).any(axis=(-3, -2, -1)) \
+        & (w.gamma > 0.0).all(axis=(-2, -1))
+    no_oversupply = coupled & ~(gap.max(axis=-1) > 0.0)
+
+    errors = [e or o for e, o in zip(_eta_errors(etas), opt_errors)]
+    for r, err in enumerate(errors):
+        if err is not None:
+            continue
+        if not loss_opt[r] > 0.0:
+            errors[r] = UndefinedPoaError(f"optimal social loss {loss_opt[r]:.6g} is not positive")
+        elif below[r]:
+            errors[r] = NumericFailure("equilibrium efforts fell below the social optimum")
+        elif no_oversupply[r]:
+            errors[r] = NumericFailure("coupled market failed to over-incentivize effort")
+    report = WelfareReport(efforts_eq=np.array(efforts, dtype=float), efforts_opt=efforts_opt,
+                           loss_eq=loss_eq, loss_opt=loss_opt, poa=poa)
+    return report, errors
 
 
 def price_of_anarchy(sol: EquilibriumSolution, w: SeparableWeights,
@@ -92,29 +169,10 @@ def price_of_anarchy(sol: EquilibriumSolution, w: SeparableWeights,
     Both facts are checked rather than trusted: a breach raises
     NumericFailure.
     """
-    _require_unit_eta(m)
-    efforts_opt = social_optimum_efforts(w, m)
-    loss_eq = social_loss(sol.efforts, w, m)
-    loss_opt = social_loss(efforts_opt, w, m)
-    if not loss_opt > 0.0:
-        raise UndefinedPoaError(f"optimal social loss {loss_opt:.6g} is not positive")
-
-    gap = sol.efforts - efforts_opt
-    slack = 1e-9 * (1.0 + float(np.abs(efforts_opt).max()))
-    if not gap.min() > -slack:
-        raise NumericFailure("equilibrium efforts fell below the social optimum")
-
-    n = m.n_sources
-    off_diag = w.xi.copy()
-    off_diag[:, np.arange(n), np.arange(n)] = 0.0
-    coupled = m.n_buyers >= 2 and bool((off_diag > 0.0).any()) and bool((w.gamma > 0.0).all())
-    if coupled and not gap.max() > 0.0:
-        raise NumericFailure("coupled market failed to over-incentivize effort")
-
-    return WelfareReport(
-        efforts_eq=np.array(sol.efforts, dtype=float),
-        efforts_opt=efforts_opt,
-        loss_eq=loss_eq,
-        loss_opt=loss_opt,
-        poa=loss_eq / loss_opt,
-    )
+    stacked = SeparableWeights(beta=w.beta[None], xi=w.xi[None], gamma=w.gamma[None])
+    rep, errors = welfare_rows(np.asarray(sol.efforts, dtype=float)[None], stacked,
+                               np.asarray(m.alphas(), dtype=float)[None], _etas(m))
+    _raise_first(errors)
+    return WelfareReport(efforts_eq=rep.efforts_eq[0], efforts_opt=rep.efforts_opt[0],
+                         loss_eq=float(rep.loss_eq[0]), loss_opt=float(rep.loss_opt[0]),
+                         poa=float(rep.poa[0]))

@@ -1,3 +1,4 @@
+import copy
 import csv
 import dataclasses
 import json
@@ -14,6 +15,24 @@ from hypothesis import strategies as st
 
 import datamarket.cli
 import datamarket.equilibrium
+import datamarket.estimators
+from datamarket import (
+    RHO_EXISTENCE_THRESHOLD,
+    EtaNotOneError,
+    DegenerateSourceError,
+    GammaNegativeError,
+    NoEquilibriumError,
+    NumericFailure,
+    SingularDesignError,
+    UndefinedPoaError,
+    build_coupling_system,
+    compute_weights,
+    coupling_matrix,
+    loo_weight_tensor,
+    price_of_anarchy,
+    solve_equilibrium_d,
+    spectral_radius,
+)
 from datamarket.cli import ConfigError, main, market_from_config, market_to_config
 
 from conftest import two_firm_market
@@ -202,13 +221,24 @@ def test_coincident_sources_exit_2_in_every_command(tmp_path, capsys, command):
     assert "no equilibrium" in capsys.readouterr().err
 
 
-def test_negative_gamma_past_the_gate_has_no_equilibrium(tmp_path, capsys):
-    # existence is decided by xi alone, ahead of the negative adjusted weight
+def test_negative_gamma_past_the_gate_has_no_equilibrium(tmp_path, capsys, monkeypatch):
+    # existence is decided by xi alone, ahead of the negative adjusted weight;
+    # the xi fitted with the weights is reused, not fitted a second time
+    fits = []
+    real = datamarket.estimators._loo_rows
+
+    def counted(*args):
+        fits.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(datamarket.estimators, "_loo_rows", counted)
     cfg = tmp_path / "neg_gamma.json"
     cfg.write_text(json.dumps(NEG_GAMMA_DOC))
     for command in ("solve", "check", "welfare"):
+        fits.clear()
         assert main([command, str(cfg)]) == 2
         assert "no equilibrium: spectral radius 2 " in capsys.readouterr().err
+        assert len(fits) == 1
 
     spec = write_sweep(tmp_path, NEG_GAMMA_DOC, 1.0, 2.0, 2, param="sources[0].alpha")
     out = tmp_path / "neg.csv"
@@ -220,6 +250,7 @@ def test_negative_gamma_past_the_gate_has_no_equilibrium(tmp_path, capsys):
 
 @pytest.mark.parametrize("command, markets", [("solve", 1), ("welfare", 1), ("check", 1), ("sweep", 3)])
 def test_coupling_matrix_built_once_per_market(tmp_path, monkeypatch, command, markets):
+    # a sweep builds one stack for all of its markets
     calls = []
     real = datamarket.equilibrium.coupling_matrix
 
@@ -230,7 +261,7 @@ def test_coupling_matrix_built_once_per_market(tmp_path, monkeypatch, command, m
     monkeypatch.setattr(datamarket.equilibrium, "coupling_matrix", counted)
     monkeypatch.setattr(datamarket.cli, "coupling_matrix", counted)
     cfg = str(write_config(tmp_path, two_firm_market(0.0)))
-    spec = str(write_sweep(tmp_path, market_to_config(two_firm_market(0.0)), -1.0, 0.0, 3))
+    spec = str(write_sweep(tmp_path, market_to_config(two_firm_market(0.0)), -1.0, 0.0, markets))
     argv = {
         "solve": ["solve", cfg],
         "welfare": ["welfare", cfg],
@@ -238,7 +269,7 @@ def test_coupling_matrix_built_once_per_market(tmp_path, monkeypatch, command, m
         "sweep": ["sweep", spec, "--out", str(tmp_path / "rows.csv")],
     }[command]
     assert main(argv) == 0
-    assert len(calls) == markets
+    assert len(calls) == 1
 
 
 def test_solve_vanishing_eta_exits_1(tmp_path, capsys):
@@ -258,6 +289,23 @@ def test_solve_vanishing_eta_exits_1(tmp_path, capsys):
     rows = list(csv.DictReader(rows_csv.open()))
     assert [r["status"] for r in rows] == ["error", "ok"]
     assert rows[0]["d_1_1"] == ""
+
+
+def test_vanishing_eta_writes_only_the_error_line(tmp_path):
+    # the overflowing total slope is reported once, with no numpy warning
+    # ahead of it; a sweep reports it as a row status and writes nothing
+    cfg = write_config(tmp_path, two_firm_market(0.0, etas=(1e-308, 1.0)))
+    spec = write_sweep(tmp_path, market_to_config(two_firm_market(0.0)), 1e-308, 1.0, 3,
+                       param="buyers[0].eta")
+    for argv, lines in ((["solve", str(cfg)], 1), (["welfare", str(cfg)], 1),
+                        (["check", str(cfg), "--samples", "200", "--steps", "3"], 1),
+                        (["sweep", str(spec), "--out", str(tmp_path / "eta.csv")], 0)):
+        proc = subprocess.run([sys.executable, "-m", "datamarket"] + argv,
+                              capture_output=True, text=True)
+        assert proc.returncode == (0 if argv[0] == "sweep" else 1)
+        assert len(proc.stderr.splitlines()) == lines, proc.stderr
+        if lines:
+            assert proc.stderr.startswith("error: source 0 attracts total slope inf")
 
 
 def test_solve_input_errors(tmp_path, capsys):
@@ -458,6 +506,185 @@ def test_sweep_input_errors(tmp_path):
     # unwritable output
     assert main(["sweep", str(write_sweep(tmp_path, base, -1.0, 0.0, 3, name="s4.json")),
                  "--out", str(tmp_path / "nodir" / "w.csv")]) == 1
+
+
+# ---------------------------------------------------------------------------
+# stacked sweep against the per-row pipeline
+# ---------------------------------------------------------------------------
+
+def _fmt(x):
+    return f"{float(x):.12g}"
+
+
+def _reference_row(m, value):
+    """One sweep row from the one-market pipeline, run on that market alone."""
+    n, mm = m.n_sources, m.n_buyers
+    w = xi = rho = sol = None
+    status = "ok"
+    try:
+        w = compute_weights(m)
+        xi = w.xi
+    except (SingularDesignError, GammaNegativeError):
+        status = "error"
+        try:
+            xi = loo_weight_tensor(m)
+        except SingularDesignError:
+            pass
+        else:
+            rho = spectral_radius(coupling_matrix(xi))
+            if rho >= RHO_EXISTENCE_THRESHOLD:
+                status = "no_equilibrium"
+    if w is not None:
+        system = build_coupling_system(w, m)
+        rho = system.rho
+        try:
+            sol = solve_equilibrium_d(system)
+        except NoEquilibriumError:
+            status = "no_equilibrium"
+        except (NumericFailure, ValueError):
+            status = "error"
+
+    blank = [""] * (n * mm)
+    gamma = blank if w is None else [_fmt(w.gamma[j, i]) for i in range(n) for j in range(mm)]
+    xis = ([""] * (n * (n - 1) * mm) if xi is None else
+           [_fmt(xi[j, i, l]) for i in range(n) for l in range(n) if l != i for j in range(mm)])
+    head = [_fmt(value)] + gamma + xis + ["" if rho is None else _fmt(rho)]
+    if sol is None:
+        return head + blank + [""] * (2 * n + 3) + [status]
+    welfare = [""] * (n + 3)
+    try:
+        rep = price_of_anarchy(sol, w, m)
+        welfare = [_fmt(v) for v in rep.efforts_opt] + [_fmt(rep.loss_eq), _fmt(rep.loss_opt),
+                                                        _fmt(rep.poa)]
+    except (EtaNotOneError, DegenerateSourceError, UndefinedPoaError):
+        pass
+    d = [_fmt(sol.d[j, i]) for i in range(n) for j in range(mm)]
+    return head + d + [_fmt(v) for v in sol.efforts] + welfare + ["ok"]
+
+
+def _reference_csv(spec_path):
+    spec = json.loads(spec_path.read_text())
+    base = spec["base"]
+    if isinstance(base, str):
+        base = json.loads((spec_path.parent / base).read_text())
+    rng = spec["range"]
+    values = np.linspace(float(rng["from"]), float(rng["to"]), rng["steps"])
+    markets = []
+    for v in values:
+        doc = copy.deepcopy(base)
+        datamarket.cli._apply_param(doc, spec["param"], float(v))
+        markets.append(market_from_config(doc))
+    header = datamarket.cli._sweep_columns(markets[0].n_sources, markets[0].n_buyers)
+    rows = [_reference_row(m, v) for m, v in zip(markets, values.tolist())]
+    return "\n".join(",".join(r) for r in [header] + rows) + "\n"
+
+
+def _market_doc(rng, xs, degrees, delta_top=0.05, etas=None):
+    mm = len(degrees)
+    off = np.triu(np.round(rng.uniform(0.0, delta_top, (mm, mm)), 4), 1)
+    delta = off + off.T
+    buyers = []
+    for k, degree in enumerate(degrees):
+        if k % 2:
+            dist = {"kind": "point-mass", "params": {"x0": round(float(rng.uniform(-1, 1)), 4)}}
+        else:
+            lo, hi = float(rng.uniform(-1.0, -0.25)), float(rng.uniform(0.25, 1.0))
+            dist = {"kind": "uniform", "params": {"lo": round(lo, 4), "hi": round(hi, 4)}}
+        buyers.append({"estimator": {"kind": "polynomial-regression", "degree": int(degree)},
+                       "value_dist": dist, "delta": delta[k].tolist(),
+                       "eta": 1.0 if etas is None else etas[k]})
+    return {"sources": [{"x": float(x), "alpha": round(float(rng.uniform(0.5, 1.5)), 3)} for x in xs],
+            "buyers": buyers, "feature_domain": [-1.0, 1.0]}
+
+
+def _seeded_specs(rng):
+    """(param, from, to, steps, base) sweeps over every swept parameter, one
+    to three buyers, two to four sources and degrees one to three.
+
+    x sweeps step on a 1/16 grid that holds the other sources, so some rows
+    hit a coincident pair (error) and their neighbours couple strongly
+    (no_equilibrium); degree N - 1 makes every leave-one-out design
+    underdetermined, and strong competition drives adjusted weights negative.
+    """
+    g = 1.0 / 16.0
+    specs = []
+    for mm in (1, 2, 3):
+        specs.append(("sources[0].x", -1.0, 1.0, 33, _market_doc(rng, [0.0, 1.0], [1] * mm)))
+        mid = g * int(rng.integers(-3, 4))
+        specs.append(("sources[1].x", -1.0, 1.0, 33,
+                      _market_doc(rng, [-1.0, mid, 1.0], [1 + k % 2 for k in range(mm)])))
+        specs.append(("sources[2].x", -1.0, 1.0, 17,
+                      _market_doc(rng, [-1.0, -0.5, 0.0, 1.0], [3 - k % 3 for k in range(mm)])))
+        specs.append((f"sources[{int(rng.integers(0, 3))}].alpha", 0.5, 2.0, 9,
+                      _market_doc(rng, [-1.0, g * int(rng.integers(-3, 4)), 1.0], [2] * mm, 0.3)))
+        specs.append((f"buyers[{int(rng.integers(0, mm))}].eta", 0.5, 2.0, 9,
+                      _market_doc(rng, [-1.0, -0.5, 0.5, 1.0], [3] * mm, 0.9)))
+    for _ in range(6):
+        xs = sorted(rng.uniform(-1.0, 1.0, 3).round(4).tolist())
+        specs.append(("sources[0].x", -1.0, 1.0, 9, _market_doc(rng, xs, [1, 2], 0.9)))
+    # every row an error: dropping source 2 leaves two coincident points
+    specs.append(("sources[2].alpha", 0.5, 2.0, 5, _market_doc(rng, [0.3, 0.3, 0.9], [1, 1])))
+    # every row past the gate: two coincident sources
+    specs.append(("sources[0].alpha", 0.5, 2.0, 5, _market_doc(rng, [0.5, 0.5], [1, 1])))
+    return specs
+
+
+@pytest.mark.parametrize("batch_entries", [None, 100])
+def test_stacked_sweep_matches_the_per_row_pipeline(tmp_path, monkeypatch, batch_entries):
+    # byte-identical CSVs, whether all rows are computed together or a few
+    # at a time
+    if batch_entries is not None:
+        monkeypatch.setattr(datamarket.cli, "_BATCH_ENTRIES", batch_entries)
+    spec_paths = [tmp_path / "sweep_x1.json"]
+    spec_paths[0].write_text(json.dumps(dict(
+        json.loads(open(os.path.join(ROOT, "configs", "sweep_x1.json")).read()),
+        base=json.loads(open(os.path.join(ROOT, "configs", "two_firm.json")).read()))))
+    for c, (param, lo, hi, steps, base) in enumerate(_seeded_specs(np.random.default_rng(5))):
+        spec_paths.append(write_sweep(tmp_path, base, lo, hi, steps, param=param, name=f"s{c}.json"))
+
+    statuses = []
+    for path in spec_paths:
+        out = tmp_path / (path.stem + ".csv")
+        assert main(["sweep", str(path), "--out", str(out)]) == 0
+        assert out.read_text() == _reference_csv(path)
+        statuses.append({line.rsplit(",", 1)[1] for line in out.read_text().splitlines()[1:]})
+    assert set().union(*statuses) == {"ok", "no_equilibrium", "error"}
+    assert statuses[-2] == {"error"} and statuses[-1] == {"no_equilibrium"}
+
+
+def test_sweep_steps_are_bounded(tmp_path):
+    base = market_to_config(two_firm_market(0.0))
+    spec = write_sweep(tmp_path, base, -1.0, 0.0, datamarket.cli.MAX_SWEEP_STEPS + 1)
+    assert main(["sweep", str(spec), "--out", str(tmp_path / "x.csv")]) == 1
+    spec = write_sweep(tmp_path, base, -1.0, 0.0, 10 ** 18, name="huge.json")
+    assert main(["sweep", str(spec), "--out", str(tmp_path / "y.csv")]) == 1
+
+
+_SWEEP_SPEC = {"param": "sources[0].x", "range": {"from": -1.0, "to": 0.999, "steps": 9},
+               "base": _TWO_FIRM}
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=st.lists(st.tuples(st.sampled_from(_leaf_paths(_SWEEP_SPEC)), _JSON_VALUES),
+                      min_size=1, max_size=2))
+def test_sweep_any_spec_ends_in_an_exit_code(tmp_path, capsys, edits):
+    spec = json.loads(json.dumps(_SWEEP_SPEC))
+    for path, value in edits:
+        _set_leaf(spec, path, value)
+    path = tmp_path / "fuzz_sweep.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "fuzz_rows.csv"
+    out.unlink(missing_ok=True)
+    code = main(["sweep", str(path), "--out", str(out)])
+    assert code in (0, 1)
+    if code == 0:
+        header, *rows = out.read_text().splitlines()
+        width = len(header.split(","))
+        for row in rows:
+            cells = row.split(",")
+            assert len(cells) == width
+            assert cells[-1] in ("ok", "no_equilibrium", "error")
+    capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------

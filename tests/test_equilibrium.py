@@ -29,6 +29,7 @@ def test_spectral_radius_trivial_cases():
     assert spectral_radius(np.zeros((3, 3))) == 0.0
     assert spectral_radius(np.array([[0.7]])) == pytest.approx(0.7, rel=1e-12)
     assert spectral_radius(np.zeros((0, 0))) == 0.0
+    assert spectral_radius(np.zeros((0, 4, 4))).shape == (0,)
 
 
 def test_spectral_radius_periodic_block():
@@ -50,6 +51,9 @@ def test_spectral_radius_matches_eigvals():
         expected = float(np.abs(np.linalg.eigvals(a)).max())
         got = spectral_radius(a)
         assert abs(got - expected) <= 1e-9 * max(1.0, expected)
+        # one radius per matrix of a stack, equal to the one-matrix call
+        stacked = spectral_radius(np.stack([a, 0.5 * a]))
+        assert stacked.tolist() == [got, spectral_radius(0.5 * a)]
 
 
 def test_spectral_radius_rejects_bad_input():
@@ -109,6 +113,11 @@ def test_coupling_matrix_matches_loop_assembly(n_buyers, n_sources):
     assert A.nbytes == (n_sources * n_buyers) ** 2 * 8
     if n_buyers == 1:
         assert not A.any()
+    # a leading axis stacks one matrix per tensor
+    stacked = coupling_matrix(np.stack([xi, 2.0 * xi, xi[:, ::-1, ::-1]]))
+    for got, x in zip(stacked, (xi, 2.0 * xi, xi[:, ::-1, ::-1])):
+        assert np.array_equal(got, _coupling_matrix_loops(x))
+    assert coupling_matrix(np.empty((0,) + xi.shape)).shape == (0,) + A.shape
 
 
 def test_coupling_structure_two_firm():

@@ -13,6 +13,7 @@ from datamarket import (
     h_weight,
     loo_weight_tensor,
     loss_weight_matrix,
+    weight_rows,
 )
 
 from conftest import two_firm_market
@@ -242,3 +243,177 @@ def test_eta_scales_gamma():
     w2 = compute_weights(two_firm_market(0.0, etas=(2.0, 4.0)))
     assert w2.gamma[0] == pytest.approx(w1.gamma[0] / 2.0, rel=1e-14)
     assert w2.gamma[1] == pytest.approx(w1.gamma[1] / 4.0, rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# stacked fits against the per-buyer and per-drop loops
+# ---------------------------------------------------------------------------
+
+def _h_vector_loop(spec, locations, dist):
+    """One least-squares fit and its variance weights, as a single 2-D solve."""
+    X = np.vander(np.asarray(locations, dtype=float), spec.degree + 1, increasing=True)
+    n_pts, n_coef = X.shape
+    gram = X.T @ X if n_pts >= n_coef else X @ X.T
+    cond = np.linalg.cond(gram)
+    if not np.isfinite(cond) or cond > 1e12:
+        raise SingularDesignError(
+            f"design at locations {[float(v) for v in locations]} is rank deficient "
+            f"for degree {spec.degree} (cond {cond:.3g})"
+        )
+    W = np.linalg.solve(gram, X.T) if n_pts >= n_coef else X.T @ np.linalg.inv(gram)
+    mu = np.array([dist.moment(p) for p in range(2 * spec.degree + 1)])
+    mom = mu[np.add.outer(np.arange(spec.degree + 1), np.arange(spec.degree + 1))]
+    return np.maximum(np.einsum("pi,pq,qi->i", W, mom, W), 0.0)
+
+
+def _loss_weight_matrix_loop(m):
+    xs = np.asarray(m.locations(), dtype=float)
+    beta = np.empty((m.n_buyers, m.n_sources))
+    for j, b in enumerate(m.buyers):
+        try:
+            h = _h_vector_loop(b.estimator, xs, b.value_dist)
+        except SingularDesignError as err:
+            raise SingularDesignError(f"buyer {j}: {err}", buyer=j) from None
+        beta[j] = h[::-1] if m.n_sources == 2 else h
+    return beta
+
+
+def _loo_weight_tensor_loop(m):
+    xs = np.asarray(m.locations(), dtype=float)
+    n = m.n_sources
+    xi = np.zeros((m.n_buyers, n, n))
+    for j, b in enumerate(m.buyers):
+        for i in range(n):
+            rest = [l for l in range(n) if l != i]
+            try:
+                hv = _h_vector_loop(b.estimator, xs[rest], ValueDistribution.point_mass(xs[i]))
+            except SingularDesignError as err:
+                raise SingularDesignError(
+                    f"buyer {j}: leave-one-out design dropping source {i} is singular: {err}",
+                    buyer=j, dropped_source=i,
+                ) from None
+            xi[j, i, rest] = hv
+            xi[j, i, i] = 1.0
+    return xi
+
+
+def _random_fit_market(rng, n, degrees, coincide=False):
+    xs = np.sort(rng.uniform(-1.0, 1.0, n))
+    if coincide:
+        a, b = rng.choice(n, 2, replace=False)
+        xs[a] = xs[b]
+    buyers = []
+    for degree in degrees:
+        u = rng.uniform()
+        if u < 0.4:
+            lo, hi = np.sort(rng.uniform(-1.0, 1.0, 2))
+            dist = ValueDistribution.uniform(lo, hi + 0.05)
+        elif u < 0.7:
+            dist = ValueDistribution.point_mass(rng.uniform(-1.0, 1.0))
+        else:
+            dist = ValueDistribution.discrete(rng.uniform(-1.0, 1.0, 3), (0.2, 0.3, 0.5))
+        buyers.append(DataBuyer(EstimatorSpec.polynomial(int(degree)), dist, (0.0,) * len(degrees)))
+    sources = tuple(DataSource(float(x), 1.0) for x in xs)
+    return MarketInstance(sources=sources, buyers=tuple(buyers), feature_domain=(-1.0, 1.0))
+
+
+def _close(got, want, rel):
+    return np.all(np.abs(got - want) <= rel * np.abs(want))
+
+
+def test_stacked_fits_match_the_loops():
+    # N = degree + 1 makes every leave-one-out design underdetermined
+    rng = np.random.default_rng(41)
+    fitted = 0
+    for _ in range(300):
+        n = int(rng.integers(2, 9))
+        degrees = rng.integers(1, min(3, n - 1) + 1, int(rng.integers(1, 4)))
+        m = _random_fit_market(rng, n, degrees)
+        try:
+            beta, xi = _loss_weight_matrix_loop(m), _loo_weight_tensor_loop(m)
+        except SingularDesignError:
+            continue
+        fitted += 1
+        assert _close(loss_weight_matrix(m), beta, 1e-12)
+        assert _close(loo_weight_tensor(m), xi, 1e-12)
+        assert np.array_equal(compute_weights(m).xi, loo_weight_tensor(m))
+    assert fitted > 250
+
+
+def test_weight_rows_equal_one_market_calls():
+    # rows of a stack are bit for bit the one-market weights, errors included
+    rng = np.random.default_rng(43)
+    for _ in range(40):
+        n = int(rng.integers(2, 6))
+        degrees = rng.integers(1, min(3, n - 1) + 1, int(rng.integers(1, 4)))
+        base = _random_fit_market(rng, n, degrees)
+        markets = []
+        for k in range(int(rng.integers(1, 7))):
+            xs = np.sort(rng.uniform(-1.0, 1.0, n))
+            if k == 1:
+                xs[0] = xs[-1]
+            sources = tuple(DataSource(float(x), 1.0) for x in xs)
+            markets.append(MarketInstance(sources=sources, buyers=base.buyers,
+                                          feature_domain=(-1.0, 1.0)))
+        w, errors, xi_errors = weight_rows(markets)
+        for r, m in enumerate(markets):
+            try:
+                one = compute_weights(m)
+            except (SingularDesignError, GammaNegativeError) as err:
+                assert str(errors[r]) == str(err)
+                continue
+            assert errors[r] is None and xi_errors[r] is None
+            assert np.array_equal(w.beta[r], one.beta)
+            assert np.array_equal(w.xi[r], one.xi)
+            assert np.array_equal(w.gamma[r], one.gamma)
+
+
+def test_weight_rows_rejects_markets_that_differ_in_fits():
+    m = two_firm_market(0.0)
+    other = MarketInstance(sources=m.sources, buyers=(m.buyers[0], DataBuyer(
+        EstimatorSpec.polynomial(1), ValueDistribution.point_mass(0.5), (0.0, 0.0))),
+        feature_domain=m.feature_domain)
+    with pytest.raises(ValueError, match="stacked markets must share"):
+        weight_rows([m, other])
+
+
+def test_singular_design_errors_match_the_loops():
+    # coincident sources and mixed degrees: the failing buyer need not be
+    # the first, and the error names the first failure in buyer-major order
+    rng = np.random.default_rng(47)
+    seen = set()
+    for _ in range(300):
+        n = int(rng.integers(2, 6))
+        degrees = rng.integers(1, min(3, n - 1) + 1, int(rng.integers(1, 4)))
+        m = _random_fit_market(rng, n, degrees, coincide=True)
+        for stacked, loop in ((loss_weight_matrix, _loss_weight_matrix_loop),
+                              (loo_weight_tensor, _loo_weight_tensor_loop)):
+            try:
+                loop(m)
+            except SingularDesignError as want:
+                with pytest.raises(SingularDesignError) as got:
+                    stacked(m)
+                assert str(got.value) == str(want)
+                assert (got.value.buyer, got.value.dropped_source) == (want.buyer, want.dropped_source)
+                seen.add((want.buyer, want.dropped_source is None))
+            else:
+                stacked(m)
+    assert {b for b, _ in seen} >= {0, 1} and {full for _, full in seen} == {True, False}
+
+
+def test_weight_errors_carry_the_leave_one_out_tensor():
+    # singular full design: xi is still fit, so existence can be decided
+    sources = (DataSource(0.3, 1.0), DataSource(0.3, 1.0))
+    m = MarketInstance(sources=sources, buyers=(DataBuyer(LIN, UNIT, (0.0,)),),
+                       feature_domain=(-1.0, 1.0))
+    with pytest.raises(SingularDesignError) as err:
+        compute_weights(m)
+    assert np.array_equal(err.value.xi, loo_weight_tensor(m))
+
+    # a singular leave-one-out design leaves nothing to carry
+    sources = (DataSource(0.3, 1.0), DataSource(0.3, 1.0), DataSource(0.9, 1.0))
+    m = MarketInstance(sources=sources, buyers=(DataBuyer(LIN, UNIT, (0.0,)),),
+                       feature_domain=(-1.0, 1.0))
+    with pytest.raises(SingularDesignError) as err:
+        compute_weights(m)
+    assert err.value.xi is None
