@@ -16,7 +16,6 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,8 +36,6 @@ from .estimators import (
 )
 from .equilibrium import (
     RHO_EXISTENCE_THRESHOLD,
-    CouplingSystem,
-    EquilibriumSolution,
     InfeasibleCError,
     NoEquilibriumError,
     NumericFailure,
@@ -224,47 +221,24 @@ def _load_market(path: str) -> MarketInstance:
 # shared pipeline
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _Run:
-    """How far the pipeline got on one market; ``error`` says why it stopped."""
-
-    xi: np.ndarray | None = None
-    rho: float | None = None
-    w: SeparableWeights | None = None
-    system: CouplingSystem | None = None
-    sol: EquilibriumSolution | None = None
-    error: Exception | None = None
-
-
-def _run(m: MarketInstance) -> _Run:
-    """Weights, coupling system and slopes of one market.
+def _run(m: MarketInstance) -> tuple:
+    """Weights, coupling system and slopes of one market, as ``(w, system, sol)``.
 
     Existence depends on the leave-one-out tensor alone, so when the
     full-design weights are unavailable (singular full design, negative
-    gamma) rho still comes from xi, and a rho past the gate reports no
-    equilibrium ahead of the weights error.
+    gamma) rho still comes from the xi the error carries, and a rho past the
+    gate raises NoEquilibriumError ahead of the weights error.
     """
-    r = _Run()
     try:
-        r.w = compute_weights(m)
+        w = compute_weights(m)
     except (SingularDesignError, GammaNegativeError) as err:
-        r.error = err
-        if err.xi is None:
-            # the leave-one-out fit failed too
-            return r
-        r.xi = err.xi
-        r.rho = spectral_radius(coupling_matrix(r.xi))
-        if r.rho >= RHO_EXISTENCE_THRESHOLD:
-            r.error = NoEquilibriumError(r.rho)
-        return r
-    r.xi = r.w.xi
-    r.system = build_coupling_system(r.w, m)
-    r.rho = r.system.rho
-    try:
-        r.sol = solve_equilibrium_d(r.system)
-    except (NoEquilibriumError, NumericFailure, ValueError) as err:
-        r.error = err
-    return r
+        if err.xi is not None:
+            rho = spectral_radius(coupling_matrix(err.xi))
+            if rho >= RHO_EXISTENCE_THRESHOLD:
+                raise NoEquilibriumError(rho) from None
+        raise
+    system = build_coupling_system(w, m)
+    return w, system, solve_equilibrium_d(system)
 
 
 def _print_matrix(label: str, arr: np.ndarray):
@@ -285,10 +259,7 @@ def _print_vector(label: str, vec: np.ndarray):
 
 def _cmd_solve(args) -> int:
     m = _load_market(args.config)
-    r = _run(m)
-    if r.error is not None:
-        raise r.error
-    w, sol = r.w, r.sol
+    w, system, sol = _run(m)
 
     infeasible_c = None
     try:
@@ -304,7 +275,7 @@ def _cmd_solve(args) -> int:
         welfare_note = str(err)
 
     print(f"market: {m.n_sources} sources, {m.n_buyers} buyers")
-    print(f"spectral radius: {_fmt(r.rho)}")
+    print(f"spectral radius: {_fmt(system.rho)}")
     print(f"solve residual: {_fmt(sol.residual)}")
     print()
     _print_matrix("gamma (per source)", w.gamma)
@@ -329,7 +300,7 @@ def _cmd_solve(args) -> int:
         payload = {
             "n_sources": m.n_sources,
             "n_buyers": m.n_buyers,
-            "rho": r.rho,
+            "rho": system.rho,
             "beta": w.beta.tolist(),
             "xi": w.xi.tolist(),
             "gamma": w.gamma.tolist(),
@@ -537,10 +508,8 @@ def _cmd_check(args) -> int:
     except ValueError as err:
         raise ValueError(f"bad --f-coeffs: {err}") from None
 
-    r = _run(m)
-    if r.error is not None:
-        raise r.error
-    w, system, sol = r.w, r.system, complete_solution(r.sol, r.w, m)
+    w, system, sol = _run(m)
+    sol = complete_solution(sol, w, m)
 
     direct_d = sol.d.copy()
     if args.perturb:
@@ -608,10 +577,8 @@ def _cmd_check(args) -> int:
 
 def _cmd_welfare(args) -> int:
     m = _load_market(args.config)
-    r = _run(m)
-    if r.error is not None:
-        raise r.error
-    report = price_of_anarchy(r.sol, r.w, m)
+    w, _, sol = _run(m)
+    report = price_of_anarchy(sol, w, m)
 
     _print_vector("equilibrium efforts", report.efforts_eq)
     _print_vector("socially optimal efforts", report.efforts_opt)

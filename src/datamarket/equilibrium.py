@@ -313,25 +313,22 @@ def complete_solution(sol: EquilibriumSolution, w: SeparableWeights,
 
 
 def solution_from_d(d: np.ndarray, w: SeparableWeights, m: MarketInstance,
-                    system: CouplingSystem | None = None) -> EquilibriumSolution:
+                    system: CouplingSystem) -> EquilibriumSolution:
     """Rebuild all induced quantities for an arbitrary slope matrix.
 
     Meant for diagnostics (perturbation studies, dynamics output); no
     best-response property is assumed, but payments still follow the tight
-    participation rule, so an infeasible d raises InfeasibleCError.
+    participation rule, so an infeasible d raises InfeasibleCError.  The
+    residual is d's distance from the fixed point of ``system``.
     """
     d = np.asarray(d, dtype=float)
     alphas = np.asarray(m.alphas(), dtype=float)
     d_total, efforts, variances, errors = _induced_quantities(d[None], alphas[None])
     if errors[0] is not None:
         raise errors[0]
-    d_total, efforts, variances = d_total[0], efforts[0], variances[0]
-    if system is not None:
-        dvec = system.stack(d)
-        scale = 1.0 + float(np.abs(dvec).max(initial=0.0))
-        residual = float(np.abs(dvec - system.A @ dvec - system.gamma_vec).max()) / scale
-    else:
-        residual = float("nan")
-    sol = EquilibriumSolution(d=d, d_total=d_total, efforts=efforts,
-                              variances=variances, residual=residual)
+    dvec = system.stack(d)
+    scale = 1.0 + float(np.abs(dvec).max(initial=0.0))
+    residual = float(np.abs(dvec - system.A @ dvec - system.gamma_vec).max()) / scale
+    sol = EquilibriumSolution(d=d, d_total=d_total[0], efforts=efforts[0],
+                              variances=variances[0], residual=residual)
     return complete_solution(sol, w, m)

@@ -43,7 +43,8 @@ class SingularDesignError(Exception):
 
 
 class GammaNegativeError(Exception):
-    """Competition weights push some adjusted loss weight below zero."""
+    """Some adjusted loss weight is unusable: competition weights push it
+    below zero, or a vanishing eta overflows it."""
 
     def __init__(self, message: str, xi: np.ndarray | None = None):
         super().__init__(message)
@@ -223,8 +224,13 @@ def _loss_rows(xs: np.ndarray, buyers) -> tuple:
         if degree not in fits:
             fits[degree] = _fit_operator(_design_matrix(xs, degree))
         h = _quadratic_form(fits[degree][0], _moment_matrix(_raw_moments(b.value_dist, degree), degree))
-        # two-source markets: each source carries the companion sample
-        # point's weight
+        # Two-source "companion" convention: each source carries the weight
+        # the fit puts on the other sample point, so at x = (0, 1) under a
+        # uniform [-1, 1] buyer beta is (1/3, 4/3) where the fit gives
+        # (4/3, 1/3) (pinned by test_two_firm_anchor_weights).  With three or
+        # more sources beta is the fit's own weight, so it jumps when a third
+        # source joins.  PAPER.md holds only the paper's abstract, so the
+        # convention cannot yet be traced to the paper's two-firm example.
         beta[:, j] = h[..., ::-1] if n == 2 else h
 
     errors = [None] * n_rows
@@ -270,15 +276,22 @@ def _loo_rows(xs: np.ndarray, buyers) -> tuple:
 def _adjusted_rows(beta: np.ndarray, etas: np.ndarray, buyers) -> tuple:
     """gamma[r, k, i] and per row the first GammaNegativeError."""
     delta = np.array([b.delta_row for b in buyers], dtype=float)
-    gamma = (beta - delta @ beta) / etas[..., None]
+    # a subnormal eta overflows gamma; the check below reports it
+    with np.errstate(over="ignore"):
+        gamma = (beta - delta @ beta) / etas[..., None]
     tol = 1e-12 * (1.0 + np.abs(beta).max(axis=(-2, -1), initial=0.0))
+    finite = np.isfinite(gamma).all(axis=-1)
     errors = [None] * len(beta)
-    for r in np.flatnonzero(gamma.min(axis=(-2, -1), initial=0.0) < -tol):
-        k, i = np.unravel_index(int(np.argmin(gamma[r])), gamma[r].shape)
-        errors[r] = GammaNegativeError(
-            f"buyer {k}, source {i}: adjusted loss weight {gamma[r, k, i]:.6g} is negative; "
-            "competition weights overwhelm the buyer's own loss"
-        )
+    for r in np.flatnonzero(~finite.all(axis=-1) | (gamma.min(axis=(-2, -1), initial=0.0) < -tol)):
+        if not finite[r].all():
+            k = int(np.argmin(finite[r]))
+            message = (f"buyer {k}: adjusted loss weights overflow at eta {etas[r, k]:.6g}; "
+                       "the buyer's loss scale is too small")
+        else:
+            k, i = np.unravel_index(int(np.argmin(gamma[r])), gamma[r].shape)
+            message = (f"buyer {k}, source {i}: adjusted loss weight {gamma[r, k, i]:.6g} is "
+                       "negative; competition weights overwhelm the buyer's own loss")
+        errors[r] = GammaNegativeError(message)
     return np.maximum(gamma, 0.0), errors
 
 
@@ -330,9 +343,10 @@ def compute_weights(m: MarketInstance) -> SeparableWeights:
 
     Raises SingularDesignError when some full or leave-one-out design cannot
     be fit, and GammaNegativeError when competition weights drive an
-    adjusted loss weight below zero (no equilibrium analysis is meaningful
-    there).  Either error carries the leave-one-out tensor as ``xi`` when
-    that fit succeeded, since existence depends on it alone.
+    adjusted loss weight below zero or a vanishing eta overflows one (no
+    equilibrium analysis is meaningful there).  Either error carries the
+    leave-one-out tensor as ``xi`` when that fit succeeded, since existence
+    depends on it alone.
     """
     w, errors, _ = weight_rows([m])
     if errors[0] is not None:

@@ -17,7 +17,7 @@ from numpy.polynomial import polynomial as npoly
 
 from .market import MarketInstance
 from .estimators import SeparableWeights
-from .equilibrium import CouplingSystem, EquilibriumSolution, complete_solution
+from .equilibrium import CouplingSystem, EquilibriumSolution
 
 __all__ = [
     "TrueFunction",
@@ -29,6 +29,10 @@ __all__ = [
     "neumann_dynamics",
     "monte_carlo_payments",
 ]
+
+# Fixed-point iteration: sweep budget and relative step that counts as converged.
+NEUMANN_MAX_ITERS = 10000
+NEUMANN_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -132,18 +136,16 @@ def _deviation_costs(cands: np.ndarray, sol: EquilibriumSolution, k: int,
 
 
 def best_response_check(sol: EquilibriumSolution, k: int, w: SeparableWeights,
-                        m: MarketInstance, radius: float = 0.5,
-                        steps: int = 41) -> BestResponseReport:
+                        m: MarketInstance, *, radius: float, steps: int) -> BestResponseReport:
     """Search for a profitable deviation of buyer k's slope vector.
 
-    Scans each coordinate over ``steps`` points of the multiplicative box
-    ``[d * (1 - radius), d * (1 + radius)]`` around the equilibrium slopes,
-    plus ``steps**2`` seeded random joint moves inside the box.  Certifies
-    the solution for buyer k when nothing beats the equilibrium cost by more
-    than ``1e-6 * (1 + |cost|)``.
+    ``sol`` must carry its flat payments (``complete_solution`` or
+    ``solution_from_d``).  Scans each coordinate over ``steps`` points of the
+    multiplicative box ``[d * (1 - radius), d * (1 + radius)]`` around the
+    equilibrium slopes, plus ``steps**2`` seeded random joint moves inside
+    the box.  Certifies the solution for buyer k when nothing beats the
+    equilibrium cost by more than ``1e-6 * (1 + |cost|)``.
     """
-    if sol.c_canonical is None:
-        sol = complete_solution(sol, w, m)
     n = m.n_sources
     d_eq = np.asarray(sol.d[k], dtype=float)
     lo = d_eq * (1.0 - radius)
@@ -185,24 +187,23 @@ class NeumannResult:
     last_step: float
 
 
-def neumann_dynamics(system: CouplingSystem, max_iters: int = 10000,
-                     tol: float = 1e-12) -> NeumannResult:
+def neumann_dynamics(system: CouplingSystem) -> NeumannResult:
     """Iterate the stacked best-response map from d = gamma.
 
-    Each sweep applies ``d <- A d + gamma``.  Convergence is declared when
-    the successive relative change drops below ``tol``; the result carries
-    the buyer-major slope matrix either way, so callers can inspect where a
-    diverging iteration was heading.
+    Each sweep applies ``d <- A d + gamma``, at most ``NEUMANN_MAX_ITERS``
+    times.  Convergence is declared when the successive relative change drops
+    below ``NEUMANN_TOL``; the result carries the buyer-major slope matrix
+    either way, so callers can inspect where a diverging iteration was heading.
     """
     d = system.gamma_vec.copy()
     last = float("inf")
-    for it in range(1, max_iters + 1):
+    for it in range(1, NEUMANN_MAX_ITERS + 1):
         d_next = system.A @ d + system.gamma_vec
         last = float(np.abs(d_next - d).max()) / (1.0 + float(np.abs(d_next).max()))
         d = d_next
-        if last < tol:
+        if last < NEUMANN_TOL:
             return NeumannResult(converged=True, d=system.unstack(d), iters=it, last_step=last)
-    return NeumannResult(converged=False, d=system.unstack(d), iters=max_iters, last_step=last)
+    return NeumannResult(converged=False, d=system.unstack(d), iters=it, last_step=last)
 
 
 # ---------------------------------------------------------------------------
@@ -229,10 +230,9 @@ def monte_carlo_payments(sol: EquilibriumSolution, w: SeparableWeights,
     source, and settles the quadratic contract.  The empirical mean payment
     per (buyer, source) is compared with the analytic expectation through a
     z-score; systematic errors in the weight algebra show up as |z| far
-    above 4.
+    above 4.  ``sol`` must carry its flat payments (``complete_solution`` or
+    ``solution_from_d``).
     """
-    if sol.c_canonical is None:
-        sol = complete_solution(sol, w, m)
     rng = np.random.default_rng(seed)
     xs = np.asarray(m.locations(), dtype=float)
     n = m.n_sources

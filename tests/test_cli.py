@@ -173,6 +173,23 @@ def _reject_constant(name):
     raise ValueError(f"{name} is not strict JSON")
 
 
+@pytest.mark.parametrize("flags, codes", [
+    (["welfare"], (0, 1, 2)),
+    (["check", "--samples", "200", "--steps", "5"], (0, 1, 2, 3)),
+], ids=["welfare", "check"])
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=st.lists(st.tuples(st.sampled_from(_leaf_paths(_TWO_FIRM)), _JSON_VALUES),
+                      min_size=1, max_size=2))
+def test_welfare_and_check_any_config_end_in_an_exit_code(tmp_path, capsys, flags, codes, edits):
+    doc = json.loads(json.dumps(_TWO_FIRM))
+    for path, value in edits:
+        _set_leaf(doc, path, value)
+    cfg = tmp_path / "fuzz.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(flags + [str(cfg)]) in codes
+    capsys.readouterr()
+
+
 def test_readme_config_example_solves(tmp_path):
     with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
         readme = fh.read()
@@ -248,6 +265,34 @@ def test_negative_gamma_past_the_gate_has_no_equilibrium(tmp_path, capsys, monke
     assert all(r["gamma_1_1"] == "" and float(r["rho"]) == pytest.approx(2.0) for r in rows)
 
 
+# Two linear buyers over sources at 0.3, 0.3 and 0.9: the full design fits,
+# but dropping source 2 leaves two coincident points, so the leave-one-out
+# fit fails too and no spectral radius decides existence.
+LOO_SINGULAR_DOC = {
+    "sources": [{"x": x, "alpha": 1.0} for x in (0.3, 0.3, 0.9)],
+    "buyers": [
+        {"estimator": {"kind": "linear-regression", "degree": 1},
+         "value_dist": {"kind": "uniform", "params": {"lo": -1.0, "hi": 1.0}},
+         "delta": delta}
+        for delta in ([0.0, 0.1], [0.1, 0.0])
+    ],
+    "feature_domain": [-1.0, 1.0],
+}
+
+
+@pytest.mark.parametrize("command", ["solve", "welfare", "check"])
+def test_singular_leave_one_out_design_exits_1(tmp_path, capsys, command):
+    cfg = tmp_path / "loo_singular.json"
+    cfg.write_text(json.dumps(LOO_SINGULAR_DOC))
+    assert main([command, str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: buyer 0: leave-one-out design dropping source 2 is singular: "
+        "design at locations [0.3, 0.3] is rank deficient for degree 1")
+    assert len(captured.err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("command, markets", [("solve", 1), ("welfare", 1), ("check", 1), ("sweep", 3)])
 def test_coupling_matrix_built_once_per_market(tmp_path, monkeypatch, command, markets):
     # a sweep builds one stack for all of its markets
@@ -306,6 +351,34 @@ def test_vanishing_eta_writes_only_the_error_line(tmp_path):
         assert len(proc.stderr.splitlines()) == lines, proc.stderr
         if lines:
             assert proc.stderr.startswith("error: source 0 attracts total slope inf")
+
+
+def test_subnormal_eta_names_the_buyer(tmp_path):
+    # gamma = (beta - delta beta) / eta overflows to inf; the error names the
+    # buyer and its eta, with no numpy warning ahead of it, and a sweep
+    # reports the row as an error and writes nothing to stderr
+    doc = json.loads(json.dumps(_TWO_FIRM))
+    doc["buyers"][0]["eta"] = 5e-324
+    cfg = tmp_path / "subnormal.json"
+    cfg.write_text(json.dumps(doc))
+    spec = write_sweep(tmp_path, doc, 5e-324, 1.0, 2, param="buyers[0].eta")
+    rows_csv = tmp_path / "subnormal.csv"
+    for argv in (["solve", str(cfg)], ["welfare", str(cfg)],
+                 ["check", str(cfg), "--samples", "200", "--steps", "3"],
+                 ["sweep", str(spec), "--out", str(rows_csv)]):
+        proc = subprocess.run([sys.executable, "-m", "datamarket"] + argv,
+                              capture_output=True, text=True)
+        if argv[0] == "sweep":
+            assert proc.returncode == 0
+            assert proc.stderr == ""
+        else:
+            assert proc.returncode == 1
+            assert proc.stdout == ""
+            assert proc.stderr == ("error: buyer 0: adjusted loss weights overflow at eta 4.94066e-324; "
+                                   "the buyer's loss scale is too small\n")
+    rows = list(csv.DictReader(rows_csv.open()))
+    assert [r["status"] for r in rows] == ["error", "ok"]
+    assert rows[0]["gamma_1_1"] == ""
 
 
 def test_solve_input_errors(tmp_path, capsys):

@@ -1,11 +1,15 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+import datamarket.equilibrium
 from datamarket import (
+    CouplingSystem,
     InfeasibleCError,
     NoEquilibriumError,
+    NumericFailure,
     RHO_EXISTENCE_THRESHOLD,
     build_coupling_system,
     c_polytope,
@@ -15,6 +19,7 @@ from datamarket import (
     coupling_matrix,
     solution_from_d,
     solve_equilibrium_d,
+    solve_rows,
     spectral_radius,
 )
 
@@ -187,6 +192,59 @@ def test_no_equilibrium_near_unit_radius():
     with pytest.raises(NoEquilibriumError) as err:
         solve_equilibrium_d(system)
     assert err.value.rho == pytest.approx(system.rho)
+
+
+def _system(A, gamma_vec, n_sources, n_buyers):
+    return CouplingSystem(A=A, gamma_vec=gamma_vec, rho=spectral_radius(A),
+                          n_sources=n_sources, n_buyers=n_buyers, alphas=np.ones(n_sources))
+
+
+def test_solve_rows_reports_negative_slopes():
+    # past the gate, the solve of d = A d + gamma turns negative
+    past_gate = np.array([[[0.0, 2.0], [2.0, 0.0]]])
+    _, errors = solve_rows(past_gate, np.ones((1, 1, 2)), np.ones((1, 2)))
+    assert isinstance(errors[0], NumericFailure)
+    assert str(errors[0]) == "negative slope -1 in the solved system"
+    with pytest.raises(NoEquilibriumError):
+        solve_equilibrium_d(_system(past_gate[0], np.ones(2), 2, 1))
+
+    # below the gate, a negative gamma entry (compute_weights clips them, a
+    # hand-built system need not) carries through to the slopes
+    system = _system(np.zeros((2, 2)), np.array([1.0, -1.0]), 2, 1)
+    _, errors = solve_rows(system.A[None], system.unstack(system.gamma_vec)[None],
+                           system.alphas[None])
+    assert str(errors[0]) == "negative slope -1 in the solved system"
+    with pytest.raises(NumericFailure, match=r"^negative slope -1 in the solved system$"):
+        solve_equilibrium_d(system)
+
+
+def test_solve_rows_reports_residual_above_limit(monkeypatch):
+    # Wilkinson's growth matrix: with I - A = W the partially pivoted LU
+    # factors grow as 2^(n-1), so the solve misses d = A d + gamma by far
+    # (A has entries of both signs and rho near 14: no market builds it)
+    n = 50
+    W = np.eye(n) - np.tril(np.ones((n, n)), -1)
+    W[:, -1] = 1.0
+    sol, errors = solve_rows((np.eye(n) - W)[None], np.linspace(0.5, 1.5, n)[None, None, :],
+                             np.ones((1, n)))
+    assert sol.residual[0] > 1e-8
+    assert isinstance(errors[0], NumericFailure)
+    assert re.fullmatch(r"fixed-point residual \S+ exceeds 1e-08", str(errors[0]))
+
+    # with A >= 0, gamma >= 0 and rho < 1 the residual stays at rounding
+    # level, so the direct solver reaches the check only with the limit
+    # lowered to zero
+    monkeypatch.setattr(datamarket.equilibrium, "_RESIDUAL_HARD_LIMIT", 0.0)
+    m = two_firm_market(0.0)
+    system = build_coupling_system(compute_weights(m), m)
+    sol, errors = solve_rows(system.A[None], system.unstack(system.gamma_vec)[None],
+                             system.alphas[None])
+    assert sol.residual[0] > 0.0
+    message = f"fixed-point residual {sol.residual[0]:.3g} exceeds 0"
+    assert str(errors[0]) == message
+    with pytest.raises(NumericFailure) as err:
+        solve_equilibrium_d(system)
+    assert str(err.value) == message
 
 
 def test_leontief_dominance(solved_suite):
