@@ -58,7 +58,6 @@ from .welfare import (
     welfare_rows,
 )
 from .oracle import (
-    TrueFunction,
     BestResponseReport,
     NeumannResult,
     PaymentCheck,
@@ -84,7 +83,7 @@ __all__ = [
     "EtaNotOneError", "DegenerateSourceError", "UndefinedPoaError",
     "WelfareReport", "social_loss", "social_optimum_efforts", "price_of_anarchy",
     "welfare_rows",
-    "TrueFunction", "BestResponseReport", "NeumannResult", "PaymentCheck",
+    "BestResponseReport", "NeumannResult", "PaymentCheck",
     "eval_buyer_cost", "best_response_check", "neumann_dynamics",
     "monte_carlo_payments",
 ]

@@ -55,7 +55,6 @@ from .welfare import (
     welfare_rows,
 )
 from .oracle import (
-    TrueFunction,
     best_response_check,
     monte_carlo_payments,
     neumann_dynamics,
@@ -501,13 +500,6 @@ def _cmd_check(args) -> int:
     if args.samples < 2 or args.steps < 2 or not (math.isfinite(args.radius) and args.radius > 0.0):
         raise ValueError("check needs --samples >= 2, --steps >= 2 and a positive finite --radius")
     m = _load_market(args.config)
-
-    try:
-        coeffs = tuple(float(v) for v in args.f_coeffs.split(","))
-        f = TrueFunction(coeffs)
-    except ValueError as err:
-        raise ValueError(f"bad --f-coeffs: {err}") from None
-
     w, system, sol = _run(m)
     sol = complete_solution(sol, w, m)
 
@@ -552,7 +544,7 @@ def _cmd_check(args) -> int:
         if system.rho < 0.99:
             failures.append("fixed-point iteration failed to converge despite rho < 0.99")
 
-    checks = monte_carlo_payments(sol, w, m, f, n_samples=args.samples, seed=args.seed)
+    checks = monte_carlo_payments(sol, w, m, n_samples=args.samples, seed=args.seed)
     for chk in checks:
         print(f"payment buyer {chk.buyer + 1} source {chk.source + 1}: "
               f"empirical {_fmt(chk.empirical_mean)} analytic {_fmt(chk.analytic_mean)} "
@@ -600,8 +592,16 @@ _INPUT_ERRORS = (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on bad usage, which is this tool's no-equilibrium code."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="datamarket",
         description="Equilibrium and welfare analysis for data markets with quadratic contracts.",
     )
@@ -623,8 +623,6 @@ def main(argv=None) -> int:
     p_check.add_argument("--samples", type=int, default=100000, help="simulation rounds")
     p_check.add_argument("--radius", type=float, default=0.5, help="deviation box half-width")
     p_check.add_argument("--steps", type=int, default=41, help="grid points per coordinate")
-    p_check.add_argument("--f-coeffs", default="0,1",
-                         help="ground-truth polynomial coefficients, low order first")
     p_check.add_argument("--perturb", default=None, metavar="BUYER,SOURCE,DELTA",
                          help="nudge one slope before checking (diagnostic)")
     p_check.set_defaults(handler=_cmd_check)

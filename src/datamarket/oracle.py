@@ -3,8 +3,10 @@
 Nothing here reuses the linear-algebra route that produced the solution:
 best responses are certified by brute-force grid search over deviations,
 the fixed point is re-derived by iterating the best-response map, and the
-payment algebra is validated by Monte Carlo simulation of the actual
-reporting protocol.
+payment algebra is validated by Monte Carlo simulation of the reporting
+protocol.  The simulation fits each leave-one-out prediction with its own
+pseudo-inverse, never with the weights of ``estimators``, and draws the
+noise alone: the ground truth cancels from every settled payment.
 """
 
 from __future__ import annotations
@@ -13,14 +15,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .market import MarketInstance
 from .estimators import SeparableWeights
 from .equilibrium import CouplingSystem, EquilibriumSolution
 
 __all__ = [
-    "TrueFunction",
     "BestResponseReport",
     "NeumannResult",
     "PaymentCheck",
@@ -33,28 +33,6 @@ __all__ = [
 # Fixed-point iteration: sweep budget and relative step that counts as converged.
 NEUMANN_MAX_ITERS = 10000
 NEUMANN_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class TrueFunction:
-    """Polynomial ground truth every source samples; degree capped at six."""
-
-    coefficients: tuple
-
-    def __post_init__(self):
-        coefs = tuple(float(c) for c in self.coefficients)
-        if not coefs or len(coefs) - 1 > 6:
-            raise ValueError("polynomial degree must be between 0 and 6")
-        if not all(math.isfinite(c) for c in coefs):
-            raise ValueError("coefficients must be finite")
-        object.__setattr__(self, "coefficients", coefs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def __call__(self, x):
-        return npoly.polyval(x, self.coefficients)
 
 
 # ---------------------------------------------------------------------------
@@ -220,50 +198,63 @@ class PaymentCheck:
     z_score: float
 
 
+def _loo_residual_moments(xs: np.ndarray, units: np.ndarray, draws: np.ndarray,
+                          degree: int) -> tuple:
+    """Per-source mean and spread of the squared leave-one-out residual.
+
+    Row i of the prediction operator is ``basis(x_i) @ pinv(vander(x_-i))``
+    at the other sources, with a zero diagonal.  The residuals of all
+    sources come from one matmul, source-major (N, S), squared in place.
+    """
+    n = xs.size
+    off = ~np.eye(n, dtype=bool)
+    designs = np.stack([np.vander(xs[row], degree + 1, increasing=True) for row in off])
+    basis = xs[:, None] ** np.arange(degree + 1)
+    predict = np.zeros((n, n))
+    predict[off] = np.einsum("ik,ikl->il", basis, np.linalg.pinv(designs)).ravel()
+    r = ((np.eye(n) - predict) * units[None, :]) @ draws.T
+    np.square(r, out=r)
+    return r.mean(axis=1), r.std(axis=1, ddof=1)
+
+
 def monte_carlo_payments(sol: EquilibriumSolution, w: SeparableWeights,
-                         m: MarketInstance, f: TrueFunction,
-                         n_samples: int, seed: int) -> list:
+                         m: MarketInstance, n_samples: int, seed: int) -> list:
     """Simulate the reporting protocol and compare payments to closed form.
 
-    Every round draws one report per source (ground truth plus noise at the
-    equilibrium variance), fits each buyer's leave-one-out estimator per
-    source, and settles the quadratic contract.  The empirical mean payment
-    per (buyer, source) is compared with the analytic expectation through a
-    z-score; systematic errors in the weight algebra show up as |z| far
-    above 4.  ``sol`` must carry its flat payments (``complete_solution`` or
-    ``solution_from_d``).
+    Every round draws one report per source at the equilibrium variance,
+    fits each buyer's leave-one-out estimator per source, and settles the
+    quadratic contract.  For any design, the prediction minus its
+    deterministic fit offset is ``f(x_i) + basis_i @ pinv(X) @ noise_rest``,
+    so the ground truth ``f`` cancels from the settled residual and only the
+    noise is simulated.  The noise is drawn in units of the largest standard
+    deviation, so neither a squared residual nor its spread underflows when
+    the variances are tiny.  Buyers of one estimator degree share the
+    residual moments.  The empirical mean payment per (buyer, source) is
+    compared with the analytic expectation through a z-score; systematic
+    errors in the weight algebra show up as |z| far above 4.  ``sol`` must
+    carry its flat payments (``complete_solution`` or ``solution_from_d``).
     """
     rng = np.random.default_rng(seed)
     xs = np.asarray(m.locations(), dtype=float)
-    n = m.n_sources
     sigmas = np.sqrt(np.asarray(sol.variances, dtype=float))
-
-    noise = rng.standard_normal((int(n_samples), n)) * sigmas[None, :]
-    reports = f(xs)[None, :] + noise
+    scale = float(sigmas.max())
+    draws = rng.standard_normal((int(n_samples), m.n_sources))
+    moments = {g: _loo_residual_moments(xs, sigmas / scale, draws, g)
+               for g in {b.estimator.degree for b in m.buyers}}
 
     out = []
     for j, b in enumerate(m.buyers):
-        degree = b.estimator.degree
-        for i in range(n):
-            rest = [l for l in range(n) if l != i]
-            X = np.vander(xs[rest], degree + 1, increasing=True)
-            basis_i = xs[i] ** np.arange(degree + 1)
-            coefs = reports[:, rest] @ np.linalg.pinv(X).T
-            predicted = coefs @ basis_i
-            # the closed-form expectation takes the prediction as centred at
-            # f(x_i); remove the fit's deterministic offset so designs with
-            # fewer points than coefficients are scored on their noise alone
-            fit_bias = float(basis_i @ np.linalg.pinv(X) @ f(xs[rest]) - f(xs[i]))
-            payments = sol.c_canonical[j, i] - sol.d[j, i] * (reports[:, i] - (predicted - fit_bias)) ** 2
-
-            empirical = float(payments.mean())
-            std_error = float(payments.std(ddof=1)) / math.sqrt(n_samples)
-            analytic = float(sol.c_canonical[j, i] - sol.d[j, i] * (w.xi[j, i] @ sol.variances))
-            if std_error == 0.0:
-                z = 0.0 if empirical == analytic else math.inf
+        mean, spread = moments[b.estimator.degree]
+        slope = sol.d[j] * scale * scale
+        empirical = sol.c_canonical[j] - slope * mean
+        std_error = np.abs(slope) * spread / math.sqrt(n_samples)
+        analytic = sol.c_canonical[j] - sol.d[j] * (w.xi[j] @ sol.variances)
+        for i, (e, a, se) in enumerate(zip(empirical.tolist(), analytic.tolist(),
+                                           std_error.tolist())):
+            if se == 0.0:
+                z = 0.0 if e == a else math.inf
             else:
-                z = (empirical - analytic) / std_error
-            out.append(PaymentCheck(buyer=j, source=i, empirical_mean=empirical,
-                                    analytic_mean=analytic, std_error=std_error,
-                                    z_score=float(z)))
+                z = (e - a) / se
+            out.append(PaymentCheck(buyer=j, source=i, empirical_mean=e, analytic_mean=a,
+                                    std_error=se, z_score=z))
     return out

@@ -458,6 +458,24 @@ def test_check_rejects_vacuous_search(tmp_path, capsys, flags):
     assert captured.err.startswith("error: check needs")
 
 
+@pytest.mark.parametrize("eta", [1e-150, 1e-300])
+def test_check_tiny_eta_passes(tmp_path, capsys, eta):
+    # noise of sigma ~ sqrt(eta) used to vanish when added to the ground
+    # truth, and its squared spread to underflow; the simulation now draws
+    # the noise alone, in units of the largest sigma
+    doc = json.loads(json.dumps(_TWO_FIRM))
+    doc["buyers"][0]["eta"] = eta
+    cfg = tmp_path / "tiny_eta.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["check", str(cfg)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "certification: PASS" in captured.out
+    zs = [float(z) for z in re.findall(r" z (\S+)$", captured.out, re.M)]
+    assert len(zs) == 4
+    assert max(abs(z) for z in zs) < 4.0
+
+
 def test_check_nan_z_score_fails(tmp_path, monkeypatch, capsys):
     real = datamarket.cli.monte_carlo_payments
 
@@ -763,6 +781,35 @@ def test_sweep_any_spec_ends_in_an_exit_code(tmp_path, capsys, edits):
 # ---------------------------------------------------------------------------
 # module entry point
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["solve"],
+    ["sweep", "spec.json"],
+    ["check", "market.json", "--samples", "x"],
+    ["check", "market.json", "--f-coeffs", "0,1"],
+    ["welfare"],
+    ["frobnicate", "market.json"],
+    [],
+], ids=["solve-no-config", "sweep-no-out", "check-bad-samples", "check-f-coeffs",
+        "welfare-no-config", "unknown-command", "no-command"])
+def test_usage_errors_exit_1(capsys, argv):
+    # exit 2 means "no equilibrium", so bad usage must not share it
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: datamarket")
+    assert re.search(r"^datamarket( \w+)?: error: ", captured.err, re.M)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: datamarket")
+
 
 def test_python_m_invocation(tmp_path):
     cfg = write_config(tmp_path, two_firm_market(0.0))
