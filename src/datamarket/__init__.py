@@ -39,6 +39,7 @@ from .equilibrium import (
     EquilibriumSolution,
     spectral_radius,
     coupling_matrix,
+    coupling_radius,
     build_coupling_system,
     solve_equilibrium_d,
     solve_rows,
@@ -77,7 +78,7 @@ __all__ = [
     "h_weight", "compute_weights", "weight_rows", "loo_weight_tensor", "loss_weight_matrix",
     "RHO_EXISTENCE_THRESHOLD", "NoEquilibriumError", "NumericFailure",
     "InfeasibleCError", "CouplingSystem", "CPolytope", "EquilibriumSolution",
-    "spectral_radius", "coupling_matrix", "build_coupling_system",
+    "spectral_radius", "coupling_matrix", "coupling_radius", "build_coupling_system",
     "solve_equilibrium_d", "solve_rows", "c_polytope", "canonical_c", "complete_solution",
     "solution_from_d",
     "EtaNotOneError", "DegenerateSourceError", "UndefinedPoaError",

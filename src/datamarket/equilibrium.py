@@ -28,6 +28,7 @@ __all__ = [
     "EquilibriumSolution",
     "spectral_radius",
     "coupling_matrix",
+    "coupling_radius",
     "build_coupling_system",
     "solve_equilibrium_d",
     "solve_rows",
@@ -141,13 +142,34 @@ def spectral_radius(a: np.ndarray):
     return float(rho) if a.ndim == 2 else rho
 
 
+def coupling_radius(xi: np.ndarray):
+    """Spectral radius of ``coupling_matrix(xi)``, without forming that matrix.
+
+    Buyers whose xi blocks are equal across the leading stack form groups:
+    group g has n_g buyers and ``X_g[q, l] = xi_g[l, q]`` off the diagonal.
+    ``rho(A)`` is the radius of the (N*G)-sized nonnegative matrix
+    ``R[(g, q), (h, l)] = (n_h - [g == h]) * X_h[q, l]`` (README, "Equilibrium slopes").
+    """
+    *lead, _, n_sources, _ = xi.shape
+    # a bytes-keyed dict: np.unique(axis=0) would build an N*N-field dtype
+    keys = [block.tobytes() for block in np.moveaxis(xi, -3, 0)]
+    first = {key: keys.index(key) for key in keys}
+    weight = np.array([keys.count(key) for key in first]) - np.eye(len(first))
+    X = np.moveaxis(xi[..., list(first.values()), :, :], -1, -3)  # X[..., q, h, l]
+    with np.errstate(invalid="ignore", over="ignore"):  # spectral_radius rejects non-finite R
+        R = np.multiply(weight[:, None, :, None], X[..., None, :, :, :], order="C")
+    R[..., range(n_sources), :, range(n_sources)] = 0.0
+    n = len(first) * n_sources
+    return spectral_radius(R.reshape(*lead, n, n))
+
+
 def build_coupling_system(w: SeparableWeights, m: MarketInstance) -> CouplingSystem:
     """Stack the market's best-response conditions into one linear system."""
-    A = coupling_matrix(w.xi)
+    rho = coupling_radius(w.xi)  # first, so that R is freed before A is built
     return CouplingSystem(
-        A=A,
+        A=coupling_matrix(w.xi),
         gamma_vec=w.gamma.T.reshape(-1).copy(),
-        rho=spectral_radius(A),
+        rho=rho,
         n_sources=m.n_sources,
         n_buyers=m.n_buyers,
         alphas=np.asarray(m.alphas(), dtype=float),

@@ -1,6 +1,7 @@
 import copy
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -27,11 +28,10 @@ from datamarket import (
     UndefinedPoaError,
     build_coupling_system,
     compute_weights,
-    coupling_matrix,
+    coupling_radius,
     loo_weight_tensor,
     price_of_anarchy,
     solve_equilibrium_d,
-    spectral_radius,
 )
 from datamarket.cli import ConfigError, main, market_from_config, market_to_config
 
@@ -413,6 +413,57 @@ def test_solve_delta_asymmetry_rejected(tmp_path, capsys):
     assert "delta-asymmetry" in capsys.readouterr().err
 
 
+def _json_dump_reference(obj):
+    """The row writer's reference: json.dumps with indent=2 of the payload
+    with every array as a list."""
+    def plain(o):
+        if isinstance(o, dict):
+            return {k: plain(v) for k, v in o.items()}
+        return o.tolist() if isinstance(o, np.ndarray) else o
+    return json.dumps(plain(obj), indent=2)
+
+
+def test_json_writer_matches_json_dumps():
+    row = np.array([0.1, -2.5, 7.0])
+    payload = {
+        "cells": np.array([[np.nan, np.inf, -np.inf], [-0.0, 5e-324, 1e16]]),
+        "finite": np.array([-0.0, 5e-324, 1e16, 1.0 / 3.0]),
+        "empty": np.zeros((0,)),
+        "empty_rows": np.zeros((2, 0)),
+        "none_left": np.zeros((0, 3)),
+        "rows": np.stack([row, row, row]),
+        "nested": {"row": row, "deeper": {"row": row, "stack": row[None, :]}, "empty": {}},
+        "plain": [1, 2.5, "x", None, True],
+        "rho": 0.1 + 0.2,
+        "n": 3,
+        "welfare": None,
+        "feasible": False,
+        "reason": "payment polytope of source 1 is empty — slack ≥ ∅",
+    }
+    for obj in (payload, np.zeros((0,)), np.zeros((2, 0)), row, 1.5, {}, []):
+        buf = io.StringIO()
+        datamarket.cli._write_json(buf, obj)
+        assert buf.getvalue() == _json_dump_reference(obj)
+    buf = io.StringIO()
+    datamarket.cli._write_json(buf, np.zeros((2, 0)))
+    assert buf.getvalue() == "[\n  [],\n  []\n]"
+
+
+@pytest.mark.parametrize("market", ["two_firm.json", "two_firm_decoupled.json", "infeasible"])
+def test_solve_json_out_matches_json_dumps(tmp_path, monkeypatch, capsys, market):
+    if market == "infeasible":
+        cfg = str(write_config(tmp_path, two_firm_market(-1.0, alphas=(0.1, 0.1))))
+    else:
+        cfg = os.path.join(ROOT, "configs", market)
+    assert main(["solve", cfg, "--json-out", str(tmp_path / "rows.json")]) == 0
+    monkeypatch.setattr(datamarket.cli, "_write_json",
+                        lambda fh, obj: fh.write(_json_dump_reference(obj)))
+    assert main(["solve", cfg, "--json-out", str(tmp_path / "reference.json")]) == 0
+    written = (tmp_path / "rows.json").read_bytes()
+    assert written == (tmp_path / "reference.json").read_bytes()
+    assert (b'"feasible": false' in written) == (market == "infeasible")
+
+
 # ---------------------------------------------------------------------------
 # check
 # ---------------------------------------------------------------------------
@@ -622,7 +673,7 @@ def _reference_row(m, value):
         except SingularDesignError:
             pass
         else:
-            rho = spectral_radius(coupling_matrix(xi))
+            rho = coupling_radius(xi)
             if rho >= RHO_EXISTENCE_THRESHOLD:
                 status = "no_equilibrium"
     if w is not None:

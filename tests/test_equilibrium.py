@@ -7,16 +7,24 @@ import pytest
 import datamarket.equilibrium
 from datamarket import (
     CouplingSystem,
+    DataBuyer,
+    DataSource,
+    EstimatorSpec,
     InfeasibleCError,
+    MarketInstance,
     NoEquilibriumError,
     NumericFailure,
     RHO_EXISTENCE_THRESHOLD,
+    SingularDesignError,
+    ValueDistribution,
     build_coupling_system,
     c_polytope,
     canonical_c,
     complete_solution,
     compute_weights,
     coupling_matrix,
+    coupling_radius,
+    loo_weight_tensor,
     solution_from_d,
     solve_equilibrium_d,
     solve_rows,
@@ -123,6 +131,99 @@ def test_coupling_matrix_matches_loop_assembly(n_buyers, n_sources):
     for got, x in zip(stacked, (xi, 2.0 * xi, xi[:, ::-1, ::-1])):
         assert np.array_equal(got, _coupling_matrix_loops(x))
     assert coupling_matrix(np.empty((0,) + xi.shape)).shape == (0,) + A.shape
+
+
+def _loo_xi(xs, degrees):
+    """Leave-one-out tensor of a market; xi depends on the locations and degrees alone."""
+    buyers = tuple(DataBuyer(EstimatorSpec("polynomial-regression", d), ValueDistribution.uniform(-1.0, 1.0),
+                             (0.0,) * len(degrees), 1.0) for d in degrees)
+    sources = tuple(DataSource(float(x), 1.0) for x in xs)
+    return loo_weight_tensor(MarketInstance(sources=sources, buyers=buyers, feature_domain=(-1.0, 1.0)))
+
+
+def _perron_condition(a):
+    """Condition number of the dense Perron root: one over the cosine of the
+    angle between its (unit) left and right eigenvectors."""
+    vals, right = np.linalg.eig(a)
+    left_vals, left = np.linalg.eig(a.T)
+    return 1.0 / abs(np.vdot(left[:, np.argmax(left_vals.real)], right[:, np.argmax(vals.real)]))
+
+
+def test_coupling_radius_matches_the_dense_radius(monkeypatch):
+    # rho from the (N*G)-sized reduced matrix against eigvals of the full A
+    rng = np.random.default_rng(29)
+    shapes = []
+    real = datamarket.equilibrium.spectral_radius
+
+    def recorded(a):
+        shapes.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(datamarket.equilibrium, "spectral_radius", recorded)
+    checked = 0
+    for trial in range(150):
+        n, mm = int(rng.integers(2, 9)), int(rng.integers(1, 6))
+        n_degrees = 1 if trial % 3 == 0 else 3
+        degrees = [min(n - 1, int(d)) for d in rng.integers(1, n_degrees + 1, mm)]
+        rows = []
+        for _ in range(3):
+            try:
+                rows.append(_loo_xi(np.sort(rng.uniform(-1.0, 1.0, n)), degrees))
+            except SingularDesignError:
+                pass
+        if not rows:
+            continue
+        xi = np.stack(rows)
+        dense = [real(coupling_matrix(x)) for x in xi]
+        shapes.clear()
+        got = coupling_radius(xi)
+        assert got.shape == (len(rows),)
+        # one stacked eigenvalue problem of size N*G
+        assert shapes == [(len(rows), n * len(set(degrees)), n * len(set(degrees)))]
+        for x, want, rho in zip(xi, dense, got.tolist()):
+            assert coupling_radius(x) == rho
+            assert abs(rho - want) <= 1e-7 * want
+            if _perron_condition(coupling_matrix(x)) <= 1e4:
+                assert abs(rho - want) <= 1e-12 * want
+                checked += 1
+    assert checked >= 200
+    # a stack whose rows group buyers differently falls back to the
+    # grouping all rows share
+    xs = np.array([-1.0, -0.2, 0.4, 1.0])
+    mixed = np.stack([_loo_xi(xs, [1, 1, 2]), _loo_xi(xs, [1, 2, 2])])
+    want = [real(coupling_matrix(x)) for x in mixed]
+    assert coupling_radius(mixed) == pytest.approx(want, rel=1e-12)
+    assert coupling_radius(np.zeros((0, 3, 4, 4))).shape == (0,)
+
+
+def test_coupling_radius_single_degree_identity():
+    # one group of M buyers: R = (M - 1) X, so rho = (M - 1) * rho(X)
+    rng = np.random.default_rng(31)
+    for mm in (1, 2, 3, 5):
+        xi = np.broadcast_to(rng.uniform(0.0, 1.0, (4, 4)), (mm, 4, 4))
+        X = xi[0].T.copy()
+        np.fill_diagonal(X, 0.0)
+        assert coupling_radius(xi) == pytest.approx((mm - 1) * spectral_radius(X), rel=1e-12)
+        if mm == 1:
+            assert coupling_radius(xi) == 0.0
+
+
+def test_coupling_radius_rejects_bad_xi():
+    xi = np.full((2, 3, 3), 0.2)
+    for bad in (-0.1, np.nan, np.inf):
+        broken = xi.copy()
+        broken[1, 0, 2] = bad
+        with pytest.raises(ValueError, match="spectral_radius expects"):
+            coupling_radius(broken)
+
+
+def test_coupling_radius_exact_on_a_clustered_root():
+    # sources at (-1, 0, 1) with degrees 1 and 2: the exact radius is
+    # 1/sqrt(2), and A has a clustered root that dense eigvals of A misses
+    # by about 1.2e-8
+    xi = _loo_xi([-1.0, 0.0, 1.0], [1, 2])
+    assert coupling_radius(xi) == pytest.approx(math.sqrt(0.5), rel=1e-14)
+    assert spectral_radius(coupling_matrix(xi)) == pytest.approx(math.sqrt(0.5), rel=1e-7)
 
 
 def test_coupling_structure_two_firm():
