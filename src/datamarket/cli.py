@@ -370,20 +370,39 @@ def _cmd_solve(args) -> int:
 # ---------------------------------------------------------------------------
 
 _PARAM_RE = re.compile(r"^(sources|buyers)\[(\d+)\]\.([a-z_]+)$")
-_SWEEPABLE = {("sources", "x"), ("sources", "alpha"), ("buyers", "eta")}
+# The sweepable fields: (section, field) -> (the MarketInstance column it
+# fills, the rule validate_market applies to it on market m, for an array v).
+_SWEEPABLE = {
+    ("sources", "x"): ("locations", lambda v, m: (m.feature_domain[0] <= v) & (v <= m.feature_domain[1])),
+    ("sources", "alpha"): ("alphas", lambda v, m: (0.0 < v) & (v < math.inf)),
+    ("buyers", "eta"): ("etas", lambda v, m: (0.0 < v) & (v < math.inf)),
+}
 
 
-def _apply_param(doc: dict, path: str, value: float):
+def _apply_param(doc: dict, path: str, value: float) -> tuple:
+    """Set the swept field of doc to value; returns the field's (column, rule, index)."""
     match = _PARAM_RE.match(path)
-    if not match:
+    if not match or (match.group(1), match.group(3)) not in _SWEEPABLE:
         raise ConfigError(f"unsupported sweep parameter {path!r}")
     section, idx, field = match.group(1), int(match.group(2)), match.group(3)
-    if (section, field) not in _SWEEPABLE:
-        raise ConfigError(f"unsupported sweep parameter {path!r}")
     try:
         doc[section][idx][field] = value
     except (IndexError, KeyError, TypeError):
         raise ConfigError(f"sweep parameter {path!r} does not exist in the base config") from None
+    return _SWEEPABLE[section, field] + (idx,)
+
+
+def _sweep_market(doc: dict, path: str, value) -> tuple:
+    """The validated market of doc at one sweep value, and the field's (column, rule, index)."""
+    field = _apply_param(doc, path, float(value))
+    m = market_from_config(doc)
+    violations = validate_market(m)
+    if violations:
+        v0 = violations[0]
+        raise ConfigError(
+            f"sweep value {path}={_fmt(value)} yields an invalid market: [{v0.code}] {v0.where}: {v0.message}"
+        )
+    return m, field
 
 
 def _sweep_columns(n: int, mm: int) -> list:
@@ -399,21 +418,24 @@ def _sweep_columns(n: int, mm: int) -> list:
     return cols
 
 
-def _sweep_lines(markets: list, values: np.ndarray) -> list:
+def _sweep_lines(m: MarketInstance, values: np.ndarray, column: str, index: int) -> list:
     """CSV lines of a batch of sweep rows, computed together.
 
-    Row r equals what ``_run`` gives on markets[r]: the same stages run once
-    over the stack, and a row that stops early gets a status instead of
-    raising.  A NumericFailure from the welfare checks still aborts.
+    Row r is market m with entry ``index`` of its ``column`` (``_SWEEPABLE``)
+    set to values[r].  It equals what ``_run`` gives on that market: the
+    same stages run once over the rows, and a row that stops early gets a
+    status instead of raising.  A NumericFailure from the welfare checks
+    still aborts.
     """
-    n, mm = markets[0].n_sources, markets[0].n_buyers
-    alphas = np.array([m.alphas() for m in markets], dtype=float)
-    etas = np.array([[b.eta for b in m.buyers] for m in markets], dtype=float)
+    n, mm = m.n_sources, m.n_buyers
+    xs, alphas, etas = (np.tile(np.array(getattr(m, name)(), dtype=float), (len(values), 1))
+                        for name in ("locations", "alphas", "etas"))
+    {"locations": xs, "alphas": alphas, "etas": etas}[column][:, index] = values
 
-    w, errors, xi_errors = weight_rows(markets)
+    w, errors, xi_errors = weight_rows(m, xs, etas)
     weighted = np.array([e is None for e in errors], dtype=bool)
     has_xi = np.array([e is None for e in xi_errors], dtype=bool)
-    rho = np.zeros(len(markets))
+    rho = np.zeros(len(values))
     rho[has_xi] = coupling_radius(w.xi[has_xi])
     past_gate = has_xi & (rho >= RHO_EXISTENCE_THRESHOLD)
 
@@ -434,7 +456,7 @@ def _sweep_lines(markets: list, values: np.ndarray) -> list:
     off_diag = ~np.eye(n, dtype=bool)
     columns = [
         # (rows that have the cells, the cells of those rows), in CSV order
-        (np.ones(len(markets), dtype=bool), values[:, None]),
+        (np.ones(len(values), dtype=bool), values[:, None]),
         (weighted, np.swapaxes(w.gamma[weighted], -1, -2).reshape(-1, n * mm)),
         (has_xi, np.moveaxis(w.xi[has_xi], 1, -1)[:, off_diag].reshape(-1, n * (n - 1) * mm)),
         (has_xi, rho[has_xi, None]),
@@ -444,8 +466,8 @@ def _sweep_lines(markets: list, values: np.ndarray) -> list:
          [has_welfare[ok]]),
     ]
     width = sum(cells.shape[1] for _, cells in columns)
-    table = np.zeros((len(markets), width))
-    filled = np.zeros((len(markets), width), dtype=bool)
+    table = np.zeros((len(values), width))
+    filled = np.zeros((len(values), width), dtype=bool)
     start = 0
     for present, cells in columns:
         stop = start + cells.shape[1]
@@ -479,6 +501,8 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(f"range.steps must be an integer from 2 to {MAX_SWEEP_STEPS}, got {steps!r}")
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ConfigError("range bounds must be finite")
+    if not math.isfinite(hi - lo):
+        raise ConfigError(f"range from {_fmt(lo)} to {_fmt(hi)} is wider than a float can hold")
 
     if isinstance(base, str):
         # an absolute base path replaces the spec's directory in the join
@@ -487,32 +511,25 @@ def _cmd_sweep(args) -> int:
         raise ConfigError("sweep base must be a config object or a path to one")
 
     values = np.linspace(lo, hi, steps)
-    markets = []
     # a market keeps no reference into its document, so one copy serves
     # every value
     doc = copy.deepcopy(base)
-    for v in values:
-        _apply_param(doc, param, float(v))
-        m = market_from_config(doc)
-        violations = validate_market(m)
-        if violations:
-            v0 = violations[0]
-            raise ConfigError(
-                f"sweep value {param}={_fmt(v)} yields an invalid market: [{v0.code}] {v0.where}: {v0.message}"
-            )
-        markets.append(m)
+    m, (column, valid, index) = _sweep_market(doc, param, values[0])
+    # m is valid whole, so a later value can only break the swept field;
+    # validate_market reports the first value that does
+    for v in values[~valid(values, m)]:
+        _sweep_market(doc, param, v)
 
-    n, mm = markets[0].n_sources, markets[0].n_buyers
-    lines = [",".join(_sweep_columns(n, mm))]
-    batch = max(1, _BATCH_ENTRIES // (n * mm) ** 2)
-    for start in range(0, len(markets), batch):
-        lines += _sweep_lines(markets[start:start + batch], values[start:start + batch])
+    lines = [",".join(_sweep_columns(m.n_sources, m.n_buyers))]
+    batch = max(1, _BATCH_ENTRIES // (m.n_sources * m.n_buyers) ** 2)
+    for start in range(0, len(values), batch):
+        lines += _sweep_lines(m, values[start:start + batch], column, index)
     try:
         with open(args.out, "wb") as fh:
             fh.write(("\n".join(lines) + "\n").encode("utf-8"))
     except OSError as err:
         raise ConfigError(f"cannot write {args.out}: {err}") from None
-    print(f"wrote {len(markets)} rows to {args.out}")
+    print(f"wrote {len(values)} rows to {args.out}")
     return EXIT_OK
 
 

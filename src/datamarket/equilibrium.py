@@ -231,9 +231,11 @@ def _induced_quantities(d: np.ndarray, alphas: np.ndarray) -> tuple:
     errors = [None] * len(d_total)
     for r, (totals, rates) in enumerate(zip(d_total.tolist(), alphas.tolist())):
         try:
-            for i, t in enumerate(totals):
+            for i, (t, a) in enumerate(zip(totals, rates)):
                 if not 0.0 < t < math.inf:
                     raise ValueError(f"source {i} attracts total slope {t:.6g}; its effort is undefined")
+                if not (2.0 * a < math.inf and 2.0 * t * a < math.inf):  # effort_from_d_total's products
+                    raise ValueError(f"source {i} has alpha {a:.6g} at total slope {t:.6g}; its effort overflows")
             efforts[r] = [effort_from_d_total(t, a) for t, a in zip(totals, rates)]
             variances[r] = [variance_from_d_total(t, a) for t, a in zip(totals, rates)]
         except ValueError as err:

@@ -64,8 +64,8 @@ class SeparableWeights:
         beta adjusted for competition and converted to payment units:
         ``(beta[k, i] - sum_{j != k} delta_j^k * beta[j, i]) / eta_k``.
 
-    ``weight_rows`` returns the same arrays for a stack of markets, each
-    with a leading row axis.
+    ``weight_rows`` returns the same arrays for rows of one market's source
+    locations and buyer etas, each with a leading row axis.
     """
 
     beta: np.ndarray
@@ -178,26 +178,8 @@ def h_weight(spec: EstimatorSpec, target_index: int, locations, dist: ValueDistr
 
 
 # ---------------------------------------------------------------------------
-# market-level reduction, over a stack of markets
+# market-level reduction, over rows of source locations and buyer etas
 # ---------------------------------------------------------------------------
-
-def _stack(markets) -> tuple:
-    """Locations (R, N), etas (R, M) and the buyers shared by a stack of markets.
-
-    The markets may differ only in source locations, noise decay rates and
-    buyer etas: the fits and competition weights are taken from the first.
-    """
-    buyers = markets[0].buyers
-    shared = [(b.estimator, b.value_dist, b.delta_row) for b in buyers]
-    for m in markets[1:]:
-        if m.n_sources != markets[0].n_sources or \
-                [(b.estimator, b.value_dist, b.delta_row) for b in m.buyers] != shared:
-            raise ValueError("stacked markets must share the number of sources, the estimators, "
-                             "value distributions and competition weights")
-    xs = np.array([m.locations() for m in markets], dtype=float)
-    etas = np.array([[b.eta for b in m.buyers] for m in markets], dtype=float)
-    return xs, etas, buyers
-
 
 def _first_failures(buyers, failed: dict, n_rows: int) -> list:
     """Per row, (buyer, fit index) of the first failed fit in buyer-major order, or None.
@@ -295,20 +277,19 @@ def _adjusted_rows(beta: np.ndarray, etas: np.ndarray, buyers) -> tuple:
     return np.maximum(gamma, 0.0), errors
 
 
-def weight_rows(markets) -> tuple:
-    """Separable weights of a stack of markets, as ``(weights, errors, xi_errors)``.
+def weight_rows(m: MarketInstance, xs: np.ndarray, etas: np.ndarray) -> tuple:
+    """Separable weights of m's buyers at source locations ``xs`` (R, N) and
+    buyer etas ``etas`` (R, M), as ``(weights, errors, xi_errors)``.
 
-    ``markets`` share everything but source locations, noise decay rates and
-    buyer etas (a sweep).  ``weights`` holds beta, xi and gamma with a
-    leading row axis.  ``errors[r]`` is what ``compute_weights`` raises on
-    market r, or None; ``xi_errors[r]`` concerns the leave-one-out fits
-    alone, so ``weights.xi[r]`` is valid whenever it is None.  Fits are
-    stacked over rows, one per distinct degree (times the dropped sources).
+    ``weights`` holds beta, xi and gamma with a leading row axis.
+    ``errors[r]`` is what ``compute_weights`` raises on row r, or None;
+    ``xi_errors[r]`` concerns the leave-one-out fits alone, so
+    ``weights.xi[r]`` is valid whenever it is None.  Fits are stacked over
+    rows, one per distinct degree (times the dropped sources).
     """
-    xs, etas, buyers = _stack(markets)
-    beta, beta_errors = _loss_rows(xs, buyers)
-    xi, xi_errors = _loo_rows(xs, buyers)
-    gamma, gamma_errors = _adjusted_rows(beta, etas, buyers)
+    beta, beta_errors = _loss_rows(xs, m.buyers)
+    xi, xi_errors = _loo_rows(xs, m.buyers)
+    gamma, gamma_errors = _adjusted_rows(beta, etas, m.buyers)
     errors = [b or x or g for b, x, g in zip(beta_errors, xi_errors, gamma_errors)]
     for err, x_err, row_xi in zip(errors, xi_errors, xi):
         if err is not None and x_err is None:
@@ -348,7 +329,7 @@ def compute_weights(m: MarketInstance) -> SeparableWeights:
     leave-one-out tensor as ``xi`` when that fit succeeded, since existence
     depends on it alone.
     """
-    w, errors, _ = weight_rows([m])
+    w, errors, _ = weight_rows(m, np.array([m.locations()], dtype=float), np.array([m.etas()], dtype=float))
     if errors[0] is not None:
         raise errors[0]
     return SeparableWeights(beta=w.beta[0], xi=w.xi[0], gamma=w.gamma[0])

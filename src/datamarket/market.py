@@ -162,6 +162,9 @@ class MarketInstance:
     def alphas(self):
         return [s.alpha for s in self.sources]
 
+    def etas(self):
+        return [b.eta for b in self.buyers]
+
 
 # ---------------------------------------------------------------------------
 # validation

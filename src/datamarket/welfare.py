@@ -72,10 +72,6 @@ def _raise_first(errors: list):
         raise errors[0]
 
 
-def _etas(m: MarketInstance) -> np.ndarray:
-    return np.array([[b.eta for b in m.buyers]], dtype=float)
-
-
 def _social_loss(efforts: np.ndarray, weights: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     """Row-wise total expected loss plus total effort."""
     return (weights * np.exp(-2.0 * alphas * efforts)).sum(axis=-1) + efforts.sum(axis=-1)
@@ -97,7 +93,7 @@ def _optimum(weights: np.ndarray, alphas: np.ndarray) -> tuple:
 
 def social_loss(efforts, w: SeparableWeights, m: MarketInstance) -> float:
     """Total expected estimation loss plus total effort at the given profile."""
-    _raise_first(_eta_errors(_etas(m)))
+    _raise_first(_eta_errors(np.array([m.etas()], dtype=float)))
     e = np.asarray(efforts, dtype=float)
     alphas = np.asarray(m.alphas(), dtype=float)
     return float(_social_loss(e[None], w.gamma.sum(axis=0)[None], alphas[None])[0])
@@ -171,7 +167,7 @@ def price_of_anarchy(sol: EquilibriumSolution, w: SeparableWeights,
     """
     stacked = SeparableWeights(beta=w.beta[None], xi=w.xi[None], gamma=w.gamma[None])
     rep, errors = welfare_rows(np.asarray(sol.efforts, dtype=float)[None], stacked,
-                               np.asarray(m.alphas(), dtype=float)[None], _etas(m))
+                               np.array([m.alphas()], dtype=float), np.array([m.etas()], dtype=float))
     _raise_first(errors)
     return WelfareReport(efforts_eq=rep.efforts_eq[0], efforts_opt=rep.efforts_opt[0],
                          loss_eq=float(rep.loss_eq[0]), loss_opt=float(rep.loss_opt[0]),

@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import datamarket.cli
@@ -32,6 +32,7 @@ from datamarket import (
     loo_weight_tensor,
     price_of_anarchy,
     solve_equilibrium_d,
+    validate_market,
 )
 from datamarket.cli import ConfigError, main, market_from_config, market_to_config
 
@@ -151,9 +152,14 @@ _JSON_VALUES = st.recursive(
 )
 
 
+# an effort of log(2 * d_total * alpha) / (2 * alpha) that overflows
+_HUGE_ALPHA = [(("sources", 0, "alpha"), 2.2e307)]
+
+
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(edits=st.lists(st.tuples(st.sampled_from(_leaf_paths(_TWO_FIRM)), _JSON_VALUES),
                       min_size=1, max_size=2))
+@example(edits=_HUGE_ALPHA)
 def test_solve_any_config_ends_in_an_exit_code(tmp_path, capsys, edits):
     doc = json.loads(json.dumps(_TWO_FIRM))
     for path, value in edits:
@@ -180,6 +186,7 @@ def _reject_constant(name):
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(edits=st.lists(st.tuples(st.sampled_from(_leaf_paths(_TWO_FIRM)), _JSON_VALUES),
                       min_size=1, max_size=2))
+@example(edits=_HUGE_ALPHA)
 def test_welfare_and_check_any_config_end_in_an_exit_code(tmp_path, capsys, flags, codes, edits):
     doc = json.loads(json.dumps(_TWO_FIRM))
     for path, value in edits:
@@ -379,6 +386,41 @@ def test_subnormal_eta_names_the_buyer(tmp_path):
     rows = list(csv.DictReader(rows_csv.open()))
     assert [r["status"] for r in rows] == ["error", "ok"]
     assert rows[0]["gamma_1_1"] == ""
+
+
+@pytest.mark.parametrize("alpha, eta, total, statuses", [
+    (2.2e307, 1.0, "4.44444", ["ok"] + ["error"] * 4),
+    (1.797e308, 1.0, "4.44444", ["ok"] + ["error"] * 4),
+    (1.797e308, 100.0, "0.0444444", ["ok"] * 3 + ["error"] * 2),  # only 2 * alpha overflows
+], ids=["2.2e307", "1.797e308", "1.797e308-eta100"])
+def test_overflowing_effort_exits_1(tmp_path, capsys, alpha, eta, total, statuses):
+    # log(2 * d_total * alpha) / (2 * alpha) overflows: the effort is not
+    # reported as inf or 0 (or the variance as 0), and a sweep row reads
+    # error, not ok
+    doc = json.loads(json.dumps(_TWO_FIRM))
+    doc["sources"][0]["alpha"] = alpha
+    for buyer in doc["buyers"]:
+        buyer["eta"] = eta
+    cfg = tmp_path / "huge_alpha.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "sol.json"
+    for argv in (["solve", str(cfg), "--json-out", str(out)], ["welfare", str(cfg)],
+                 ["check", str(cfg), "--samples", "200", "--steps", "5"]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: source 0 has alpha {alpha:.6g} at total slope {total}; "
+                                "its effort overflows\n")
+    assert not out.exists()
+
+    spec = write_sweep(tmp_path, doc, 1e300, 1.7e308, 5, param="sources[0].alpha")
+    rows_csv = tmp_path / "alpha.csv"
+    assert main(["sweep", str(spec), "--out", str(rows_csv)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = list(csv.DictReader(rows_csv.open()))
+    assert [r["status"] for r in rows] == statuses
+    assert all(float(r["e_star_1"]) < 1.0 for r in rows if r["status"] == "ok")
+    assert all(r["e_star_1"] == "" and r["d_1_1"] == "" for r in rows if r["status"] == "error")
 
 
 def test_solve_input_errors(tmp_path, capsys):
@@ -635,7 +677,7 @@ def test_sweep_base_as_path(tmp_path):
     assert len(out.read_text().splitlines()) == 4
 
 
-def test_sweep_input_errors(tmp_path):
+def test_sweep_input_errors(tmp_path, capsys):
     base = market_to_config(two_firm_market(0.0))
     assert main(["sweep", str(write_sweep(tmp_path, base, -1.0, 0.0, 1, name="s1.json")),
                  "--out", str(tmp_path / "x.csv")]) == 1
@@ -648,6 +690,78 @@ def test_sweep_input_errors(tmp_path):
     # unwritable output
     assert main(["sweep", str(write_sweep(tmp_path, base, -1.0, 0.0, 3, name="s4.json")),
                  "--out", str(tmp_path / "nodir" / "w.csv")]) == 1
+    # finite bounds whose distance overflows a float: one line, no numpy warning
+    capsys.readouterr()
+    assert main(["sweep", str(write_sweep(tmp_path, base, -1e308, 1e308, 3, name="s5.json")),
+                 "--out", str(tmp_path / "v.csv")]) == 1
+    assert capsys.readouterr().err == "error: range from -1e+308 to 1e+308 is wider than a float can hold\n"
+
+
+def _reference_sweep_error(spec):
+    """The error line of an invalid sweep, from a market built and validated
+    per value: its first violation at the first value that has one."""
+    rng = spec["range"]
+    doc = copy.deepcopy(spec["base"])
+    for v in np.linspace(float(rng["from"]), float(rng["to"]), rng["steps"]):
+        datamarket.cli._apply_param(doc, spec["param"], float(v))
+        violations = validate_market(market_from_config(doc))
+        if violations:
+            v0 = violations[0]
+            return (f"error: sweep value {spec['param']}={_fmt(v)} yields an invalid market: "
+                    f"[{v0.code}] {v0.where}: {v0.message}\n")
+    return None
+
+
+_ULP = 2.0 ** -52
+
+
+@pytest.mark.parametrize("param, lo, hi, steps, edits", [
+    ("sources[0].x", 0.0, 1.5, 7, ()),              # first bad value 1.25, mid-range
+    ("sources[1].x", 1.0, -2.0, 13, ()),            # descending, past the lower end
+    ("sources[0].x", 0.5, -3.0, 8, ()),
+    ("sources[0].x", -1.0, 1.0 + 2 * _ULP, 3, ()),  # one ulp past the upper end
+    ("sources[1].x", 1.0, -1.0 - _ULP, 200, ()),    # one ulp past the lower end
+    ("sources[0].x", -1.0 - _ULP, 1.0, 3, ()),      # the first value is bad
+    ("sources[0].alpha", 2.0, -1.0, 7, ()),         # alpha crosses 0, both ways
+    ("sources[1].alpha", -1.0, 2.0, 7, ()),
+    ("sources[0].alpha", 1.0, 0.0, 5, ()),
+    ("buyers[0].eta", 2.0, -1.0, 7, ()),            # eta crosses 0, both ways
+    ("buyers[1].eta", -0.5, 1.0, 4, ()),
+    ("buyers[1].eta", 1.0, 0.0, 200, ()),
+    # the first value is validated whole: its first violation is not the
+    # swept field's
+    ("buyers[1].eta", -1.0, 1.0, 3, ((("sources", 1, "alpha"), -1.0), (("buyers", 0, "eta"), 0.0))),
+    ("sources[0].x", -1.0, 0.999, 200, ()),         # valid
+    ("buyers[0].eta", 5e-324, 1.0, 3, ()),          # valid, subnormal first eta
+])
+def test_sweep_validation_messages_match_the_per_row_check(tmp_path, capsys, param, lo, hi, steps,
+                                                           edits):
+    base = json.loads(json.dumps(_TWO_FIRM))
+    for path, value in edits:
+        _set_leaf(base, path, value)
+    spec = {"param": param, "range": {"from": lo, "to": hi, "steps": steps}, "base": base}
+    path = write_sweep(tmp_path, base, lo, hi, steps, param=param)
+    want = _reference_sweep_error(spec)
+    assert main(["sweep", str(path), "--out", str(tmp_path / "rows.csv")]) == (0 if want is None else 1)
+    assert capsys.readouterr().err == ("" if want is None else want)
+
+
+@pytest.mark.parametrize("to, calls", [(1.0, 1), (1.5, 2)], ids=["valid", "invalid"])
+def test_sweep_validates_one_market(tmp_path, monkeypatch, to, calls):
+    # the first value's market is validated whole, the other values as one
+    # column, up to the domain's end; an invalid value is validated once more
+    # for its message
+    seen = []
+    real = datamarket.cli.validate_market
+
+    def counted(m):
+        seen.append(m)
+        return real(m)
+
+    monkeypatch.setattr(datamarket.cli, "validate_market", counted)
+    spec = write_sweep(tmp_path, _TWO_FIRM, -1.0, to, 200)
+    assert main(["sweep", str(spec), "--out", str(tmp_path / "rows.csv")]) == calls - 1
+    assert len(seen) == calls
 
 
 # ---------------------------------------------------------------------------
@@ -809,6 +923,7 @@ _SWEEP_SPEC = {"param": "sources[0].x", "range": {"from": -1.0, "to": 0.999, "st
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(edits=st.lists(st.tuples(st.sampled_from(_leaf_paths(_SWEEP_SPEC)), _JSON_VALUES),
                       min_size=1, max_size=2))
+@example(edits=[(("range", "from"), -1e308), (("range", "to"), 1e308)])
 def test_sweep_any_spec_ends_in_an_exit_code(tmp_path, capsys, edits):
     spec = json.loads(json.dumps(_SWEEP_SPEC))
     for path, value in edits:
@@ -826,7 +941,11 @@ def test_sweep_any_spec_ends_in_an_exit_code(tmp_path, capsys, edits):
             cells = row.split(",")
             assert len(cells) == width
             assert cells[-1] in ("ok", "no_equilibrium", "error")
-    capsys.readouterr()
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 # ---------------------------------------------------------------------------
