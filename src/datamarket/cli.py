@@ -69,6 +69,9 @@ EXIT_CERTIFICATION = 3
 # A sweep is one curve: more points than this is a malformed spec, and an
 # unbounded count would exhaust memory before the first row.
 MAX_SWEEP_STEPS = 10_000
+# The payment simulation streams its draws, so only its time grows with
+# --samples: 21-24 s at this count and N = 8 on one Xeon core.
+MAX_CHECK_SAMPLES = 10**8
 # Coupling-matrix entries (8 bytes each) per batch of sweep rows computed
 # together, so a sweep of a large market stays within a few megabytes.
 _BATCH_ENTRIES = 1 << 20
@@ -540,8 +543,10 @@ def _cmd_sweep(args) -> int:
 def _cmd_check(args) -> int:
     # one sample has no spread, and a grid of one point or an empty box
     # searches nothing: each would certify without testing anything
-    if args.samples < 2 or args.steps < 2 or not (math.isfinite(args.radius) and args.radius > 0.0):
-        raise ValueError("check needs --samples >= 2, --steps >= 2 and a positive finite --radius")
+    if (not 2 <= args.samples <= MAX_CHECK_SAMPLES or args.steps < 2
+            or not (math.isfinite(args.radius) and args.radius > 0.0)):
+        raise ValueError(f"check needs --samples from 2 to {MAX_CHECK_SAMPLES}, --steps >= 2 "
+                         "and a positive finite --radius")
     m = _load_market(args.config)
     w, system, sol = _run(m)
     sol = complete_solution(sol, w, m)

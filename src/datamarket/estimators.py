@@ -229,7 +229,8 @@ def _loo_rows(xs: np.ndarray, buyers) -> tuple:
     """xi[r, j, i, l] of each row of locations, and per row the first SingularDesignError."""
     n_rows, n = xs.shape
     own = np.arange(n)
-    rest = np.array([np.delete(own, i) for i in own]).reshape(n, n - 1)
+    kept = np.arange(n - 1)
+    rest = kept[None, :] + (kept[None, :] >= own[:, None])  # row i: every source but i
     xi = np.zeros((n_rows, len(buyers), n, n))
     fits = {}
     for j, b in enumerate(buyers):

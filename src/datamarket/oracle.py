@@ -34,6 +34,10 @@ __all__ = [
 NEUMANN_MAX_ITERS = 10000
 NEUMANN_TOL = 1e-12
 
+# Samples per block of the payment simulation: at N = 8 a block of draws and
+# its squared residuals take well under a 4 MB L2 cache.
+_MC_BLOCK = 4096
+
 
 # ---------------------------------------------------------------------------
 # buyer objective
@@ -83,19 +87,23 @@ def _deviation_costs(cands: np.ndarray, sol: EquilibriumSolution, k: int,
     payments of buyer k are re-tightened: the least c keeping every source
     participating given the opponents' flats, but never below the buyer's
     own acceptability floor.  Candidates leaving some source with
-    nonpositive total slope get infinite cost.
+    nonpositive total slope get infinite cost, and so do candidates whose
+    ``2 * alpha * d_total`` overflows: the rule the solve applies to its own
+    efforts.
     """
     alphas = np.asarray(m.alphas(), dtype=float)
     others_d = sol.d.sum(axis=0) - sol.d[k]
     d_total = others_d[None, :] + cands
     costs = np.full(cands.shape[0], np.inf)
-    ok = (d_total > 0.0).all(axis=1)
+    with np.errstate(over="ignore"):
+        pressure = 2.0 * alphas[None, :] * d_total
+    ok = ((d_total > 0.0) & (pressure < np.inf)).all(axis=1)
     if not ok.any():
         return costs
 
-    dt = d_total[ok]
-    variances = 1.0 / (2.0 * alphas[None, :] * dt)
-    efforts = np.log(2.0 * alphas[None, :] * dt) / (2.0 * alphas[None, :])
+    pressure = pressure[ok]
+    variances = 1.0 / pressure
+    efforts = np.log(pressure) / (2.0 * alphas[None, :])
 
     pen_k = (variances @ w.xi[k].T) * cands[ok]
     pen_others = np.zeros_like(pen_k)
@@ -198,13 +206,12 @@ class PaymentCheck:
     z_score: float
 
 
-def _loo_residual_moments(xs: np.ndarray, units: np.ndarray, draws: np.ndarray,
-                          degree: int) -> tuple:
-    """Per-source mean and spread of the squared leave-one-out residual.
+def _loo_residual_operator(xs: np.ndarray, degree: int) -> np.ndarray:
+    """``I - P`` for the leave-one-out prediction operator P of one degree.
 
-    Row i of the prediction operator is ``basis(x_i) @ pinv(vander(x_-i))``
-    at the other sources, with a zero diagonal.  The residuals of all
-    sources come from one matmul, source-major (N, S), squared in place.
+    Row i of P is ``basis(x_i) @ pinv(vander(x_-i))`` at the other sources,
+    with a zero diagonal, so row i of ``(I - P) @ noise`` is source i's
+    settled residual.
     """
     n = xs.size
     off = ~np.eye(n, dtype=bool)
@@ -212,9 +219,37 @@ def _loo_residual_moments(xs: np.ndarray, units: np.ndarray, draws: np.ndarray,
     basis = xs[:, None] ** np.arange(degree + 1)
     predict = np.zeros((n, n))
     predict[off] = np.einsum("ik,ikl->il", basis, np.linalg.pinv(designs)).ravel()
-    r = ((np.eye(n) - predict) * units[None, :]) @ draws.T
-    np.square(r, out=r)
-    return r.mean(axis=1), r.std(axis=1, ddof=1)
+    return np.eye(n) - predict
+
+
+def _residual_moments(op: np.ndarray, rng: np.random.Generator, n_samples: int) -> tuple:
+    """Per-row mean and spread of the squared residuals ``(op @ z)**2``.
+
+    ``z`` runs over ``n_samples`` standard normal draws of ``op.shape[1]``
+    sources, drawn ``_MC_BLOCK`` rows at a time: the generator fills in
+    order, so the blocks are the rows of one ``(n_samples, N)`` draw.  Each
+    block's residuals come from one matmul, a row per operator row, squared
+    and centered in place; its count, mean and sum of squared deviations
+    are merged into the running ones by the pairwise update of Chan, Golub
+    & LeVeque (1983).  Memory does not grow with ``n_samples``.
+    """
+    n_rows, n = op.shape
+    count = 0
+    mean = np.zeros(n_rows)
+    m2 = np.zeros(n_rows)
+    for start in range(0, n_samples, _MC_BLOCK):
+        size = min(_MC_BLOCK, n_samples - start)
+        r = op @ rng.standard_normal((size, n)).T
+        np.square(r, out=r)
+        block_mean = r.mean(axis=1)
+        r -= block_mean[:, None]
+        np.square(r, out=r)
+        delta = block_mean - mean
+        total = count + size
+        mean += delta * (size / total)
+        m2 += r.sum(axis=1) + delta * delta * (count * size / total)
+        count = total
+    return mean, np.sqrt(m2 / (n_samples - 1))
 
 
 def monte_carlo_payments(sol: EquilibriumSolution, w: SeparableWeights,
@@ -228,19 +263,23 @@ def monte_carlo_payments(sol: EquilibriumSolution, w: SeparableWeights,
     so the ground truth ``f`` cancels from the settled residual and only the
     noise is simulated.  The noise is drawn in units of the largest standard
     deviation, so neither a squared residual nor its spread underflows when
-    the variances are tiny.  Buyers of one estimator degree share the
-    residual moments.  The empirical mean payment per (buyer, source) is
-    compared with the analytic expectation through a z-score; systematic
-    errors in the weight algebra show up as |z| far above 4.  ``sol`` must
-    carry its flat payments (``complete_solution`` or ``solution_from_d``).
+    the variances are tiny.  The residual operators of the distinct
+    estimator degrees are stacked into one, so each block of draws takes
+    one matmul, and buyers of one degree share its rows.  The empirical mean
+    payment per (buyer, source) is compared with the analytic expectation
+    through a z-score; systematic errors in the weight algebra show up as
+    |z| far above 4.  ``sol`` must carry its flat payments
+    (``complete_solution`` or ``solution_from_d``).
     """
     rng = np.random.default_rng(seed)
     xs = np.asarray(m.locations(), dtype=float)
     sigmas = np.sqrt(np.asarray(sol.variances, dtype=float))
     scale = float(sigmas.max())
-    draws = rng.standard_normal((int(n_samples), m.n_sources))
-    moments = {g: _loo_residual_moments(xs, sigmas / scale, draws, g)
-               for g in {b.estimator.degree for b in m.buyers}}
+    degrees = sorted({b.estimator.degree for b in m.buyers})
+    op = np.vstack([_loo_residual_operator(xs, g) for g in degrees]) * (sigmas / scale)[None, :]
+    means, spreads = _residual_moments(op, rng, int(n_samples))
+    moments = dict(zip(degrees, zip(means.reshape(len(degrees), -1),
+                                    spreads.reshape(len(degrees), -1))))
 
     out = []
     for j, b in enumerate(m.buyers):

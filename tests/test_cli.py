@@ -154,6 +154,9 @@ _JSON_VALUES = st.recursive(
 
 # an effort of log(2 * d_total * alpha) / (2 * alpha) that overflows
 _HUGE_ALPHA = [(("sources", 0, "alpha"), 2.2e307)]
+# an effort that does not overflow, while 2 * alpha * d_total does on part
+# of check's deviation grid
+_BIG_ALPHA = [(("sources", 0, "alpha"), 2.0e307)]
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -187,6 +190,7 @@ def _reject_constant(name):
 @given(edits=st.lists(st.tuples(st.sampled_from(_leaf_paths(_TWO_FIRM)), _JSON_VALUES),
                       min_size=1, max_size=2))
 @example(edits=_HUGE_ALPHA)
+@example(edits=_BIG_ALPHA)
 def test_welfare_and_check_any_config_end_in_an_exit_code(tmp_path, capsys, flags, codes, edits):
     doc = json.loads(json.dumps(_TWO_FIRM))
     for path, value in edits:
@@ -549,6 +553,34 @@ def test_check_rejects_vacuous_search(tmp_path, capsys, flags):
     captured = capsys.readouterr()
     assert "PASS" not in captured.out
     assert captured.err.startswith("error: check needs")
+
+
+def test_check_rejects_too_many_samples_before_loading(tmp_path, capsys):
+    # the simulation's time grows with --samples, so an absurd count is an
+    # input error, reported before the config is read; the config is
+    # missing, so no build can reach the simulation
+    too_many = str(datamarket.cli.MAX_CHECK_SAMPLES + 1)
+    argv = ["check", str(tmp_path / "missing.json"), "--samples", too_many]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: check needs --samples from 2 to 100000000, --steps >= 2 "
+                            "and a positive finite --radius\n")
+
+
+def test_check_deviation_grid_overflow_is_silent(tmp_path):
+    # the market solves, but 2 * alpha * d_total overflows on part of the
+    # deviation grid; those candidates cost inf, with no numpy warning
+    doc = json.loads(json.dumps(_TWO_FIRM))
+    doc["sources"][0]["alpha"] = 2.0e307
+    cfg = tmp_path / "big_alpha.json"
+    cfg.write_text(json.dumps(doc))
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "datamarket",
+                           "check", str(cfg), "--samples", "2000"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert "certification: PASS" in proc.stdout
 
 
 @pytest.mark.parametrize("eta", [1e-150, 1e-300])

@@ -1,5 +1,6 @@
 import ast
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 
 import datamarket.oracle
+from datamarket.oracle import _MC_BLOCK, _loo_residual_operator, _residual_moments
 from datamarket import (
     DataBuyer,
     DataSource,
@@ -308,6 +310,88 @@ def test_noise_only_payments_match_the_truth_loop(f_coeffs):
             assert chk.analytic_mean == pytest.approx(analytic, rel=1e-12)
             assert chk.std_error == pytest.approx(std_error, rel=1e-9)
             assert abs(chk.z_score - z) <= 1e-9
+
+
+def _whole_array_moments(op, draws):
+    """Reference: mean and spread of the squared residuals over one (S, N) draw."""
+    r = op @ draws.T
+    np.square(r, out=r)
+    return r.mean(axis=1), r.std(axis=1, ddof=1)
+
+
+def _loo_residual_moments(xs, units, draws, degree):
+    """Reference: the whole-array residual moments of one estimator degree.
+
+    This is the path the blocked ``_residual_moments`` replaced: the
+    leave-one-out prediction operator built from ``pinv`` and every source's
+    residuals over all draws at once, source-major (N, S).
+    """
+    n = xs.size
+    off = ~np.eye(n, dtype=bool)
+    designs = np.stack([np.vander(xs[row], degree + 1, increasing=True) for row in off])
+    basis = xs[:, None] ** np.arange(degree + 1)
+    predict = np.zeros((n, n))
+    predict[off] = np.einsum("ik,ikl->il", basis, np.linalg.pinv(designs)).ravel()
+    return _whole_array_moments((np.eye(n) - predict) * units[None, :], draws)
+
+
+_SAMPLE_COUNTS = [2, 3, _MC_BLOCK - 1, _MC_BLOCK, _MC_BLOCK + 1, 2 * _MC_BLOCK + 7, 100_000]
+
+
+@pytest.mark.parametrize("n_samples", _SAMPLE_COUNTS)
+def test_blocked_moments_match_the_whole_array(n_samples):
+    # the merged block moments agree with one pass over the whole draw, for
+    # every degree of the stacked operator
+    rng = np.random.default_rng(4242)
+    for n, degrees in _PAYMENT_CASES:
+        xs = np.sort(rng.uniform(-1.0, 1.0, n))
+        units = rng.uniform(1e-3, 1.0, n)
+        distinct = sorted(set(degrees))
+        op = np.vstack([_loo_residual_operator(xs, g) for g in distinct]) * units[None, :]
+        mean, spread = _residual_moments(op, np.random.default_rng(n), n_samples)
+        draws = np.random.default_rng(n).standard_normal((n_samples, n))
+        want = [_loo_residual_moments(xs, units, draws, g) for g in distinct]
+        np.testing.assert_allclose(mean, np.concatenate([m for m, _ in want]), rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(spread, np.concatenate([s for _, s in want]), rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("row_scale", [1e-75, 1e-150])
+def test_blocked_moments_of_a_tiny_row(row_scale):
+    # a row far below the others: at 1e-150 its squared deviations underflow
+    # to zero in both paths, and its mean still agrees
+    xs = np.array([-0.9, -0.4, 0.1, 0.5, 0.8])
+    op = np.vstack([_loo_residual_operator(xs, 1), _loo_residual_operator(xs, 3)])
+    op[2] *= row_scale
+    for n_samples in (3, 2 * _MC_BLOCK + 7):
+        got = _residual_moments(op, np.random.default_rng(17), n_samples)
+        want = _whole_array_moments(op, np.random.default_rng(17).standard_normal((n_samples, 5)))
+        for g, w_ in zip(got, want):
+            np.testing.assert_allclose(g, w_, rtol=1e-13, atol=0.0)
+    assert got[0][2] > 0.0
+
+
+def test_blocked_draws_are_the_rows_of_one_draw():
+    # numpy's Generator fills each output in order, so drawing in blocks
+    # consumes the stream exactly as one (S, N) draw does
+    n_samples, n = 2 * _MC_BLOCK + 7, 5
+    rng = np.random.default_rng(99)
+    blocks = [rng.standard_normal((min(_MC_BLOCK, n_samples - start), n))
+              for start in range(0, n_samples, _MC_BLOCK)]
+    whole = np.random.default_rng(99).standard_normal((n_samples, n))
+    assert np.array_equal(np.concatenate(blocks), whole)
+
+
+def test_payment_simulation_memory_does_not_grow_with_samples():
+    # the whole-array path held (S, N) draws plus (N, S) squared residuals
+    # and their centered copy, about 18 MB here
+    m, w, sol = _contract_book(np.random.default_rng(8), 8, (1, 2))
+    tracemalloc.start()
+    try:
+        monte_carlo_payments(sol, w, m, n_samples=100_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_oracle_imports_only_the_weights_type_from_estimators():
