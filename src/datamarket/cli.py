@@ -72,6 +72,8 @@ MAX_SWEEP_STEPS = 10_000
 # The payment simulation streams its draws, so only its time grows with
 # --samples: 21-24 s at this count and N = 8 on one Xeon core.
 MAX_CHECK_SAMPLES = 10**8
+# Floats per buyer in check's grid, (1 + N*steps + steps**2) * N: at ~91 B each, ~256 MB peak.
+MAX_CHECK_GRID = 2_800_000
 # Coupling-matrix entries (8 bytes each) per batch of sweep rows computed
 # together, so a sweep of a large market stays within a few megabytes.
 _BATCH_ENTRIES = 1 << 20
@@ -547,7 +549,14 @@ def _cmd_check(args) -> int:
             or not (math.isfinite(args.radius) and args.radius > 0.0)):
         raise ValueError(f"check needs --samples from 2 to {MAX_CHECK_SAMPLES}, --steps >= 2 "
                          "and a positive finite --radius")
+    # past radius 1 the box holds negative slopes; numpy rejects a negative seed mid-report
+    if args.radius > 1.0 or args.seed < 0:
+        raise ValueError("check needs --radius at most 1 and --seed >= 0")
     m = _load_market(args.config)
+    grid = (1 + m.n_sources * args.steps + args.steps ** 2) * m.n_sources
+    if grid > MAX_CHECK_GRID:
+        raise ValueError(f"check --steps {args.steps} at N = {m.n_sources} sources makes a deviation "
+                         f"grid of {grid} floats per buyer, above the cap of {MAX_CHECK_GRID}")
     w, system, sol = _run(m)
     sol = complete_solution(sol, w, m)
 

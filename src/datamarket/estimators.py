@@ -130,35 +130,18 @@ def _raw_moments(dist: ValueDistribution, degree: int) -> np.ndarray:
     return np.array([dist.moment(p) for p in range(2 * degree + 1)])
 
 
-def _point_moments(xs: np.ndarray, degree: int) -> np.ndarray:
-    """Raw moments of a point mass at each of ``xs`` (``ValueDistribution.moment``)."""
-    orders = range(2 * degree + 1)
-    mu = [[x ** p for p in orders] for x in xs.ravel().tolist()]
-    return np.array(mu).reshape(xs.shape + (len(orders),))
-
-
 def _quadratic_form(W: np.ndarray, mom: np.ndarray) -> np.ndarray:
     """Per-sample variance weights ``sum_pq W[p, i] mom[p, q] W[q, i]``, clipped at 0.
 
     The terms are added in a fixed order, p-major, so a fit's weights do not
-    depend on how many fits share the stack.  A line through one point (the
-    leave-one-out fits of two-source markets) adds its two row sums pairwise
-    instead.  Both orders match ``np.einsum("pi,pq,qi->i")`` on one fit bit
-    for bit, so sweep CSVs and solutions stay byte-identical across
-    versions.
+    depend on how many fits share the stack; on a full design that order
+    matches ``np.einsum("pi,pq,qi->i")`` on one fit bit for bit.
     """
     def term(p, q):
         return (W[..., p, :] * mom[..., p, q, None]) * W[..., q, :]
 
     n_coef = W.shape[-2]
-    if n_coef == 2 and W.shape[-1] == 1:
-        h = (term(0, 0) + term(0, 1)) + (term(1, 0) + term(1, 1))
-    else:
-        h = term(0, 0)
-        for p in range(n_coef):
-            for q in range(n_coef):
-                if p or q:
-                    h += term(p, q)
+    h = sum(term(p, q) for p in range(n_coef) for q in range(n_coef))
     # quadratic form in a PSD matrix; clip float dust
     return np.maximum(h, 0.0)
 
@@ -226,7 +209,12 @@ def _loss_rows(xs: np.ndarray, buyers) -> tuple:
 
 
 def _loo_rows(xs: np.ndarray, buyers) -> tuple:
-    """xi[r, j, i, l] of each row of locations, and per row the first SingularDesignError."""
+    """xi[r, j, i, l] of each row of locations, and per row the first SingularDesignError.
+
+    xi is the square of the weight ``sum_p x_i**p * W[p, l]`` that the fit
+    dropping source i puts on source l when it predicts at x_i.  The sum
+    runs over p in order, so a row's bits do not depend on the stack size.
+    """
     n_rows, n = xs.shape
     own = np.arange(n)
     kept = np.arange(n - 1)
@@ -238,8 +226,9 @@ def _loo_rows(xs: np.ndarray, buyers) -> tuple:
         if degree not in fits:
             # one fit per (row, dropped source); xi depends on the degree alone
             W, cond, ok = _fit_operator(_design_matrix(xs[:, rest], degree))
-            h = _quadratic_form(W, _moment_matrix(_point_moments(xs, degree), degree))
-            fits[degree] = (h, cond, ok)
+            basis = _design_matrix(xs, degree)
+            pred = sum(basis[..., p, None] * W[..., p, :] for p in range(degree + 1))
+            fits[degree] = (pred * pred, cond, ok)
         xi[:, j, own[:, None], rest] = fits[degree][0]
     xi[:, :, own, own] = 1.0
 

@@ -135,8 +135,8 @@ def welfare_rows(efforts: np.ndarray, w: SeparableWeights, alphas: np.ndarray,
     n_buyers, n = w.gamma.shape[-2:]
     off_diag = w.xi.copy()
     off_diag[..., np.arange(n), np.arange(n)] = 0.0
-    coupled = (n_buyers >= 2) & (off_diag > 0.0).any(axis=(-3, -2, -1)) \
-        & (w.gamma > 0.0).all(axis=(-2, -1))
+    floor = (n_buyers - 1) * (off_diag * w.gamma[..., None]).sum(axis=(-3, -2))
+    coupled = (floor > 1e-9 * weights).any(axis=-1)
     no_oversupply = coupled & ~(gap.max(axis=-1) > 0.0)
 
     errors = [e or o for e, o in zip(_eta_errors(etas), opt_errors)]
@@ -159,11 +159,12 @@ def price_of_anarchy(sol: EquilibriumSolution, w: SeparableWeights,
     """Compare equilibrium welfare against the social optimum.
 
     Equilibrium slopes weakly exceed the adjusted loss weights, so effort is
-    weakly over-supplied everywhere; when at least two buyers are coupled
-    through some positive leave-one-out weight and every adjusted weight is
-    positive, the over-supply is strict somewhere and the ratio exceeds one.
-    Both facts are checked rather than trusted: a breach raises
-    NumericFailure.
+    weakly over-supplied everywhere.  As A >= 0, source q's total slope is
+    at least its aggregate adjusted weight G[q] plus ``floor[q] = (M - 1) *
+    sum_{j, l != q} xi[j, l, q] * gamma[j, l]``; where some floor[q] exceeds
+    1e-9 * G[q], the over-supply is strict beyond rounding and the ratio
+    exceeds one.  Both facts are checked rather than trusted: a breach
+    raises NumericFailure.
     """
     stacked = SeparableWeights(beta=w.beta[None], xi=w.xi[None], gamma=w.gamma[None])
     rep, errors = welfare_rows(np.asarray(sol.efforts, dtype=float)[None], stacked,

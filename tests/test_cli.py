@@ -242,6 +242,28 @@ def test_solve_no_equilibrium_exits_2(tmp_path, capsys):
     assert main(["solve", str(cfg2)]) == 2
 
 
+@pytest.mark.parametrize("command", ["solve", "welfare", "check"])
+def test_near_decoupled_market_exits_0(tmp_path, command):
+    # rho is about 2.5e-17 here: the over-supply is far below rounding, so the
+    # welfare check must not demand a strict one
+    cfg = write_config(tmp_path, two_firm_market(-1.0 + 1e-8))
+    assert main([command, str(cfg)]) == 0
+
+
+def test_near_decoupled_sweep_rho_is_exact(tmp_path):
+    # two-firm rho in closed form: (1 + x)**2 / (2 * (1 + x**2)); the CSV
+    # prints x to 12 digits, too few for 1 + x, so x is recomputed
+    base = market_to_config(two_firm_market(0.0))
+    spec = write_sweep(tmp_path, base, -1.0, -0.999999, 50)
+    out = tmp_path / "near.csv"
+    assert main(["sweep", str(spec), "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.open()))
+    assert [r["status"] for r in rows] == ["ok"] * 50
+    for r, x in zip(rows, np.linspace(-1.0, -0.999999, 50)):
+        exact = (1.0 + x) ** 2 / (2.0 * (1.0 + x * x))
+        assert abs(float(r["rho"]) - exact) <= 1e-6 * exact
+
+
 @pytest.mark.parametrize("command", ["check", "welfare"])
 def test_coincident_sources_exit_2_in_every_command(tmp_path, capsys, command):
     cfg = write_config(tmp_path, two_firm_market(1.0))
@@ -546,6 +568,7 @@ def test_check_overflowing_slopes_exit_1(tmp_path, capsys):
     ["--samples", "1"], ["--samples", "0"],
     ["--steps", "1"], ["--steps", "0"],
     ["--radius", "-1"], ["--radius", "0"], ["--radius", "nan"], ["--radius", "inf"],
+    ["--radius", "1.5"], ["--radius", "1e300"], ["--radius", "1e308"], ["--seed", "-1"],
 ])
 def test_check_rejects_vacuous_search(tmp_path, capsys, flags):
     cfg = write_config(tmp_path, two_firm_market(0.0))
@@ -566,6 +589,19 @@ def test_check_rejects_too_many_samples_before_loading(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == ("error: check needs --samples from 2 to 100000000, --steps >= 2 "
                             "and a positive finite --radius\n")
+
+
+@pytest.mark.parametrize("steps", [1183, 100_000])
+def test_check_rejects_an_oversized_deviation_grid(tmp_path, capsys, steps):
+    # two sources: 2 * (steps + 1)**2 floats per buyer, just past the cap at
+    # 1183 steps; rejected before any grid is built
+    cfg = write_config(tmp_path, two_firm_market(0.0))
+    assert main(["check", str(cfg), "--steps", str(steps)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: check --steps {steps} at N = 2 sources")
+    # the default grid fits the largest benchmarked market
+    assert (1 + 160 * 41 + 41 ** 2) * 160 <= datamarket.cli.MAX_CHECK_GRID
 
 
 def test_check_deviation_grid_overflow_is_silent(tmp_path):
@@ -663,13 +699,12 @@ def test_sweep_csv_contract(tmp_path):
     assert float(rows[-1]["d_1_1"]) == pytest.approx(20 / 9, rel=1e-9)
 
 
-def test_sweep_deterministic_and_threaded(tmp_path, monkeypatch):
+def test_sweep_deterministic(tmp_path):
     base = market_to_config(two_firm_market(0.0))
     spec = write_sweep(tmp_path, base, -1.0, 0.9, 24)
     out1, out2, out3 = (tmp_path / n for n in ("a.csv", "b.csv", "c.csv"))
     assert main(["sweep", str(spec), "--out", str(out1)]) == 0
     assert main(["sweep", str(spec), "--out", str(out2)]) == 0
-    monkeypatch.setenv("DM_THREADS", "4")
     assert main(["sweep", str(spec), "--out", str(out3)]) == 0
     assert out1.read_bytes() == out2.read_bytes() == out3.read_bytes()
 

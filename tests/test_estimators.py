@@ -1,4 +1,5 @@
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from datamarket import (
     SingularDesignError,
     ValueDistribution,
     compute_weights,
+    coupling_radius,
     h_weight,
     loo_weight_tensor,
     loss_weight_matrix,
@@ -160,6 +162,36 @@ def test_loo_closed_forms_two_firm():
             assert xi[j, 1, 1] == 1.0
 
 
+def test_loo_weights_exact_near_decoupling():
+    # as x1 -> -1 both weights vanish like (1 + x1)**2; exact rational
+    # arithmetic on the float location is the reference.  A**2 is
+    # xi_01 * xi_10 times the identity, so rho is their geometric mean.
+    for e in range(3, 12):
+        x1 = -1.0 + 10.0 ** -e
+        xi = loo_weight_tensor(two_firm_market(x1))
+        x = Fraction(x1)
+        xi_01 = ((1 + x) / 2) ** 2            # fit on x = 1, predicting at x1
+        xi_10 = ((1 + x) / (1 + x * x)) ** 2  # fit on x1, predicting at 1
+        for j in range(2):
+            assert abs(xi[j, 0, 1] / float(xi_01) - 1.0) <= 1e-6
+            assert abs(xi[j, 1, 0] / float(xi_10) - 1.0) <= 1e-6
+        assert abs(coupling_radius(xi) / float(xi_01 * xi_10) ** 0.5 - 1.0) <= 1e-6
+
+
+def test_loo_far_end_weights_vanish_exactly():
+    # sources at (-1, x, 1), degree 2: with K(s, t) = 1 + s*t + s**2 * t**2
+    # the minimum-norm fit on (x, 1) predicts at -1 with a weight on the
+    # source at 1 proportional to K(-1, 1) K(x, x) - K(-1, x) K(x, 1), which
+    # is 0 because (1 - x + x**2)(1 + x + x**2) = 1 + x**2 + x**4; the same
+    # holds mirrored.
+    buyer = DataBuyer(EstimatorSpec.polynomial(2), UNIT, (0.0,))
+    for x in (-0.8125, -0.5, -0.25, 0.3, 0.9):
+        sources = tuple(DataSource(v, 1.0) for v in (-1.0, x, 1.0))
+        xi = loo_weight_tensor(MarketInstance(sources=sources, buyers=(buyer,),
+                                              feature_domain=(-1.0, 1.0)))
+        assert xi[0, 0, 2] <= 1e-25 and xi[0, 2, 0] <= 1e-25
+
+
 def test_loo_three_sources_interpolation():
     # dropping one of three sources leaves a two-point degree-1 fit whose
     # prediction weights are the usual interpolation coefficients
@@ -251,8 +283,8 @@ def test_eta_scales_gamma():
 # stacked fits against the per-buyer and per-drop loops
 # ---------------------------------------------------------------------------
 
-def _h_vector_loop(spec, locations, dist):
-    """One least-squares fit and its variance weights, as a single 2-D solve."""
+def _fit_loop(spec, locations):
+    """One least-squares fit operator W (coefficients = W @ y), as a single 2-D solve."""
     X = np.vander(np.asarray(locations, dtype=float), spec.degree + 1, increasing=True)
     n_pts, n_coef = X.shape
     gram = X.T @ X if n_pts >= n_coef else X @ X.T
@@ -262,7 +294,12 @@ def _h_vector_loop(spec, locations, dist):
             f"design at locations {[float(v) for v in locations]} is rank deficient "
             f"for degree {spec.degree} (cond {cond:.3g})"
         )
-    W = np.linalg.solve(gram, X.T) if n_pts >= n_coef else X.T @ np.linalg.inv(gram)
+    return np.linalg.solve(gram, X.T) if n_pts >= n_coef else X.T @ np.linalg.inv(gram)
+
+
+def _h_vector_loop(spec, locations, dist):
+    """One least-squares fit and its variance weights under ``dist``."""
+    W = _fit_loop(spec, locations)
     mu = np.array([dist.moment(p) for p in range(2 * spec.degree + 1)])
     mom = mu[np.add.outer(np.arange(spec.degree + 1), np.arange(spec.degree + 1))]
     return np.maximum(np.einsum("pi,pq,qi->i", W, mom, W), 0.0)
@@ -288,13 +325,18 @@ def _loo_weight_tensor_loop(m):
         for i in range(n):
             rest = [l for l in range(n) if l != i]
             try:
-                hv = _h_vector_loop(b.estimator, xs[rest], ValueDistribution.point_mass(xs[i]))
+                W = _fit_loop(b.estimator, xs[rest])
             except SingularDesignError as err:
                 raise SingularDesignError(
                     f"buyer {j}: leave-one-out design dropping source {i} is singular: {err}",
                     buyer=j, dropped_source=i,
                 ) from None
-            xi[j, i, rest] = hv
+            # squared prediction weight at the dropped source, summed over p in order
+            phi = np.vander([xs[i]], b.estimator.degree + 1, increasing=True)[0]
+            pred = np.zeros(n - 1)
+            for p in range(b.estimator.degree + 1):
+                pred += phi[p] * W[p]
+            xi[j, i, rest] = pred * pred
             xi[j, i, i] = 1.0
     return xi
 
