@@ -23,11 +23,8 @@ from .estimators import (
     SingularDesignError,
     GammaNegativeError,
     SeparableWeights,
-    h_weight,
     compute_weights,
     weight_rows,
-    loo_weight_tensor,
-    loss_weight_matrix,
 )
 from .equilibrium import (
     RHO_EXISTENCE_THRESHOLD,
@@ -53,8 +50,6 @@ from .welfare import (
     DegenerateSourceError,
     UndefinedPoaError,
     WelfareReport,
-    social_loss,
-    social_optimum_efforts,
     price_of_anarchy,
     welfare_rows,
 )
@@ -75,15 +70,14 @@ __all__ = [
     "MarketInstance", "Violation", "validate_market",
     "effort_from_d_total", "variance_from_d_total",
     "SingularDesignError", "GammaNegativeError", "SeparableWeights",
-    "h_weight", "compute_weights", "weight_rows", "loo_weight_tensor", "loss_weight_matrix",
+    "compute_weights", "weight_rows",
     "RHO_EXISTENCE_THRESHOLD", "NoEquilibriumError", "NumericFailure",
     "InfeasibleCError", "CouplingSystem", "CPolytope", "EquilibriumSolution",
     "spectral_radius", "coupling_matrix", "coupling_radius", "build_coupling_system",
     "solve_equilibrium_d", "solve_rows", "c_polytope", "canonical_c", "complete_solution",
     "solution_from_d",
     "EtaNotOneError", "DegenerateSourceError", "UndefinedPoaError",
-    "WelfareReport", "social_loss", "social_optimum_efforts", "price_of_anarchy",
-    "welfare_rows",
+    "WelfareReport", "price_of_anarchy", "welfare_rows",
     "BestResponseReport", "NeumannResult", "PaymentCheck",
     "eval_buyer_cost", "best_response_check", "neumann_dynamics",
     "monte_carlo_payments",

@@ -176,33 +176,6 @@ def market_from_config(doc: dict) -> MarketInstance:
     return MarketInstance(sources=tuple(sources), buyers=tuple(buyers), feature_domain=fd)
 
 
-def market_to_config(m: MarketInstance) -> dict:
-    """Inverse of market_from_config, up to float identity."""
-    dists = []
-    for b in m.buyers:
-        d = b.value_dist
-        if d.kind == "uniform":
-            params = {"lo": d.lo, "hi": d.hi}
-        elif d.kind == "point-mass":
-            params = {"x0": d.x0}
-        else:
-            params = {"points": list(d.points), "weights": list(d.weights)}
-        dists.append({"kind": d.kind, "params": params})
-    return {
-        "sources": [{"x": s.x, "alpha": s.alpha} for s in m.sources],
-        "buyers": [
-            {
-                "estimator": {"kind": b.estimator.kind, "degree": b.estimator.degree},
-                "value_dist": dist,
-                "delta": list(b.delta_row),
-                "eta": b.eta,
-            }
-            for b, dist in zip(m.buyers, dists)
-        ],
-        "feature_domain": list(m.feature_domain),
-    }
-
-
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:

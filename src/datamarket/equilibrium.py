@@ -92,9 +92,6 @@ class CouplingSystem:
         for a in (self.A, self.gamma_vec, self.alphas):
             a.setflags(write=False)
 
-    def stacked_index(self, source: int, buyer: int) -> int:
-        return source * self.n_buyers + buyer
-
     def stack(self, per_buyer: np.ndarray) -> np.ndarray:
         """(M, N) buyer-major array -> stacked length-MN vector."""
         return np.asarray(per_buyer, dtype=float).T.reshape(-1)

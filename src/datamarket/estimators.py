@@ -14,17 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .market import EstimatorSpec, MarketInstance, ValueDistribution
+from .market import MarketInstance, ValueDistribution
 
 __all__ = [
     "SingularDesignError",
     "GammaNegativeError",
     "SeparableWeights",
-    "h_weight",
     "compute_weights",
     "weight_rows",
-    "loo_weight_tensor",
-    "loss_weight_matrix",
 ]
 
 # Gram matrices worse conditioned than this are treated as rank deficient.
@@ -144,20 +141,6 @@ def _quadratic_form(W: np.ndarray, mom: np.ndarray) -> np.ndarray:
     h = sum(term(p, q) for p in range(n_coef) for q in range(n_coef))
     # quadratic form in a PSD matrix; clip float dust
     return np.maximum(h, 0.0)
-
-
-def h_weight(spec: EstimatorSpec, target_index: int, locations, dist: ValueDistribution) -> float:
-    """Coefficient multiplying one source's variance in the expected loss.
-
-    The loss is the squared error of the least-squares fit on ``locations``,
-    averaged over evaluation points drawn from ``dist``.  ``target_index``
-    picks which sample's noise the coefficient refers to.
-    """
-    W, cond, ok = _fit_operator(_design_matrix(locations, spec.degree))
-    if not ok:
-        raise SingularDesignError(_rank_message(locations, spec.degree, cond))
-    h = _quadratic_form(W, _moment_matrix(_raw_moments(dist, spec.degree), spec.degree))
-    return float(h[target_index])
 
 
 # ---------------------------------------------------------------------------
@@ -285,28 +268,6 @@ def weight_rows(m: MarketInstance, xs: np.ndarray, etas: np.ndarray) -> tuple:
         if err is not None and x_err is None:
             err.xi = row_xi
     return SeparableWeights(beta=beta, xi=xi, gamma=gamma), errors, xi_errors
-
-
-def loss_weight_matrix(m: MarketInstance) -> np.ndarray:
-    """beta[j, i]: weight of source i's variance in buyer j's expected loss."""
-    beta, errors = _loss_rows(np.array([m.locations()], dtype=float), m.buyers)
-    if errors[0] is not None:
-        raise errors[0]
-    return beta[0]
-
-
-def loo_weight_tensor(m: MarketInstance) -> np.ndarray:
-    """xi[j, i, l]: leave-one-out prediction weights.
-
-    Weight of source l's variance in buyer j's squared prediction error at
-    source i's location when the fit drops source i.  The own entry
-    ``xi[j, i, i]`` is 1 so that the tensor also describes the quadratic
-    penalty term of the contracts.
-    """
-    xi, errors = _loo_rows(np.array([m.locations()], dtype=float), m.buyers)
-    if errors[0] is not None:
-        raise errors[0]
-    return xi[0]
 
 
 def compute_weights(m: MarketInstance) -> SeparableWeights:

@@ -127,15 +127,19 @@ def best_response_check(sol: EquilibriumSolution, k: int, w: SeparableWeights,
 
     ``sol`` must carry its flat payments (``complete_solution`` or
     ``solution_from_d``).  Scans each coordinate over ``steps`` points of the
-    multiplicative box ``[d * (1 - radius), d * (1 + radius)]`` around the
-    equilibrium slopes, plus ``steps**2`` seeded random joint moves inside
-    the box.  Certifies the solution for buyer k when nothing beats the
-    equilibrium cost by more than ``1e-6 * (1 + |cost|)``.
+    multiplicative box between ``d * (1 - radius)`` and ``d * (1 + radius)``
+    around the equilibrium slopes, plus ``steps**2`` seeded random joint
+    moves inside the box.  A zero slope has no multiplicative box; it is
+    searched over ``[0, radius * max|sol.d|]``.  Certifies the solution for
+    buyer k when nothing beats the equilibrium cost by more than
+    ``1e-6 * (1 + |cost|)``.
     """
     n = m.n_sources
     d_eq = np.asarray(sol.d[k], dtype=float)
-    lo = d_eq * (1.0 - radius)
-    hi = d_eq * (1.0 + radius)
+    # a negative slope reverses the ends
+    shrunk, grown = d_eq * (1.0 - radius), d_eq * (1.0 + radius)
+    lo, hi = np.minimum(shrunk, grown), np.maximum(shrunk, grown)
+    hi[d_eq == 0.0] = radius * float(np.abs(sol.d).max())
 
     blocks = [d_eq[None, :]]
     for i in range(n):

@@ -21,8 +21,6 @@ __all__ = [
     "DegenerateSourceError",
     "UndefinedPoaError",
     "WelfareReport",
-    "social_loss",
-    "social_optimum_efforts",
     "price_of_anarchy",
     "welfare_rows",
 ]
@@ -67,11 +65,6 @@ def _eta_errors(etas: np.ndarray) -> list:
     return errors
 
 
-def _raise_first(errors: list):
-    if errors[0] is not None:
-        raise errors[0]
-
-
 def _social_loss(efforts: np.ndarray, weights: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     """Row-wise total expected loss plus total effort."""
     return (weights * np.exp(-2.0 * alphas * efforts)).sum(axis=-1) + efforts.sum(axis=-1)
@@ -86,31 +79,10 @@ def _optimum(weights: np.ndarray, alphas: np.ndarray) -> tuple:
                 errors[r] = DegenerateSourceError(
                     f"source {i} has zero aggregate loss weight; the social loss has no finite minimizer")
                 break
+    # the separable, convex loss is least where 2 * alpha * G * exp(-2*alpha*e) = 1;
     # degenerate rows give log(0); they are reported, not used
     with np.errstate(all="ignore"):
         return np.log(2.0 * alphas * weights) / (2.0 * alphas), errors
-
-
-def social_loss(efforts, w: SeparableWeights, m: MarketInstance) -> float:
-    """Total expected estimation loss plus total effort at the given profile."""
-    _raise_first(_eta_errors(np.array([m.etas()], dtype=float)))
-    e = np.asarray(efforts, dtype=float)
-    alphas = np.asarray(m.alphas(), dtype=float)
-    return float(_social_loss(e[None], w.gamma.sum(axis=0)[None], alphas[None])[0])
-
-
-def social_optimum_efforts(w: SeparableWeights, m: MarketInstance) -> np.ndarray:
-    """Effort profile minimizing the social loss, in closed form.
-
-    Separable and strictly convex per coordinate, so the first-order
-    condition ``2 * alpha * G * exp(-2*alpha*e) = 1`` pins each effort at
-    ``log(2 * alpha * G) / (2 * alpha)``, with G the source's aggregate
-    loss weight.
-    """
-    alphas = np.asarray(m.alphas(), dtype=float)
-    efforts, errors = _optimum(w.gamma.sum(axis=0)[None], alphas[None])
-    _raise_first(errors)
-    return efforts[0]
 
 
 def welfare_rows(efforts: np.ndarray, w: SeparableWeights, alphas: np.ndarray,
@@ -169,7 +141,8 @@ def price_of_anarchy(sol: EquilibriumSolution, w: SeparableWeights,
     stacked = SeparableWeights(beta=w.beta[None], xi=w.xi[None], gamma=w.gamma[None])
     rep, errors = welfare_rows(np.asarray(sol.efforts, dtype=float)[None], stacked,
                                np.array([m.alphas()], dtype=float), np.array([m.etas()], dtype=float))
-    _raise_first(errors)
+    if errors[0] is not None:
+        raise errors[0]
     return WelfareReport(efforts_eq=rep.efforts_eq[0], efforts_opt=rep.efforts_opt[0],
                          loss_eq=float(rep.loss_eq[0]), loss_opt=float(rep.loss_opt[0]),
                          poa=float(rep.poa[0]))

@@ -1,4 +1,4 @@
-"""Shared fixtures: the two-firm family and a random solved-market suite."""
+"""Shared fixtures: the two-firm family, config documents and a random solved-market suite."""
 
 from __future__ import annotations
 
@@ -38,6 +38,33 @@ def two_firm_market(x1, alphas=(1.0, 1.0), delta=0.0, etas=(1.0, 1.0)) -> Market
     )
     sources = (DataSource(float(x1), alphas[0]), DataSource(1.0, alphas[1]))
     return MarketInstance(sources=sources, buyers=buyers, feature_domain=(-1.0, 1.0))
+
+
+def market_to_config(m: MarketInstance) -> dict:
+    """The config document of a market: market_from_config's inverse, up to float identity."""
+    dists = []
+    for b in m.buyers:
+        d = b.value_dist
+        if d.kind == "uniform":
+            params = {"lo": d.lo, "hi": d.hi}
+        elif d.kind == "point-mass":
+            params = {"x0": d.x0}
+        else:
+            params = {"points": list(d.points), "weights": list(d.weights)}
+        dists.append({"kind": d.kind, "params": params})
+    return {
+        "sources": [{"x": s.x, "alpha": s.alpha} for s in m.sources],
+        "buyers": [
+            {
+                "estimator": {"kind": b.estimator.kind, "degree": b.estimator.degree},
+                "value_dist": dist,
+                "delta": list(b.delta_row),
+                "eta": b.eta,
+            }
+            for b, dist in zip(m.buyers, dists)
+        ],
+        "feature_domain": list(m.feature_domain),
+    }
 
 
 def single_buyer_market(rng) -> MarketInstance:

@@ -15,15 +15,16 @@ from numpy.polynomial import legendre
 from numpy.random import default_rng
 
 from datamarket import (
+    DataBuyer,
+    DataSource,
     EstimatorSpec,
+    MarketInstance,
     ValueDistribution,
     best_response_check,
     build_coupling_system,
     complete_solution,
     compute_weights,
     coupling_matrix,
-    h_weight,
-    loo_weight_tensor,
     monte_carlo_payments,
     neumann_dynamics,
     price_of_anarchy,
@@ -31,9 +32,9 @@ from datamarket import (
     solve_equilibrium_d,
     spectral_radius,
 )
-from datamarket.cli import main, market_to_config
+from datamarket.cli import main
 
-from conftest import two_firm_market
+from conftest import market_to_config, two_firm_market
 
 
 def _verdict(num, label, ok, detail=""):
@@ -73,7 +74,7 @@ def test_criterion_2_coupling_grows_toward_coincidence(tmp_path):
     t0 = time.perf_counter()
     rhos = []
     for x1 in np.linspace(-1.0, 0.999, 200):
-        a = coupling_matrix(loo_weight_tensor(two_firm_market(float(x1))))
+        a = coupling_matrix(compute_weights(two_firm_market(float(x1))).xi)
         rhos.append(spectral_radius(a))
     elapsed = time.perf_counter() - t0
 
@@ -82,7 +83,7 @@ def test_criterion_2_coupling_grows_toward_coincidence(tmp_path):
     anchors = {}
     closed = {}
     for x1 in (0.9, 0.99, 0.999):
-        a = coupling_matrix(loo_weight_tensor(two_firm_market(x1)))
+        a = coupling_matrix(compute_weights(two_firm_market(x1)).xi)
         anchors[x1] = spectral_radius(a)
         closed[x1] = (x1 + 1.0) ** 2 / (2.0 * (x1 ** 2 + 1.0))
     ordered = anchors[0.9] < anchors[0.99] < anchors[0.999] < 1.0
@@ -177,10 +178,14 @@ def test_criterion_7_independent_numeric_paths_agree(solved_suite):
         if np.min(np.diff(xs)) < 0.3:
             continue
         degree = int(rng.integers(1, min(3, n - 1) + 1))
-        spec = EstimatorSpec.polynomial(degree)
-        dist = ValueDistribution.uniform(-1.0, 1.0)
+        buyer = DataBuyer(EstimatorSpec.polynomial(degree), ValueDistribution.uniform(-1.0, 1.0), (0.0,))
+        m = MarketInstance(sources=tuple(DataSource(float(x), 1.0) for x in xs), buyers=(buyer,),
+                           feature_domain=(-1.0, 1.0))
+        beta = compute_weights(m).beta[0]
+        # two sources carry the companion's weight; undo the swap
+        fit_weights = beta[::-1] if n == 2 else beta
         for i in range(n):
-            h = h_weight(spec, i, xs, dist)
+            h = fit_weights[i]
             powers = np.vander(xs, degree + 1, increasing=True)
             weights_op = np.linalg.solve(powers.T @ powers, powers.T)
             basis = np.vander(nodes, degree + 1, increasing=True)

@@ -17,8 +17,14 @@ from hypothesis import strategies as st
 import datamarket.cli
 import datamarket.equilibrium
 import datamarket.estimators
+import datamarket.oracle
 from datamarket import (
     RHO_EXISTENCE_THRESHOLD,
+    DataBuyer,
+    DataSource,
+    EstimatorSpec,
+    MarketInstance,
+    ValueDistribution,
     EtaNotOneError,
     DegenerateSourceError,
     GammaNegativeError,
@@ -29,14 +35,14 @@ from datamarket import (
     build_coupling_system,
     compute_weights,
     coupling_radius,
-    loo_weight_tensor,
     price_of_anarchy,
     solve_equilibrium_d,
     validate_market,
+    weight_rows,
 )
-from datamarket.cli import ConfigError, main, market_from_config, market_to_config
+from datamarket.cli import ConfigError, main, market_from_config
 
-from conftest import two_firm_market
+from conftest import market_to_config, two_firm_market
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -549,6 +555,41 @@ def test_check_perturbed_fails(tmp_path, capsys):
     assert "certification: FAIL" in capsys.readouterr().out
 
 
+def test_check_negative_slope_searches_a_box(capsys):
+    # d[1,1] = 20/9 - 2.3 < 0: the box's ends swap, and buyer 2 can improve
+    cfg = os.path.join(ROOT, "configs", "two_firm.json")
+    assert main(["check", cfg, "--samples", "5000", "--perturb", "1,1,-2.3"]) == 3
+    captured = capsys.readouterr()
+    assert "best response buyer 2: max improvement 0.00645" in captured.out
+    assert "certification: FAIL" in captured.out
+    assert "buyer 2 can improve by 0.00645" in captured.err
+
+
+def test_check_zero_slope_searches_a_real_grid(tmp_path, monkeypatch, capsys):
+    # buyer 1 discounts the others by 1/2 and they hold its weights: its
+    # gamma and d are exactly 0, so a multiplicative box would be one point
+    dist = ValueDistribution.uniform(-1.0, 1.0)
+    buyers = tuple(DataBuyer(EstimatorSpec.linear(), dist, row)
+                   for row in ((0.0, 0.5, 0.5), (0.5, 0.0, 0.0), (0.5, 0.0, 0.0)))
+    m = MarketInstance(sources=(DataSource(-1.0, 3.0), DataSource(1.0, 3.0)), buyers=buyers,
+                       feature_domain=(-1.0, 1.0))
+    assert not compute_weights(m).gamma[0].any()
+    grids = []
+    real = datamarket.oracle._deviation_costs
+
+    def recorded(cands, sol, k, w, m):
+        grids.append(cands.copy())
+        return real(cands, sol, k, w, m)
+
+    monkeypatch.setattr(datamarket.oracle, "_deviation_costs", recorded)
+    cfg = write_config(tmp_path, m)
+    assert main(["check", str(cfg), "--samples", "5000", "--steps", "5"]) == 0
+    assert "best response buyer 1: max improvement 0 (tolerance 1e-06) certified" in capsys.readouterr().out
+    assert len(grids) == 3
+    for cands in grids:
+        assert (np.ptp(cands, axis=0) > 0.0).all()
+
+
 def test_check_bad_perturb_flag(tmp_path):
     cfg = write_config(tmp_path, two_firm_market(0.0))
     assert main(["check", str(cfg), "--perturb", "9,9,0.5", "--samples", "1000"]) == 1
@@ -849,11 +890,9 @@ def _reference_row(m, value):
         xi = w.xi
     except (SingularDesignError, GammaNegativeError):
         status = "error"
-        try:
-            xi = loo_weight_tensor(m)
-        except SingularDesignError:
-            pass
-        else:
+        rows, _, xi_errors = weight_rows(m, np.array([m.locations()]), np.array([m.etas()]))
+        if xi_errors[0] is None:
+            xi = rows.xi[0]
             rho = coupling_radius(xi)
             if rho >= RHO_EXISTENCE_THRESHOLD:
                 status = "no_equilibrium"

@@ -24,7 +24,6 @@ from datamarket import (
     compute_weights,
     coupling_matrix,
     coupling_radius,
-    loo_weight_tensor,
     solution_from_d,
     solve_equilibrium_d,
     solve_rows,
@@ -138,7 +137,7 @@ def _loo_xi(xs, degrees):
     buyers = tuple(DataBuyer(EstimatorSpec("polynomial-regression", d), ValueDistribution.uniform(-1.0, 1.0),
                              (0.0,) * len(degrees), 1.0) for d in degrees)
     sources = tuple(DataSource(float(x), 1.0) for x in xs)
-    return loo_weight_tensor(MarketInstance(sources=sources, buyers=buyers, feature_domain=(-1.0, 1.0)))
+    return compute_weights(MarketInstance(sources=sources, buyers=buyers, feature_domain=(-1.0, 1.0))).xi
 
 
 def _perron_condition(a):
@@ -245,16 +244,13 @@ def test_stacking_roundtrip():
     m = two_firm_market(0.2)
     w = compute_weights(m)
     system = build_coupling_system(w, m)
-    assert system.stacked_index(0, 0) == 0
-    assert system.stacked_index(0, 1) == 1
-    assert system.stacked_index(1, 0) == 2
     rng = np.random.default_rng(5)
     mat = rng.uniform(size=(2, 2))
     assert np.array_equal(system.unstack(system.stack(mat)), mat)
     vec = system.stack(mat)
     for q in range(2):
         for k in range(2):
-            assert vec[system.stacked_index(q, k)] == mat[k, q]
+            assert vec[q * system.n_buyers + k] == mat[k, q]
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,6 @@ from datamarket import (
     ValueDistribution,
     compute_weights,
     coupling_radius,
-    h_weight,
-    loo_weight_tensor,
-    loss_weight_matrix,
     weight_rows,
 )
 
@@ -27,8 +24,21 @@ LIN = EstimatorSpec.linear()
 
 
 # ---------------------------------------------------------------------------
-# h_weight against closed forms
+# h weights (each sample's variance weight in the fit's expected loss)
+# against closed forms
 # ---------------------------------------------------------------------------
+
+def _one_buyer_market(locations, dist, spec=LIN):
+    sources = tuple(DataSource(float(x), 1.0) for x in locations)
+    return MarketInstance(sources=sources, buyers=(DataBuyer(spec, dist, (0.0,)),),
+                          feature_domain=(-1.0, 1.0))
+
+
+def _h_weights(locations, dist, spec=LIN):
+    """The fit's own variance weights h: beta, with the two-source companion swap undone."""
+    beta = compute_weights(_one_buyer_market(locations, dist, spec)).beta[0]
+    return beta[::-1] if len(beta) == 2 else beta
+
 
 def test_h_weight_two_points_closed_form():
     # degree-1 fit on (a, b), evaluated under U[-1, 1]: the weight on the
@@ -40,14 +50,12 @@ def test_h_weight_two_points_closed_form():
             continue
         expected_a = (b * b + 1.0 / 3.0) / (a - b) ** 2
         expected_b = (a * a + 1.0 / 3.0) / (a - b) ** 2
-        assert h_weight(LIN, 0, (a, b), UNIT) == pytest.approx(expected_a, rel=1e-12)
-        assert h_weight(LIN, 1, (a, b), UNIT) == pytest.approx(expected_b, rel=1e-12)
+        assert _h_weights((a, b), UNIT) == pytest.approx([expected_a, expected_b], rel=1e-12)
 
 
 def test_h_weight_symmetric_design():
     # samples at -1 and 1 under U[-1, 1] split the loss evenly
-    assert h_weight(LIN, 0, (-1.0, 1.0), UNIT) == pytest.approx(1.0 / 3.0, rel=1e-12)
-    assert h_weight(LIN, 1, (-1.0, 1.0), UNIT) == pytest.approx(1.0 / 3.0, rel=1e-12)
+    assert _h_weights((-1.0, 1.0), UNIT) == pytest.approx([1.0 / 3.0, 1.0 / 3.0], rel=1e-12)
 
 
 def test_h_weight_point_mass_interpolation():
@@ -58,20 +66,21 @@ def test_h_weight_point_mass_interpolation():
     X = np.vander(np.asarray(locs), 2, increasing=True)
     w_fit = np.linalg.solve(X.T @ X, X.T)
     pred_weights = np.array([1.0, target]) @ w_fit
-    dist = ValueDistribution.point_mass(target)
-    for i in range(3):
-        assert h_weight(LIN, i, locs, dist) == pytest.approx(pred_weights[i] ** 2, rel=1e-12)
+    got = _h_weights(locs, ValueDistribution.point_mass(target))
+    assert got == pytest.approx(pred_weights ** 2, rel=1e-12)
 
 
 def test_h_weight_minimum_norm_single_point():
-    # one sample, two coefficients: the minimum-norm fit predicts at x with
-    # weight (a*x + 1) / (a^2 + 1) on the sample at a
+    # one sample, two coefficients: the minimum-norm fit on the sample at a
+    # predicts at x with weight (a*x + 1) / (a^2 + 1).  Under a point mass at
+    # x its h weight is xi of the two-source market at (x, a), whose
+    # leave-one-out fit keeps the sample at a alone.
     rng = np.random.default_rng(3)
     for _ in range(25):
         a, x = rng.uniform(-1.0, 1.0, 2)
         expected = ((a * x + 1.0) / (a * a + 1.0)) ** 2
-        got = h_weight(LIN, 0, (a,), ValueDistribution.point_mass(x))
-        assert got == pytest.approx(expected, rel=1e-12, abs=1e-15)
+        xi = compute_weights(_one_buyer_market((x, a), UNIT)).xi
+        assert xi[0, 0, 1] == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
 def test_h_weight_quadrature_cross_check():
@@ -89,7 +98,7 @@ def test_h_weight_quadrature_cross_check():
         if hi - lo < 0.3:
             continue
         dist = ValueDistribution.uniform(lo, hi)
-        spec = EstimatorSpec.polynomial(degree)
+        exact = _h_weights(locs, dist, EstimatorSpec.polynomial(degree))
         X = np.vander(locs, degree + 1, increasing=True)
         fit = np.linalg.solve(X.T @ X, X.T)
         xs_eval = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
@@ -98,8 +107,7 @@ def test_h_weight_quadrature_cross_check():
         for i in range(n_pts):
             # mean of the squared weight under the uniform density
             quad = float(gl_w @ (pred_w[:, i] ** 2)) / 2.0
-            exact = h_weight(spec, i, locs, dist)
-            assert abs(quad - exact) <= 1e-10 * (1.0 + abs(exact))
+            assert abs(quad - exact[i]) <= 1e-10 * (1.0 + abs(exact[i]))
 
 
 # ---------------------------------------------------------------------------
@@ -110,8 +118,7 @@ def test_two_source_loss_weights_closed_form():
     # in a two-source market each source's loss weight carries the companion
     # point's location: ((x1-x2)^2/3 + (xi^2 - x1 x2)^2) / (x1-x2)^4
     for x1 in (-1.0, -0.4, 0.0, 0.35, 0.8):
-        m = two_firm_market(x1)
-        beta = loss_weight_matrix(m)
+        beta = compute_weights(two_firm_market(x1)).beta
         x2 = 1.0
         denom = (x1 - x2) ** 4
         b1 = ((x1 - x2) ** 2 / 3.0 + (x1 * x1 - x1 * x2) ** 2) / denom
@@ -137,12 +144,8 @@ def test_three_source_weights_are_first_principles():
     # with three sources there is no companion convention: weights come
     # straight from the fit operator
     locs = (-0.7, 0.1, 0.8)
-    sources = tuple(DataSource(x, 1.0) for x in locs)
-    buyer = DataBuyer(LIN, UNIT, (0.0,))
-    m = MarketInstance(sources=sources, buyers=(buyer,), feature_domain=(-1.0, 1.0))
-    beta = loss_weight_matrix(m)
-    for i in range(3):
-        assert beta[0, i] == pytest.approx(h_weight(LIN, i, locs, UNIT), rel=1e-14)
+    beta = compute_weights(_one_buyer_market(locs, UNIT)).beta
+    assert beta[0] == pytest.approx(_h_vector_loop(LIN, locs, UNIT), rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +154,7 @@ def test_three_source_weights_are_first_principles():
 
 def test_loo_closed_forms_two_firm():
     for x1 in (-1.0, -0.3, 0.0, 0.5, 0.9):
-        xi = loo_weight_tensor(two_firm_market(x1))
+        xi = compute_weights(two_firm_market(x1)).xi
         x2 = 1.0
         xi_12 = (x1 * x2 + 1.0) ** 2 / (x2 * x2 + 1.0) ** 2
         xi_21 = (x1 * x2 + 1.0) ** 2 / (x1 * x1 + 1.0) ** 2
@@ -168,7 +171,7 @@ def test_loo_weights_exact_near_decoupling():
     # xi_01 * xi_10 times the identity, so rho is their geometric mean.
     for e in range(3, 12):
         x1 = -1.0 + 10.0 ** -e
-        xi = loo_weight_tensor(two_firm_market(x1))
+        xi = compute_weights(two_firm_market(x1)).xi
         x = Fraction(x1)
         xi_01 = ((1 + x) / 2) ** 2            # fit on x = 1, predicting at x1
         xi_10 = ((1 + x) / (1 + x * x)) ** 2  # fit on x1, predicting at 1
@@ -187,8 +190,8 @@ def test_loo_far_end_weights_vanish_exactly():
     buyer = DataBuyer(EstimatorSpec.polynomial(2), UNIT, (0.0,))
     for x in (-0.8125, -0.5, -0.25, 0.3, 0.9):
         sources = tuple(DataSource(v, 1.0) for v in (-1.0, x, 1.0))
-        xi = loo_weight_tensor(MarketInstance(sources=sources, buyers=(buyer,),
-                                              feature_domain=(-1.0, 1.0)))
+        xi = compute_weights(MarketInstance(sources=sources, buyers=(buyer,),
+                                            feature_domain=(-1.0, 1.0))).xi
         assert xi[0, 0, 2] <= 1e-25 and xi[0, 2, 0] <= 1e-25
 
 
@@ -199,7 +202,7 @@ def test_loo_three_sources_interpolation():
     sources = tuple(DataSource(float(x), 1.0) for x in locs)
     buyer = DataBuyer(LIN, UNIT, (0.0,))
     m = MarketInstance(sources=sources, buyers=(buyer,), feature_domain=(-1.0, 1.0))
-    xi = loo_weight_tensor(m)
+    xi = compute_weights(m).xi
     for i in range(3):
         rest = [l for l in range(3) if l != i]
         a, b = locs[rest]
@@ -233,7 +236,7 @@ def test_full_design_singular():
     buyer = DataBuyer(LIN, UNIT, (0.0,))
     m = MarketInstance(sources=sources, buyers=(buyer,), feature_domain=(-1.0, 1.0))
     with pytest.raises(SingularDesignError) as err:
-        loss_weight_matrix(m)
+        compute_weights(m)
     assert err.value.buyer == 0
     assert err.value.dropped_source is None
 
@@ -245,7 +248,7 @@ def test_loo_design_singular_names_buyer_and_source():
     buyer = DataBuyer(LIN, UNIT, (0.0,))
     m = MarketInstance(sources=sources, buyers=(buyer,), feature_domain=(-1.0, 1.0))
     with pytest.raises(SingularDesignError) as err:
-        loo_weight_tensor(m)
+        compute_weights(m)
     assert err.value.buyer == 0
     assert err.value.dropped_source == 2
 
@@ -378,9 +381,9 @@ def test_stacked_fits_match_the_loops():
         except SingularDesignError:
             continue
         fitted += 1
-        assert _close(loss_weight_matrix(m), beta, 1e-12)
-        assert _close(loo_weight_tensor(m), xi, 1e-12)
-        assert np.array_equal(compute_weights(m).xi, loo_weight_tensor(m))
+        w = compute_weights(m)
+        assert _close(w.beta, beta, 1e-12)
+        assert _close(w.xi, xi, 1e-12)
     assert fitted > 250
 
 
@@ -415,6 +418,12 @@ def test_weight_rows_equal_one_market_calls():
             assert np.array_equal(w.gamma[r], one.gamma)
 
 
+def _same_error(got, want):
+    if got is None or want is None:
+        return got is want
+    return (str(got), got.buyer, got.dropped_source) == (str(want), want.buyer, want.dropped_source)
+
+
 def test_singular_design_errors_match_the_loops():
     # coincident sources and mixed degrees: the failing buyer need not be
     # the first, and the error names the first failure in buyer-major order
@@ -424,18 +433,26 @@ def test_singular_design_errors_match_the_loops():
         n = int(rng.integers(2, 6))
         degrees = rng.integers(1, min(3, n - 1) + 1, int(rng.integers(1, 4)))
         m = _random_fit_market(rng, n, degrees, coincide=True)
-        for stacked, loop in ((loss_weight_matrix, _loss_weight_matrix_loop),
-                              (loo_weight_tensor, _loo_weight_tensor_loop)):
+        wants = []
+        for loop in (_loss_weight_matrix_loop, _loo_weight_tensor_loop):
             try:
                 loop(m)
             except SingularDesignError as want:
-                with pytest.raises(SingularDesignError) as got:
-                    stacked(m)
-                assert str(got.value) == str(want)
-                assert (got.value.buyer, got.value.dropped_source) == (want.buyer, want.dropped_source)
+                wants.append(want)
                 seen.add((want.buyer, want.dropped_source is None))
             else:
-                stacked(m)
+                wants.append(None)
+        # compute_weights raises a full-design failure before a leave-one-out
+        # one; weight_rows' xi_errors hold the leave-one-out failure alone
+        _, _, xi_errors = weight_rows(m, np.array([m.locations()]), np.array([m.etas()]))
+        want = wants[0] or wants[1]
+        if want is None:
+            compute_weights(m)
+        else:
+            with pytest.raises(SingularDesignError) as got:
+                compute_weights(m)
+            assert _same_error(got.value, want)
+        assert _same_error(xi_errors[0], wants[1])
     assert {b for b, _ in seen} >= {0, 1} and {full for _, full in seen} == {True, False}
 
 
@@ -446,7 +463,9 @@ def test_weight_errors_carry_the_leave_one_out_tensor():
                        feature_domain=(-1.0, 1.0))
     with pytest.raises(SingularDesignError) as err:
         compute_weights(m)
-    assert np.array_equal(err.value.xi, loo_weight_tensor(m))
+    rows, _, xi_errors = weight_rows(m, np.array([m.locations()]), np.array([m.etas()]))
+    assert xi_errors[0] is None
+    assert np.array_equal(err.value.xi, rows.xi[0])
 
     # a singular leave-one-out design leaves nothing to carry
     sources = (DataSource(0.3, 1.0), DataSource(0.3, 1.0), DataSource(0.9, 1.0))

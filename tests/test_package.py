@@ -1,0 +1,51 @@
+"""The package's public surface and its source-level rules."""
+
+import ast
+import importlib
+import pathlib
+
+import pytest
+
+import datamarket
+
+SUBMODULES = ("market", "estimators", "equilibrium", "welfare", "oracle")
+PACKAGE_DIR = pathlib.Path(datamarket.__file__).parent
+
+# Library calls deleted because no command used them; see CHANGES.md.
+DELETED = {
+    "estimators": ("h_weight", "loo_weight_tensor", "loss_weight_matrix"),
+    "welfare": ("social_loss", "social_optimum_efforts"),
+    "cli": ("market_to_config",),
+}
+
+
+def test_package_exports_exactly_the_submodule_exports():
+    union = set()
+    for name in SUBMODULES:
+        union.update(importlib.import_module(f"datamarket.{name}").__all__)
+    assert len(datamarket.__all__) == len(set(datamarket.__all__))
+    assert set(datamarket.__all__) == union
+    for name in datamarket.__all__:
+        assert getattr(datamarket, name) is not None
+
+
+@pytest.mark.parametrize("module, name", [(mod, n) for mod, names in DELETED.items() for n in names])
+def test_deleted_calls_stay_deleted(module, name):
+    with pytest.raises(ImportError):
+        exec(f"from datamarket.{module} import {name}", {})
+    with pytest.raises(ImportError):
+        exec(f"from datamarket import {name}", {})
+
+
+def test_coupling_system_has_no_stacked_index():
+    assert not hasattr(datamarket.CouplingSystem, "stacked_index")
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips asserts, so invariants must raise typed errors
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

@@ -8,12 +8,12 @@ from datamarket import (
     DegenerateSourceError,
     EtaNotOneError,
     NumericFailure,
+    SeparableWeights,
     build_coupling_system,
     compute_weights,
     price_of_anarchy,
-    social_loss,
-    social_optimum_efforts,
     solve_equilibrium_d,
+    welfare_rows,
 )
 
 from conftest import two_firm_market
@@ -24,6 +24,22 @@ def _solved(m):
     return w, solve_equilibrium_d(build_coupling_system(w, m))
 
 
+def _welfare_row(efforts, w, m):
+    """welfare_rows on one market; it computes both losses for any effort profile."""
+    stacked = SeparableWeights(beta=w.beta[None], xi=w.xi[None], gamma=w.gamma[None])
+    rep, _ = welfare_rows(np.asarray(efforts, dtype=float)[None], stacked,
+                          np.array([m.alphas()], dtype=float), np.array([m.etas()], dtype=float))
+    return rep
+
+
+def _social_loss(efforts, w, m):
+    return float(_welfare_row(efforts, w, m).loss_eq[0])
+
+
+def _social_optimum(w, m):
+    return _welfare_row(np.zeros(m.n_sources), w, m).efforts_opt[0]
+
+
 # ---------------------------------------------------------------------------
 # social loss and its minimizer
 # ---------------------------------------------------------------------------
@@ -32,7 +48,7 @@ def test_social_loss_at_zero_effort():
     # with zero effort the loss is just the sum of aggregate weights
     m = two_firm_market(0.0)
     w, _ = _solved(m)
-    assert social_loss(np.zeros(2), w, m) == pytest.approx(10.0 / 3.0, rel=1e-12)
+    assert _social_loss(np.zeros(2), w, m) == pytest.approx(10.0 / 3.0, rel=1e-12)
 
 
 def test_social_loss_two_firm_anchor():
@@ -40,19 +56,19 @@ def test_social_loss_two_firm_anchor():
     w, sol = _solved(m)
     # per source: 2 * (1/3) * 3/4 + log(4/3)/2, doubled
     expected = 2.0 * ((2.0 / 3.0) * 0.75 + math.log(4.0 / 3.0) / 2.0)
-    assert social_loss(sol.efforts, w, m) == pytest.approx(expected, rel=1e-12)
+    assert _social_loss(sol.efforts, w, m) == pytest.approx(expected, rel=1e-12)
 
 
 def test_social_optimum_closed_form():
     m = two_firm_market(0.0)
     w, _ = _solved(m)
-    e_hat = social_optimum_efforts(w, m)
+    e_hat = _social_optimum(w, m)
     assert e_hat == pytest.approx([math.log(4 / 3) / 2, math.log(16 / 3) / 2], rel=1e-12)
 
 
 def test_social_optimum_first_order_condition(solved_suite):
     for m, w, _, _ in solved_suite[:50]:
-        e_hat = social_optimum_efforts(w, m)
+        e_hat = _social_optimum(w, m)
         weights = w.gamma.sum(axis=0)
         alphas = np.asarray(m.alphas())
         grad = -2.0 * alphas * weights * np.exp(-2.0 * alphas * e_hat) + 1.0
@@ -61,26 +77,26 @@ def test_social_optimum_first_order_condition(solved_suite):
 
 def test_social_optimum_is_minimizer(solved_suite):
     for m, w, _, _ in solved_suite[:30]:
-        e_hat = social_optimum_efforts(w, m)
-        base = social_loss(e_hat, w, m)
+        e_hat = _social_optimum(w, m)
+        base = _social_loss(e_hat, w, m)
         for q in range(m.n_sources):
             for bump in (1e-3, -1e-3):
                 e = e_hat.copy()
                 e[q] += bump
-                assert social_loss(e, w, m) > base
+                assert _social_loss(e, w, m) > base
 
 
 def test_social_loss_finite_difference():
     m = two_firm_market(0.4)
     w, _ = _solved(m)
-    e_hat = social_optimum_efforts(w, m)
+    e_hat = _social_optimum(w, m)
     h = 1e-6
     for q in range(2):
         up = e_hat.copy()
         dn = e_hat.copy()
         up[q] += h
         dn[q] -= h
-        fd = (social_loss(up, w, m) - social_loss(dn, w, m)) / (2.0 * h)
+        fd = (_social_loss(up, w, m) - _social_loss(dn, w, m)) / (2.0 * h)
         assert abs(fd) <= 1e-6
 
 
@@ -124,8 +140,6 @@ def test_eta_not_one_rejected():
     m = two_firm_market(0.0, etas=(1.0, 2.0))
     w, sol = _solved(m)
     with pytest.raises(EtaNotOneError):
-        social_loss(sol.efforts, w, m)
-    with pytest.raises(EtaNotOneError):
         price_of_anarchy(sol, w, m)
 
 
@@ -134,8 +148,10 @@ def test_degenerate_source_rejected():
     m = two_firm_market(0.0, delta=1.0)
     w = compute_weights(m)
     assert not w.gamma.any()
+    # no slope solves this market; the efforts of its delta = 0 twin stand in
+    _, sol = _solved(two_firm_market(0.0))
     with pytest.raises(DegenerateSourceError):
-        social_optimum_efforts(w, m)
+        price_of_anarchy(sol, w, m)
 
 
 @pytest.mark.parametrize("shift, message", [
@@ -146,6 +162,6 @@ def test_degenerate_source_rejected():
 def test_welfare_invariants_raise_typed_errors(shift, message):
     m = two_firm_market(0.0)
     w, sol = _solved(m)
-    efforts = social_optimum_efforts(w, m) + shift
+    efforts = _social_optimum(w, m) + shift
     with pytest.raises(NumericFailure, match=message):
         price_of_anarchy(dataclasses.replace(sol, efforts=efforts), w, m)
