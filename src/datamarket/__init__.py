@@ -31,13 +31,11 @@ from .equilibrium import (
     NoEquilibriumError,
     NumericFailure,
     InfeasibleCError,
-    CouplingSystem,
     CPolytope,
     EquilibriumSolution,
     spectral_radius,
     coupling_matrix,
     coupling_radius,
-    build_coupling_system,
     solve_equilibrium_d,
     solve_rows,
     c_polytope,
@@ -57,7 +55,6 @@ from .oracle import (
     BestResponseReport,
     NeumannResult,
     PaymentCheck,
-    eval_buyer_cost,
     best_response_check,
     neumann_dynamics,
     monte_carlo_payments,
@@ -72,13 +69,13 @@ __all__ = [
     "SingularDesignError", "GammaNegativeError", "SeparableWeights",
     "compute_weights", "weight_rows",
     "RHO_EXISTENCE_THRESHOLD", "NoEquilibriumError", "NumericFailure",
-    "InfeasibleCError", "CouplingSystem", "CPolytope", "EquilibriumSolution",
-    "spectral_radius", "coupling_matrix", "coupling_radius", "build_coupling_system",
+    "InfeasibleCError", "CPolytope", "EquilibriumSolution",
+    "spectral_radius", "coupling_matrix", "coupling_radius",
     "solve_equilibrium_d", "solve_rows", "c_polytope", "canonical_c", "complete_solution",
     "solution_from_d",
     "EtaNotOneError", "DegenerateSourceError", "UndefinedPoaError",
     "WelfareReport", "price_of_anarchy", "welfare_rows",
     "BestResponseReport", "NeumannResult", "PaymentCheck",
-    "eval_buyer_cost", "best_response_check", "neumann_dynamics",
+    "best_response_check", "neumann_dynamics",
     "monte_carlo_payments",
 ]

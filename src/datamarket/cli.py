@@ -39,7 +39,6 @@ from .equilibrium import (
     InfeasibleCError,
     NoEquilibriumError,
     NumericFailure,
-    build_coupling_system,
     complete_solution,
     coupling_matrix,
     coupling_radius,
@@ -200,7 +199,7 @@ def _load_market(path: str) -> MarketInstance:
 # ---------------------------------------------------------------------------
 
 def _run(m: MarketInstance) -> tuple:
-    """Weights, coupling system and slopes of one market, as ``(w, system, sol)``.
+    """Weights and slopes of one market, as ``(w, sol)``.
 
     Existence depends on the leave-one-out tensor alone, so when the
     full-design weights are unavailable (singular full design, negative
@@ -215,8 +214,7 @@ def _run(m: MarketInstance) -> tuple:
             if rho >= RHO_EXISTENCE_THRESHOLD:
                 raise NoEquilibriumError(rho) from None
         raise
-    system = build_coupling_system(w, m)
-    return w, system, solve_equilibrium_d(system)
+    return w, solve_equilibrium_d(w, m)
 
 
 def _write_json(fh, obj, pad="\n", memo=None):
@@ -263,7 +261,7 @@ def _print_vector(label: str, vec: np.ndarray):
 
 def _cmd_solve(args) -> int:
     m = _load_market(args.config)
-    w, system, sol = _run(m)
+    w, sol = _run(m)
 
     infeasible_c = None
     try:
@@ -279,7 +277,7 @@ def _cmd_solve(args) -> int:
         welfare_note = str(err)
 
     print(f"market: {m.n_sources} sources, {m.n_buyers} buyers")
-    print(f"spectral radius: {_fmt(system.rho)}")
+    print(f"spectral radius: {_fmt(sol.rho)}")
     print(f"solve residual: {_fmt(sol.residual)}")
     print()
     _print_matrix("gamma (per source)", w.gamma)
@@ -304,7 +302,7 @@ def _cmd_solve(args) -> int:
         payload = {
             "n_sources": m.n_sources,
             "n_buyers": m.n_buyers,
-            "rho": system.rho,
+            "rho": sol.rho,
             "beta": w.beta,
             "xi": w.xi,
             "gamma": w.gamma,
@@ -530,10 +528,10 @@ def _cmd_check(args) -> int:
     if grid > MAX_CHECK_GRID:
         raise ValueError(f"check --steps {args.steps} at N = {m.n_sources} sources makes a deviation "
                          f"grid of {grid} floats per buyer, above the cap of {MAX_CHECK_GRID}")
-    w, system, sol = _run(m)
+    w, sol = _run(m)
     sol = complete_solution(sol, w, m)
 
-    direct_d = sol.d.copy()
+    rho, direct_d = sol.rho, sol.d.copy()
     if args.perturb:
         try:
             j_s, i_s, amt_s = args.perturb.split(",")
@@ -545,12 +543,12 @@ def _cmd_check(args) -> int:
         d_mod = sol.d.copy()
         d_mod[j, i] += amt
         try:
-            sol = solution_from_d(d_mod, w, m, system=system)
+            sol = solution_from_d(d_mod, w, m)
         except (InfeasibleCError, ValueError) as err:
             raise ValueError(f"perturbed slopes are not checkable: {err}") from None
         print(f"perturbed d[{j + 1},{i + 1}] by {_fmt(amt)}")
 
-    print(f"spectral radius: {_fmt(system.rho)}")
+    print(f"spectral radius: {_fmt(rho)}")
     failures = []
 
     for k in range(m.n_buyers):
@@ -561,17 +559,17 @@ def _cmd_check(args) -> int:
         if not rep.certified:
             failures.append(f"buyer {k + 1} can improve by {rep.max_improvement:.3g}")
 
-    neu = neumann_dynamics(system)
+    neu = neumann_dynamics(w)
     if neu.converged:
         rel = float(np.abs(neu.d - direct_d).max()) / (1.0 + float(np.abs(direct_d).max()))
         print(f"fixed-point iteration: converged in {neu.iters} sweeps, "
               f"relative gap to direct solve {rel:.3g}")
-        if system.rho < 0.99 and rel > 1e-8:
+        if rho < 0.99 and rel > 1e-8:
             failures.append(f"iterative and direct solutions disagree ({rel:.3g})")
     else:
         print(f"fixed-point iteration: no convergence in {neu.iters} sweeps "
               f"(last step {neu.last_step:.3g})")
-        if system.rho < 0.99:
+        if rho < 0.99:
             failures.append("fixed-point iteration failed to converge despite rho < 0.99")
 
     checks = monte_carlo_payments(sol, w, m, n_samples=args.samples, seed=args.seed)
@@ -599,7 +597,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_welfare(args) -> int:
     m = _load_market(args.config)
-    w, _, sol = _run(m)
+    w, sol = _run(m)
     report = price_of_anarchy(sol, w, m)
 
     _print_vector("equilibrium efforts", report.efforts_eq)

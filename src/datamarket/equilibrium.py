@@ -23,13 +23,11 @@ __all__ = [
     "NoEquilibriumError",
     "NumericFailure",
     "InfeasibleCError",
-    "CouplingSystem",
     "CPolytope",
     "EquilibriumSolution",
     "spectral_radius",
     "coupling_matrix",
     "coupling_radius",
-    "build_coupling_system",
     "solve_equilibrium_d",
     "solve_rows",
     "c_polytope",
@@ -70,40 +68,11 @@ class InfeasibleCError(Exception):
 # stacked system
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CouplingSystem:
-    """Stacked best-response system ``d = A d + gamma_vec``.
-
-    The stacked index of (source q, buyer k) is ``q * M + k``: source-major,
-    buyers contiguous within each source block.  Row (q, k) of A carries
-    ``xi[j, l, q]`` at column (l, j) whenever ``l != q`` and ``j != k``.
-    alphas travel with the system so a solution can be interpreted without
-    the original market at hand.
-    """
-
-    A: np.ndarray
-    gamma_vec: np.ndarray
-    rho: float
-    n_sources: int
-    n_buyers: int
-    alphas: np.ndarray
-
-    def __post_init__(self):
-        for a in (self.A, self.gamma_vec, self.alphas):
-            a.setflags(write=False)
-
-    def stack(self, per_buyer: np.ndarray) -> np.ndarray:
-        """(M, N) buyer-major array -> stacked length-MN vector."""
-        return np.asarray(per_buyer, dtype=float).T.reshape(-1)
-
-    def unstack(self, vec: np.ndarray) -> np.ndarray:
-        """Stacked length-MN vector -> (M, N) buyer-major array."""
-        return np.asarray(vec, dtype=float).reshape(self.n_sources, self.n_buyers).T
-
-
 def coupling_matrix(xi: np.ndarray) -> np.ndarray:
     """Assemble the stacked coupling matrix from the leave-one-out tensor.
 
+    The stacked index of (source q, buyer k) is ``q * M + k``: source-major,
+    buyers contiguous within each source block, as ``solve_rows`` reads it.
     ``A[(q, k), (l, j)] = xi[j, l, q]`` for ``l != q`` and ``j != k``.  It is
     filled in place as one C-ordered (source, buyer, source, buyer) array, so
     the final reshape is a view and the output is the only large allocation.
@@ -160,19 +129,6 @@ def coupling_radius(xi: np.ndarray):
     return spectral_radius(R.reshape(*lead, n, n))
 
 
-def build_coupling_system(w: SeparableWeights, m: MarketInstance) -> CouplingSystem:
-    """Stack the market's best-response conditions into one linear system."""
-    rho = coupling_radius(w.xi)  # first, so that R is freed before A is built
-    return CouplingSystem(
-        A=coupling_matrix(w.xi),
-        gamma_vec=w.gamma.T.reshape(-1).copy(),
-        rho=rho,
-        n_sources=m.n_sources,
-        n_buyers=m.n_buyers,
-        alphas=np.asarray(m.alphas(), dtype=float),
-    )
-
-
 # ---------------------------------------------------------------------------
 # solutions
 # ---------------------------------------------------------------------------
@@ -199,10 +155,11 @@ class EquilibriumSolution:
     """Equilibrium slopes and everything they induce.
 
     d is (M, N) buyer-major; d_total, efforts and variances are per source.
-    The payment fields are filled by ``complete_solution`` (or
-    ``solution_from_d``) and stay None straight out of the linear solve.
-    ``solve_rows`` returns one for a stack of systems, with a leading row
-    axis on every field.
+    ``solve_equilibrium_d`` sets rho, the coupling's spectral radius.  The
+    payment fields are filled by ``complete_solution`` (or
+    ``solution_from_d``).  Both stay None straight out of ``solve_rows``,
+    which returns one for a stack of systems, with a leading row axis on
+    every field.
     """
 
     d: np.ndarray
@@ -210,6 +167,7 @@ class EquilibriumSolution:
     efforts: np.ndarray
     variances: np.ndarray
     residual: float
+    rho: float | None = None
     c_polytope: CPolytope | None = None
     c_canonical: np.ndarray | None = None
 
@@ -278,21 +236,23 @@ def solve_rows(A: np.ndarray, gamma: np.ndarray, alphas: np.ndarray) -> tuple:
     return sol, [e or i for e, i in zip(errors, induced_errors)]
 
 
-def solve_equilibrium_d(system: CouplingSystem) -> EquilibriumSolution:
-    """Solve the stacked system directly and validate the result.
+def solve_equilibrium_d(w: SeparableWeights, m: MarketInstance) -> EquilibriumSolution:
+    """Solve the market's stacked best-response system directly and validate the result.
 
     Raises NoEquilibriumError when the spectral radius certifies the system
-    has no nonnegative solution, and NumericFailure when the linear algebra
-    disagrees with the model beyond hard limits.
+    has no nonnegative solution, before the coupling matrix is built, and
+    NumericFailure when the linear algebra disagrees with the model beyond
+    hard limits.
     """
-    if system.rho >= RHO_EXISTENCE_THRESHOLD:
-        raise NoEquilibriumError(system.rho)
-    gamma = system.unstack(system.gamma_vec)
-    sol, errors = solve_rows(system.A[None], gamma[None], system.alphas[None])
+    rho = coupling_radius(w.xi)  # first, so that R is freed before A is built
+    if rho >= RHO_EXISTENCE_THRESHOLD:
+        raise NoEquilibriumError(rho)
+    alphas = np.asarray(m.alphas(), dtype=float)
+    sol, errors = solve_rows(coupling_matrix(w.xi)[None], w.gamma[None], alphas[None])
     if errors[0] is not None:
         raise errors[0]
     return EquilibriumSolution(d=sol.d[0], d_total=sol.d_total[0], efforts=sol.efforts[0],
-                               variances=sol.variances[0], residual=float(sol.residual[0]))
+                               variances=sol.variances[0], residual=float(sol.residual[0]), rho=rho)
 
 
 def c_polytope(sol: EquilibriumSolution, w: SeparableWeights, m: MarketInstance) -> CPolytope:
@@ -317,8 +277,8 @@ def canonical_c(polytope: CPolytope, d: np.ndarray) -> np.ndarray:
     """One natural point of the payment polytope.
 
     Splits each source's participation slack across buyers in proportion to
-    their slopes, so every contract sits weakly above its acceptability
-    floor and the totals match E exactly.
+    their slopes, so the totals match E exactly and, when every slope is
+    nonnegative, every contract sits weakly above its acceptability floor.
     """
     d_total = d.sum(axis=0)
     share = d / d_total[None, :]
@@ -333,23 +293,25 @@ def complete_solution(sol: EquilibriumSolution, w: SeparableWeights,
     return replace(sol, c_polytope=poly, c_canonical=c)
 
 
-def solution_from_d(d: np.ndarray, w: SeparableWeights, m: MarketInstance,
-                    system: CouplingSystem) -> EquilibriumSolution:
+def solution_from_d(d: np.ndarray, w: SeparableWeights, m: MarketInstance) -> EquilibriumSolution:
     """Rebuild all induced quantities for an arbitrary slope matrix.
 
     Meant for diagnostics (perturbation studies, dynamics output); no
     best-response property is assumed, but payments still follow the tight
     participation rule, so an infeasible d raises InfeasibleCError.  The
-    residual is d's distance from the fixed point of ``system``.
+    residual is d's distance from the fixed point of the best-response map
+    ``d[k, q] = gamma[k, q] + sum_{j != k, l != q} xi[j, l, q] * d[j, l]``,
+    applied once from xi.
     """
     d = np.asarray(d, dtype=float)
     alphas = np.asarray(m.alphas(), dtype=float)
     d_total, efforts, variances, errors = _induced_quantities(d[None], alphas[None])
     if errors[0] is not None:
         raise errors[0]
-    dvec = system.stack(d)
-    scale = 1.0 + float(np.abs(dvec).max(initial=0.0))
-    residual = float(np.abs(dvec - system.A @ dvec - system.gamma_vec).max()) / scale
+    # pull[j, q]: buyer j's slopes on the sources other than q, weighted by xi[j, :, q]
+    pull = np.einsum("jlq,jl->jq", np.where(np.eye(m.n_sources, dtype=bool), 0.0, w.xi), d)
+    scale = 1.0 + float(np.abs(d).max(initial=0.0))
+    residual = float(np.abs(d - (pull.sum(axis=0) - pull) - w.gamma).max()) / scale
     sol = EquilibriumSolution(d=d, d_total=d_total[0], efforts=efforts[0],
                               variances=variances[0], residual=residual)
     return complete_solution(sol, w, m)

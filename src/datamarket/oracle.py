@@ -18,13 +18,12 @@ import numpy as np
 
 from .market import MarketInstance
 from .estimators import SeparableWeights
-from .equilibrium import CouplingSystem, EquilibriumSolution
+from .equilibrium import EquilibriumSolution
 
 __all__ = [
     "BestResponseReport",
     "NeumannResult",
     "PaymentCheck",
-    "eval_buyer_cost",
     "best_response_check",
     "neumann_dynamics",
     "monte_carlo_payments",
@@ -37,32 +36,6 @@ NEUMANN_TOL = 1e-12
 # Samples per block of the payment simulation: at N = 8 a block of draws and
 # its squared residuals take well under a 4 MB L2 cache.
 _MC_BLOCK = 4096
-
-
-# ---------------------------------------------------------------------------
-# buyer objective
-# ---------------------------------------------------------------------------
-
-def eval_buyer_cost(k: int, c: np.ndarray, d: np.ndarray,
-                    w: SeparableWeights, m: MarketInstance) -> float:
-    """Buyer k's expected cost under contract book (c, d).
-
-    Sources respond to the total slope on them, which sets the report
-    variances; the cost is the competition-adjusted estimation loss plus
-    the expected payments, all scaled back to the buyer's own units.
-    """
-    c = np.asarray(c, dtype=float)
-    d = np.asarray(d, dtype=float)
-    alphas = np.asarray(m.alphas(), dtype=float)
-    d_total = d.sum(axis=0)
-    if not (d_total > 0.0).all():
-        raise ValueError("every source needs positive total slope for a defined cost")
-    variances = 1.0 / (2.0 * alphas * d_total)
-    expected_penalty = d[k] * (w.xi[k] @ variances)
-    eta_k = m.buyers[k].eta
-    loss = float(w.gamma[k] @ variances)
-    payments = float((c[k] - expected_penalty).sum())
-    return eta_k * (loss + payments)
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +124,7 @@ def best_response_check(sol: EquilibriumSolution, k: int, w: SeparableWeights,
     cands = np.vstack(blocks)
 
     costs = _deviation_costs(cands, sol, k, w, m)
-    cost_eq = eval_buyer_cost(k, sol.c_canonical, sol.d, w, m)
+    cost_eq = float(costs[0])  # the point itself, costed like every deviation
     best = int(np.argmin(costs))
     max_improvement = cost_eq - float(costs[best])
     tolerance = 1e-6 * (1.0 + abs(cost_eq))
@@ -177,23 +150,32 @@ class NeumannResult:
     last_step: float
 
 
-def neumann_dynamics(system: CouplingSystem) -> NeumannResult:
-    """Iterate the stacked best-response map from d = gamma.
+def neumann_dynamics(w: SeparableWeights) -> NeumannResult:
+    """Iterate the best-response map from d = gamma.
 
-    Each sweep applies ``d <- A d + gamma``, at most ``NEUMANN_MAX_ITERS``
-    times.  Convergence is declared when the successive relative change drops
+    Each sweep applies ``d[k, q] <- gamma[k, q] + sum_{j != k, l != q}
+    xi[j, l, q] * d[j, l]``, at most ``NEUMANN_MAX_ITERS`` times, through an
+    operator built here from xi, never the solve's coupling matrix.
+    Convergence is declared when the successive relative change drops
     below ``NEUMANN_TOL``; the result carries the buyer-major slope matrix
     either way, so callers can inspect where a diverging iteration was heading.
     """
-    d = system.gamma_vec.copy()
+    n_buyers, n_sources = w.gamma.shape
+    other_buyer = ~np.eye(n_buyers, dtype=bool)[:, None, :, None]
+    other_source = ~np.eye(n_sources, dtype=bool)[:, None, :]
+    # op[(k, q), (j, l)] = xi[j, l, q] for j != k and l != q, buyer-major
+    op = np.where(other_buyer & other_source, np.moveaxis(w.xi, -1, 0), 0.0)
+    op = op.reshape(n_buyers * n_sources, -1)
+    gamma = w.gamma.reshape(-1)
+    d = gamma.copy()
     last = float("inf")
     for it in range(1, NEUMANN_MAX_ITERS + 1):
-        d_next = system.A @ d + system.gamma_vec
+        d_next = op @ d + gamma
         last = float(np.abs(d_next - d).max()) / (1.0 + float(np.abs(d_next).max()))
         d = d_next
         if last < NEUMANN_TOL:
-            return NeumannResult(converged=True, d=system.unstack(d), iters=it, last_step=last)
-    return NeumannResult(converged=False, d=system.unstack(d), iters=it, last_step=last)
+            return NeumannResult(converged=True, d=d.reshape(n_buyers, n_sources), iters=it, last_step=last)
+    return NeumannResult(converged=False, d=d.reshape(n_buyers, n_sources), iters=it, last_step=last)
 
 
 # ---------------------------------------------------------------------------

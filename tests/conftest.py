@@ -16,7 +16,6 @@ from datamarket import (
     NumericFailure,
     SingularDesignError,
     ValueDistribution,
-    build_coupling_system,
     complete_solution,
     compute_weights,
     solve_equilibrium_d,
@@ -146,20 +145,17 @@ def build_solved_suite(count=200, seed=20260819):
         off[:, idx, idx] = 0.0
         if not (off > 1e-12).any():
             continue
-        system = build_coupling_system(w, m)
-        if system.rho >= 0.9:
-            continue
         try:
-            sol = solve_equilibrium_d(system)
+            sol = solve_equilibrium_d(w, m)
         except (NoEquilibriumError, NumericFailure, ValueError):
             continue
-        if float(sol.d_total.max()) > 40.0:
+        if sol.rho >= 0.9 or float(sol.d_total.max()) > 40.0:
             continue
         try:
             sol = complete_solution(sol, w, m)
         except InfeasibleCError:
             continue
-        out.append((m, w, system, sol))
+        out.append((m, w, sol))
     return out
 
 
@@ -181,12 +177,11 @@ def build_decoupled_suite(count=20, seed=4157):
         if validate_market(m):
             continue
         w = compute_weights(m)
-        system = build_coupling_system(w, m)
         try:
-            sol = complete_solution(solve_equilibrium_d(system), w, m)
+            sol = complete_solution(solve_equilibrium_d(w, m), w, m)
         except (InfeasibleCError, ValueError):
             continue
-        out.append((m, w, system, sol))
+        out.append((m, w, sol))
     return out
 
 

@@ -21,7 +21,6 @@ from datamarket import (
     MarketInstance,
     ValueDistribution,
     best_response_check,
-    build_coupling_system,
     complete_solution,
     compute_weights,
     coupling_matrix,
@@ -44,15 +43,13 @@ def _verdict(num, label, ok, detail=""):
 
 def _solve(m):
     w = compute_weights(m)
-    system = build_coupling_system(w, m)
-    sol = complete_solution(solve_equilibrium_d(system), w, m)
-    return w, system, sol
+    return w, complete_solution(solve_equilibrium_d(w, m), w, m)
 
 
 def test_criterion_1_decoupled_market():
     t0 = time.perf_counter()
     m = two_firm_market(-1.0)
-    w, system, sol = _solve(m)
+    w, sol = _solve(m)
     rep = price_of_anarchy(sol, w, m)
     elapsed = time.perf_counter() - t0
 
@@ -107,7 +104,7 @@ def test_criterion_3_coupled_point_matches_exact_arithmetic():
     expected = np.array([[float(d1), float(d2)], [float(d1), float(d2)]])
 
     m = two_firm_market(0.0)
-    w, system, sol = _solve(m)
+    w, sol = _solve(m)
     err = np.abs(sol.d / expected - 1.0).max()
     ok = err <= 1e-9
     _verdict(3, "midpoint market matches rational solution", ok, f"(rel err {err:.2e})")
@@ -115,11 +112,11 @@ def test_criterion_3_coupled_point_matches_exact_arithmetic():
 
 def test_criterion_4_equilibrium_oversupplies_effort(solved_suite, decoupled_suite):
     ok = len(solved_suite) == 200
-    for m, w, system, sol in solved_suite:
+    for m, w, sol in solved_suite:
         rep = price_of_anarchy(sol, w, m)
         ok = ok and rep.loss_eq > rep.loss_opt
         ok = ok and (rep.efforts_eq - rep.efforts_opt).max() > 0.0
-    for m, w, system, sol in decoupled_suite:
+    for m, w, sol in decoupled_suite:
         rep = price_of_anarchy(sol, w, m)
         ok = ok and np.abs(rep.efforts_eq - rep.efforts_opt).max() <= 1e-12
         ok = ok and abs(rep.poa - 1.0) <= 1e-12
@@ -131,14 +128,14 @@ def test_criterion_5_equilibria_survive_deviation_search(solved_suite):
     ok = True
     worst_eq = 0.0
     worst_pert = np.inf
-    for m, w, system, sol in solved_suite:
+    for m, w, sol in solved_suite:
         for k in range(m.n_buyers):
             rep = best_response_check(sol, k, w, m, radius=0.5, steps=21)
             ok = ok and rep.certified
             worst_eq = max(worst_eq, rep.max_improvement)
         bumped = sol.d.copy()
         bumped[0, 0] += 0.5
-        pert = solution_from_d(bumped, w, m, system=system)
+        pert = solution_from_d(bumped, w, m)
         rep = best_response_check(pert, 0, w, m, radius=0.5, steps=21)
         ok = ok and not rep.certified
         worst_pert = min(worst_pert, rep.max_improvement)
@@ -149,7 +146,7 @@ def test_criterion_5_equilibria_survive_deviation_search(solved_suite):
 def test_criterion_6_payments_cover_effort_exactly(solved_suite):
     ok = True
     worst = 0.0
-    for m, w, system, sol in solved_suite:
+    for m, w, sol in solved_suite:
         penalties = sol.d * np.einsum("jil,l->ji", w.xi, sol.variances)
         expected_payment = sol.c_canonical - penalties
         gap = np.abs(expected_payment.sum(axis=0) - sol.efforts).max()
@@ -161,10 +158,10 @@ def test_criterion_6_payments_cover_effort_exactly(solved_suite):
 
 def test_criterion_7_independent_numeric_paths_agree(solved_suite):
     ok = True
-    for m, w, system, sol in solved_suite:
-        if system.rho >= 0.99:
+    for m, w, sol in solved_suite:
+        if sol.rho >= 0.99:
             continue
-        res = neumann_dynamics(system)
+        res = neumann_dynamics(w)
         scale = max(1.0, np.abs(sol.d).max())
         ok = ok and res.converged
         ok = ok and np.abs(res.d - sol.d).max() / scale <= 1e-8
@@ -201,7 +198,7 @@ def test_criterion_8_simulated_payments_match_analytics():
     worst = 0.0
     for x1 in (-1.0, 0.0):
         m = two_firm_market(x1)
-        w, system, sol = _solve(m)
+        w, sol = _solve(m)
         checks = monte_carlo_payments(sol, w, m, n_samples=100000, seed=42)
         worst = max(worst, max(abs(c.z_score) for c in checks))
     elapsed = time.perf_counter() - t0

@@ -32,7 +32,6 @@ from datamarket import (
     NumericFailure,
     SingularDesignError,
     UndefinedPoaError,
-    build_coupling_system,
     compute_weights,
     coupling_radius,
     price_of_anarchy,
@@ -332,8 +331,17 @@ def test_singular_leave_one_out_design_exits_1(tmp_path, capsys, command):
     assert len(captured.err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("command, markets", [("solve", 1), ("welfare", 1), ("check", 1), ("sweep", 3)])
-def test_coupling_matrix_built_once_per_market(tmp_path, monkeypatch, command, markets):
+@pytest.mark.parametrize("command, markets, x1, code, built", [
+    pytest.param("solve", 1, 0.0, 0, 1, id="solve-1"),
+    pytest.param("welfare", 1, 0.0, 0, 1, id="welfare-1"),
+    pytest.param("check", 1, 0.0, 0, 1, id="check-1"),
+    pytest.param("sweep", 3, 0.0, 0, 1, id="sweep-3"),
+    # past the gate with weights that fit: the exit comes before any A
+    pytest.param("solve", 1, 1.0 - 5e-5, 2, 0, id="solve-past_gate"),
+    pytest.param("welfare", 1, 1.0 - 5e-5, 2, 0, id="welfare-past_gate"),
+    pytest.param("check", 1, 1.0 - 5e-5, 2, 0, id="check-past_gate"),
+])
+def test_coupling_matrix_built_once_per_market(tmp_path, monkeypatch, command, markets, x1, code, built):
     # a sweep builds one stack for all of its markets
     calls = []
     real = datamarket.equilibrium.coupling_matrix
@@ -344,7 +352,7 @@ def test_coupling_matrix_built_once_per_market(tmp_path, monkeypatch, command, m
 
     monkeypatch.setattr(datamarket.equilibrium, "coupling_matrix", counted)
     monkeypatch.setattr(datamarket.cli, "coupling_matrix", counted)
-    cfg = str(write_config(tmp_path, two_firm_market(0.0)))
+    cfg = str(write_config(tmp_path, two_firm_market(x1)))
     spec = str(write_sweep(tmp_path, market_to_config(two_firm_market(0.0)), -1.0, 0.0, markets))
     argv = {
         "solve": ["solve", cfg],
@@ -352,8 +360,8 @@ def test_coupling_matrix_built_once_per_market(tmp_path, monkeypatch, command, m
         "check": ["check", cfg, "--samples", "1000", "--steps", "5"],
         "sweep": ["sweep", spec, "--out", str(tmp_path / "rows.csv")],
     }[command]
-    assert main(argv) == 0
-    assert len(calls) == 1
+    assert main(argv) == code
+    assert len(calls) == built
 
 
 def test_solve_vanishing_eta_exits_1(tmp_path, capsys):
@@ -556,10 +564,14 @@ def test_check_perturbed_fails(tmp_path, capsys):
 
 
 def test_check_negative_slope_searches_a_box(capsys):
-    # d[1,1] = 20/9 - 2.3 < 0: the box's ends swap, and buyer 2 can improve
+    # d[1,1] = 20/9 - 2.3 < 0: the box's ends swap, and buyer 2 can improve;
+    # buyer 1's canonical flat payment sits below its floor, so the point
+    # is costed with re-tightened flats like every deviation, and it too
+    # can improve
     cfg = os.path.join(ROOT, "configs", "two_firm.json")
     assert main(["check", cfg, "--samples", "5000", "--perturb", "1,1,-2.3"]) == 3
     captured = capsys.readouterr()
+    assert "best response buyer 1: max improvement 0.0149 (tolerance 1.76e-06) IMPROVABLE" in captured.out
     assert "best response buyer 2: max improvement 0.00645" in captured.out
     assert "certification: FAIL" in captured.out
     assert "buyer 2 can improve by 0.00645" in captured.err
@@ -588,6 +600,16 @@ def test_check_zero_slope_searches_a_real_grid(tmp_path, monkeypatch, capsys):
     assert len(grids) == 3
     for cands in grids:
         assert (np.ptp(cands, axis=0) > 0.0).all()
+
+
+def test_fixed_point_iteration_does_not_use_the_solves_matrix(monkeypatch, capsys):
+    # the solve runs on half the coupling matrix; the fixed-point iteration
+    # builds its operator from xi, so it lands elsewhere and says so
+    real = datamarket.equilibrium.coupling_matrix
+    monkeypatch.setattr(datamarket.equilibrium, "coupling_matrix", lambda xi: 0.5 * real(xi))
+    cfg = os.path.join(ROOT, "configs", "two_firm.json")
+    assert main(["check", cfg, "--samples", "5000"]) == 3
+    assert "iterative and direct solutions disagree (0.468)" in capsys.readouterr().err
 
 
 def test_check_bad_perturb_flag(tmp_path):
@@ -897,10 +919,9 @@ def _reference_row(m, value):
             if rho >= RHO_EXISTENCE_THRESHOLD:
                 status = "no_equilibrium"
     if w is not None:
-        system = build_coupling_system(w, m)
-        rho = system.rho
+        rho = coupling_radius(xi)
         try:
-            sol = solve_equilibrium_d(system)
+            sol = solve_equilibrium_d(w, m)
         except NoEquilibriumError:
             status = "no_equilibrium"
         except (NumericFailure, ValueError):

@@ -6,7 +6,6 @@ import pytest
 
 import datamarket.equilibrium
 from datamarket import (
-    CouplingSystem,
     DataBuyer,
     DataSource,
     EstimatorSpec,
@@ -15,9 +14,9 @@ from datamarket import (
     NoEquilibriumError,
     NumericFailure,
     RHO_EXISTENCE_THRESHOLD,
+    SeparableWeights,
     SingularDesignError,
     ValueDistribution,
-    build_coupling_system,
     c_polytope,
     canonical_c,
     complete_solution,
@@ -83,9 +82,9 @@ def test_spectral_radius_rejects_bad_input():
 def test_spectral_radius_two_firm_closed_form(x1):
     # near-decoupled markets (x1 -> -1) are where an iterative radius is slowest
     m = two_firm_market(x1)
-    system = build_coupling_system(compute_weights(m), m)
+    sol = solve_equilibrium_d(compute_weights(m), m)
     expected = (x1 + 1.0) ** 2 / (2.0 * (x1 ** 2 + 1.0))
-    assert system.rho == pytest.approx(expected, rel=1e-9, abs=0.0)
+    assert sol.rho == pytest.approx(expected, rel=1e-9, abs=0.0)
 
 
 def test_spectral_radius_deterministic():
@@ -95,7 +94,7 @@ def test_spectral_radius_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# coupling system assembly
+# coupling matrix assembly
 # ---------------------------------------------------------------------------
 
 def _coupling_matrix_loops(xi):
@@ -228,29 +227,34 @@ def test_coupling_radius_exact_on_a_clustered_root():
 def test_coupling_structure_two_firm():
     m = two_firm_market(0.0)
     w = compute_weights(m)
-    system = build_coupling_system(w, m)
 
     expected = np.zeros((4, 4))
     expected[0, 3] = 1.0     # (source 0, buyer 0) <- (source 1, buyer 1)
     expected[1, 2] = 1.0
     expected[2, 1] = 0.25    # (source 1, buyer 0) <- (source 0, buyer 1)
     expected[3, 0] = 0.25
-    assert system.A == pytest.approx(expected, abs=1e-15)
-    assert system.gamma_vec == pytest.approx([1 / 3, 1 / 3, 4 / 3, 4 / 3], rel=1e-12)
-    assert system.rho == pytest.approx(0.5, rel=1e-11)
+    assert coupling_matrix(w.xi) == pytest.approx(expected, abs=1e-15)
+    assert w.gamma == pytest.approx(np.array([[1 / 3, 4 / 3], [1 / 3, 4 / 3]]), rel=1e-12)
+    assert solve_equilibrium_d(w, m).rho == pytest.approx(0.5, rel=1e-11)
 
 
 def test_stacking_roundtrip():
-    m = two_firm_market(0.2)
-    w = compute_weights(m)
-    system = build_coupling_system(w, m)
+    # solve_rows reads A in coupling_matrix's source-major stacking: with A
+    # zero the slopes are gamma, and one entry at ((q, k), (l, j)) adds
+    # a * gamma[j, l] to d[k, q] alone
     rng = np.random.default_rng(5)
-    mat = rng.uniform(size=(2, 2))
-    assert np.array_equal(system.unstack(system.stack(mat)), mat)
-    vec = system.stack(mat)
-    for q in range(2):
-        for k in range(2):
-            assert vec[q * system.n_buyers + k] == mat[k, q]
+    n_buyers, n_sources = 2, 3
+    gamma = rng.uniform(0.5, 1.5, (1, n_buyers, n_sources))
+    alphas = np.ones((1, n_sources))
+    sol, _ = solve_rows(np.zeros((1, 6, 6)), gamma, alphas)
+    assert np.array_equal(sol.d, gamma)
+    for (k, q), (j, l) in (((0, 1), (1, 2)), ((1, 0), (0, 2)), ((1, 2), (0, 0))):
+        A = np.zeros((1, 6, 6))
+        A[0, q * n_buyers + k, l * n_buyers + j] = 0.5
+        sol, _ = solve_rows(A, gamma, alphas)
+        want = gamma[0].copy()
+        want[k, q] += 0.5 * gamma[0, j, l]
+        assert sol.d[0] == pytest.approx(want, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +264,7 @@ def test_stacking_roundtrip():
 def test_two_firm_coupled_solution():
     m = two_firm_market(0.0)
     w = compute_weights(m)
-    sol = solve_equilibrium_d(build_coupling_system(w, m))
+    sol = solve_equilibrium_d(w, m)
     assert sol.d == pytest.approx(np.array([[20 / 9, 17 / 9], [20 / 9, 17 / 9]]), rel=1e-11)
     assert sol.d_total == pytest.approx([40 / 9, 34 / 9], rel=1e-11)
     assert sol.variances == pytest.approx([9 / 80, 9 / 68], rel=1e-11)
@@ -272,9 +276,8 @@ def test_two_firm_coupled_solution():
 def test_two_firm_decoupled_solution():
     m = two_firm_market(-1.0)
     w = compute_weights(m)
-    system = build_coupling_system(w, m)
-    assert not system.A.any()
-    sol = solve_equilibrium_d(system)
+    assert not coupling_matrix(w.xi).any()
+    sol = solve_equilibrium_d(w, m)
     assert sol.d == pytest.approx(np.full((2, 2), 1 / 3), rel=1e-14)
     assert sol.efforts == pytest.approx([math.log(4 / 3) / 2] * 2, rel=1e-12)
 
@@ -284,16 +287,16 @@ def test_no_equilibrium_near_unit_radius():
     # over the existence threshold while designs remain well conditioned
     m = two_firm_market(1.0 - 5e-5)
     w = compute_weights(m)
-    system = build_coupling_system(w, m)
-    assert system.rho >= RHO_EXISTENCE_THRESHOLD
+    rho = coupling_radius(w.xi)
+    assert rho >= RHO_EXISTENCE_THRESHOLD
     with pytest.raises(NoEquilibriumError) as err:
-        solve_equilibrium_d(system)
-    assert err.value.rho == pytest.approx(system.rho)
+        solve_equilibrium_d(w, m)
+    assert err.value.rho == rho
 
 
-def _system(A, gamma_vec, n_sources, n_buyers):
-    return CouplingSystem(A=A, gamma_vec=gamma_vec, rho=spectral_radius(A),
-                          n_sources=n_sources, n_buyers=n_buyers, alphas=np.ones(n_sources))
+def _weights(xi, gamma):
+    """Hand-built weights of a two-buyer market; beta is unused by the solve."""
+    return SeparableWeights(beta=np.zeros_like(gamma), xi=xi, gamma=gamma)
 
 
 def test_solve_rows_reports_negative_slopes():
@@ -302,17 +305,18 @@ def test_solve_rows_reports_negative_slopes():
     _, errors = solve_rows(past_gate, np.ones((1, 1, 2)), np.ones((1, 2)))
     assert isinstance(errors[0], NumericFailure)
     assert str(errors[0]) == "negative slope -1 in the solved system"
-    with pytest.raises(NoEquilibriumError):
-        solve_equilibrium_d(_system(past_gate[0], np.ones(2), 2, 1))
+    # every cross weight 2 couples two buyers over two sources at rho = 2
+    m = two_firm_market(0.0)
+    with pytest.raises(NoEquilibriumError, match="spectral radius 2 "):
+        solve_equilibrium_d(_weights(np.full((2, 2, 2), 2.0), np.ones((2, 2))), m)
 
-    # below the gate, a negative gamma entry (compute_weights clips them, a
-    # hand-built system need not) carries through to the slopes
-    system = _system(np.zeros((2, 2)), np.array([1.0, -1.0]), 2, 1)
-    _, errors = solve_rows(system.A[None], system.unstack(system.gamma_vec)[None],
-                           system.alphas[None])
+    # below the gate, a negative gamma entry (compute_weights clips them,
+    # hand-built weights need not) carries through to the slopes
+    w = _weights(np.zeros((2, 2, 2)), np.array([[1.0, -1.0], [1.0, 1.0]]))
+    _, errors = solve_rows(coupling_matrix(w.xi)[None], w.gamma[None], np.ones((1, 2)))
     assert str(errors[0]) == "negative slope -1 in the solved system"
     with pytest.raises(NumericFailure, match=r"^negative slope -1 in the solved system$"):
-        solve_equilibrium_d(system)
+        solve_equilibrium_d(w, m)
 
 
 def test_solve_rows_reports_residual_above_limit(monkeypatch):
@@ -333,28 +337,36 @@ def test_solve_rows_reports_residual_above_limit(monkeypatch):
     # lowered to zero
     monkeypatch.setattr(datamarket.equilibrium, "_RESIDUAL_HARD_LIMIT", 0.0)
     m = two_firm_market(0.0)
-    system = build_coupling_system(compute_weights(m), m)
-    sol, errors = solve_rows(system.A[None], system.unstack(system.gamma_vec)[None],
-                             system.alphas[None])
+    w = compute_weights(m)
+    sol, errors = solve_rows(coupling_matrix(w.xi)[None], w.gamma[None], np.array([m.alphas()]))
     assert sol.residual[0] > 0.0
     message = f"fixed-point residual {sol.residual[0]:.3g} exceeds 0"
     assert str(errors[0]) == message
     with pytest.raises(NumericFailure) as err:
-        solve_equilibrium_d(system)
+        solve_equilibrium_d(w, m)
     assert str(err.value) == message
 
 
 def test_leontief_dominance(solved_suite):
     # equilibrium slopes weakly exceed the adjusted loss weights
-    for _, w, system, sol in solved_suite:
+    for _, w, sol in solved_suite:
         assert (sol.d - w.gamma).min() >= -1e-12
 
 
 def test_fixed_point_residual(solved_suite):
-    for _, _, system, sol in solved_suite:
-        dvec = system.stack(sol.d)
-        res = np.abs(dvec - system.A @ dvec - system.gamma_vec).max()
+    # solution_from_d applies the best-response map from xi; off the fixed
+    # point (grown slopes keep every effort positive) its residual is the
+    # coupling matrix's
+    rng = np.random.default_rng(13)
+    for m, w, sol in solved_suite:
+        A, gamma_vec = coupling_matrix(w.xi), w.gamma.T.reshape(-1)  # source-major
+        dvec = sol.d.T.reshape(-1)
+        res = np.abs(dvec - A @ dvec - gamma_vec).max()
         assert res <= 1e-10 * (1.0 + np.abs(dvec).max())
+        d = sol.d * rng.uniform(1.0, 1.1, sol.d.shape)
+        dvec = d.T.reshape(-1)
+        want = np.abs(dvec - A @ dvec - gamma_vec).max() / (1.0 + np.abs(d).max())
+        assert solution_from_d(d, w, m).residual == pytest.approx(want, rel=1e-9, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -364,14 +376,14 @@ def test_fixed_point_residual(solved_suite):
 def test_polytope_two_firm_anchors():
     m = two_firm_market(0.0)
     w = compute_weights(m)
-    sol = complete_solution(solve_equilibrium_d(build_coupling_system(w, m)), w, m)
+    sol = complete_solution(solve_equilibrium_d(w, m), w, m)
     assert sol.c_polytope.E[0] == pytest.approx(1.7394598521982427, rel=1e-11)
     assert sol.c_polytope.slack == pytest.approx(sol.efforts, rel=1e-12)
     assert sol.c_canonical.sum(axis=0) == pytest.approx(sol.c_polytope.E, rel=1e-12)
 
     m = two_firm_market(-1.0)
     w = compute_weights(m)
-    sol = complete_solution(solve_equilibrium_d(build_coupling_system(w, m)), w, m)
+    sol = complete_solution(solve_equilibrium_d(w, m), w, m)
     assert sol.c_polytope.L == pytest.approx(np.full((2, 2), 0.25), rel=1e-12)
     e_star = math.log(4 / 3) / 2
     assert sol.c_polytope.E == pytest.approx([0.25 * 2 + e_star] * 2, rel=1e-12)
@@ -383,7 +395,7 @@ def test_polytope_zero_slack():
     # degenerates to the single point c = L
     m = two_firm_market(-1.0, alphas=(0.75, 0.75))
     w = compute_weights(m)
-    sol = solve_equilibrium_d(build_coupling_system(w, m))
+    sol = solve_equilibrium_d(w, m)
     assert sol.efforts == pytest.approx([0.0, 0.0], abs=1e-14)
     poly = c_polytope(sol, w, m)
     assert poly.slack == pytest.approx([0.0, 0.0], abs=1e-14)
@@ -396,7 +408,7 @@ def test_polytope_infeasible():
     # satisfy participation and acceptability at once
     m = two_firm_market(-1.0, alphas=(0.1, 0.1))
     w = compute_weights(m)
-    sol = solve_equilibrium_d(build_coupling_system(w, m))
+    sol = solve_equilibrium_d(w, m)
     with pytest.raises(InfeasibleCError) as err:
         c_polytope(sol, w, m)
     assert err.value.source in (0, 1)
@@ -404,7 +416,7 @@ def test_polytope_infeasible():
 
 
 def test_polytope_properties(solved_suite):
-    for m, w, _, sol in solved_suite:
+    for m, w, sol in solved_suite:
         poly = sol.c_polytope
         c = sol.c_canonical
         assert (c - poly.L).min() >= -1e-12
@@ -422,16 +434,18 @@ def test_single_buyer_gets_whole_polytope(solved_suite):
                      buyers=(type(buyer)(buyer.estimator, buyer.value_dist, (0.0,), 1.0),),
                      feature_domain=m.feature_domain)
     w = compute_weights(single)
-    sol = complete_solution(solve_equilibrium_d(build_coupling_system(w, single)), w, single)
+    sol = complete_solution(solve_equilibrium_d(w, single), w, single)
     assert sol.c_canonical[0] == pytest.approx(sol.c_polytope.E, rel=1e-12)
 
 
 def test_solution_from_d_roundtrip():
     m = two_firm_market(0.0)
     w = compute_weights(m)
-    system = build_coupling_system(w, m)
-    sol = complete_solution(solve_equilibrium_d(system), w, m)
-    rebuilt = solution_from_d(sol.d, w, m, system=system)
+    sol = complete_solution(solve_equilibrium_d(w, m), w, m)
+    rebuilt = solution_from_d(sol.d, w, m)
     assert rebuilt.efforts == pytest.approx(sol.efforts, rel=1e-14)
     assert rebuilt.c_canonical == pytest.approx(sol.c_canonical, rel=1e-14)
     assert rebuilt.residual <= 1e-12
+    # a source with no slope on it has no effort, so no cost is defined
+    with pytest.raises(ValueError, match="^source 0 attracts total slope 0;"):
+        solution_from_d(np.zeros((2, 2)), w, m)

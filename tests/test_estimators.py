@@ -213,7 +213,7 @@ def test_loo_three_sources_interpolation():
 
 
 def test_identical_estimators_share_xi(solved_suite):
-    for m, w, _, _ in solved_suite[:40]:
+    for m, w, _ in solved_suite[:40]:
         specs = [b.estimator for b in m.buyers]
         for j in range(1, m.n_buyers):
             if specs[j] == specs[0]:
@@ -221,7 +221,7 @@ def test_identical_estimators_share_xi(solved_suite):
 
 
 def test_weights_nonnegative(solved_suite):
-    for _, w, _, _ in solved_suite:
+    for _, w, _ in solved_suite:
         assert w.beta.min() >= 0.0
         assert w.xi.min() >= 0.0
         assert w.gamma.min() >= 0.0

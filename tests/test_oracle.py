@@ -16,10 +16,8 @@ from datamarket import (
     MarketInstance,
     ValueDistribution,
     best_response_check,
-    build_coupling_system,
     complete_solution,
     compute_weights,
-    eval_buyer_cost,
     monte_carlo_payments,
     neumann_dynamics,
     solution_from_d,
@@ -31,9 +29,20 @@ from conftest import two_firm_market
 
 def _solved(m):
     w = compute_weights(m)
-    system = build_coupling_system(w, m)
-    sol = complete_solution(solve_equilibrium_d(system), w, m)
-    return w, system, sol
+    return w, complete_solution(solve_equilibrium_d(w, m), w, m)
+
+
+def _buyer_cost(k, c, d, w, m):
+    """Buyer k's expected cost under contract book (c, d): the
+    competition-adjusted estimation loss plus the expected payments, in the
+    buyer's own units."""
+    variances = 1.0 / (2.0 * np.asarray(m.alphas()) * d.sum(axis=0))
+    payments = c[k] - d[k] * (w.xi[k] @ variances)
+    return m.buyers[k].eta * float(w.gamma[k] @ variances + payments.sum())
+
+
+def _cost_eq(sol, k, w, m):
+    return best_response_check(sol, k, w, m, radius=0.5, steps=5).cost_eq
 
 
 def _retightened_cost(k, d_k, sol, w, m):
@@ -49,17 +58,17 @@ def _retightened_cost(k, d_k, sol, w, m):
     others_c = sol.c_canonical.sum(axis=0) - sol.c_canonical[k]
     c = sol.c_canonical.copy()
     c[k] = np.maximum(E - others_c, pen[k])
-    return eval_buyer_cost(k, c, d, w, m)
+    return _buyer_cost(k, c, d, w, m)
 
 
 # ---------------------------------------------------------------------------
 # buyer cost
 # ---------------------------------------------------------------------------
 
-def test_eval_buyer_cost_anchor():
+def test_buyer_cost_anchor():
     m = two_firm_market(0.0)
-    w, _, sol = _solved(m)
-    got = eval_buyer_cost(0, sol.c_canonical, sol.d, w, m)
+    w, sol = _solved(m)
+    got = _cost_eq(sol, 0, w, m)
     var = np.array([9.0 / 80.0, 9.0 / 68.0])
     pen = sol.d[0] * (w.xi[0] @ var)
     expected = float(w.gamma[0] @ var + (sol.c_canonical[0] - pen).sum())
@@ -67,21 +76,14 @@ def test_eval_buyer_cost_anchor():
     assert math.isfinite(got)
 
 
-def test_eval_buyer_cost_needs_positive_pressure():
-    m = two_firm_market(0.0)
-    w, _, sol = _solved(m)
-    with pytest.raises(ValueError):
-        eval_buyer_cost(0, sol.c_canonical, np.zeros((2, 2)), w, m)
-
-
 def test_local_perturbations_increase_cost():
     # re-tightening the flat payments after each slope move keeps the
     # equilibrium a strict local minimum in every coordinate
     m = two_firm_market(0.0)
-    w, _, sol = _solved(m)
+    w, sol = _solved(m)
     for k in range(2):
         base = _retightened_cost(k, sol.d[k], sol, w, m)
-        assert base == pytest.approx(eval_buyer_cost(k, sol.c_canonical, sol.d, w, m), rel=1e-12)
+        assert base == pytest.approx(_cost_eq(sol, k, w, m), rel=1e-12)
         for i in range(2):
             for bump in (0.05, -0.05):
                 cand = sol.d[k].copy()
@@ -93,11 +95,11 @@ def test_eta_scales_buyer_cost():
     # doubling eta doubles only the payment part of the cost; the estimation
     # loss is measured in the buyer's own units either way
     m1 = two_firm_market(0.3)
-    w1, _, sol1 = _solved(m1)
+    w1, sol1 = _solved(m1)
     m2 = two_firm_market(0.3, etas=(2.0, 2.0))
     w2 = compute_weights(m2)
-    cost1 = eval_buyer_cost(0, sol1.c_canonical, sol1.d, w1, m1)
-    cost2 = eval_buyer_cost(0, sol1.c_canonical, sol1.d, w2, m2)
+    cost1 = _cost_eq(sol1, 0, w1, m1)
+    cost2 = _cost_eq(sol1, 0, w2, m2)
     pay = float((sol1.c_canonical[0] - sol1.d[0] * (w1.xi[0] @ sol1.variances)).sum())
     assert cost2 - cost1 == pytest.approx(pay, rel=1e-12)
 
@@ -108,7 +110,7 @@ def test_eta_scales_buyer_cost():
 
 def test_two_firm_equilibrium_certifies():
     m = two_firm_market(0.0)
-    w, _, sol = _solved(m)
+    w, sol = _solved(m)
     for k in range(2):
         rep = best_response_check(sol, k, w, m, radius=0.5, steps=41)
         assert rep.certified
@@ -117,10 +119,10 @@ def test_two_firm_equilibrium_certifies():
 
 def test_perturbed_point_fails_certification():
     m = two_firm_market(0.0)
-    w, system, sol = _solved(m)
+    w, sol = _solved(m)
     d_mod = sol.d.copy()
     d_mod[0, 0] += 0.5
-    pert = solution_from_d(d_mod, w, m, system=system)
+    pert = solution_from_d(d_mod, w, m)
     rep = best_response_check(pert, 0, w, m, radius=0.5, steps=41)
     assert not rep.certified
     # the analytic gap along the slope coordinate is about 2.8e-3
@@ -130,14 +132,14 @@ def test_perturbed_point_fails_certification():
 
 def test_decoupled_argmin_is_equilibrium():
     m = two_firm_market(-1.0)
-    w, _, sol = _solved(m)
+    w, sol = _solved(m)
     rep = best_response_check(sol, 0, w, m, radius=0.5, steps=21)
     assert rep.certified
     assert rep.argmin_d == pytest.approx(sol.d[0], rel=1e-12)
 
 
 def test_suite_certification_sample(solved_suite):
-    for m, w, system, sol in solved_suite[:25]:
+    for m, w, sol in solved_suite[:25]:
         for k in range(m.n_buyers):
             rep = best_response_check(sol, k, w, m, radius=0.5, steps=21)
             assert rep.certified, (
@@ -151,17 +153,17 @@ def test_suite_certification_sample(solved_suite):
 
 def test_neumann_decoupled_single_sweep():
     m = two_firm_market(-1.0)
-    w, system, sol = _solved(m)
-    res = neumann_dynamics(system)
+    w, sol = _solved(m)
+    res = neumann_dynamics(w)
     assert res.converged
     assert res.iters == 1
-    assert np.array_equal(res.d, system.unstack(system.gamma_vec))
+    assert np.array_equal(res.d, w.gamma)
 
 
 def test_neumann_matches_direct_solve():
     m = two_firm_market(0.0)
-    w, system, sol = _solved(m)
-    res = neumann_dynamics(system)
+    w, sol = _solved(m)
+    res = neumann_dynamics(w)
     assert res.converged
     rel = np.abs(res.d - sol.d).max() / (1.0 + np.abs(sol.d).max())
     assert rel <= 1e-8
@@ -172,10 +174,9 @@ def test_neumann_stalls_near_unit_radius():
     # reach it within the default sweep budget
     m = two_firm_market(0.9999)
     w = compute_weights(m)
-    system = build_coupling_system(w, m)
-    sol = solve_equilibrium_d(system)
+    sol = solve_equilibrium_d(w, m)
     assert sol.d_total.min() > 0.0
-    res = neumann_dynamics(system)
+    res = neumann_dynamics(w)
     assert not res.converged
     assert res.iters == 10000
 
@@ -187,7 +188,7 @@ def test_neumann_stalls_near_unit_radius():
 def test_monte_carlo_two_firm():
     for x1 in (-1.0, 0.0):
         m = two_firm_market(x1)
-        w, _, sol = _solved(m)
+        w, sol = _solved(m)
         checks = monte_carlo_payments(sol, w, m, n_samples=30000, seed=7)
         assert len(checks) == 4
         for chk in checks:
@@ -198,7 +199,7 @@ def test_monte_carlo_total_payment_covers_effort():
     # summed over buyers, expected payments compensate effort exactly; the
     # empirical totals should agree within a conservative s.e. budget
     m = two_firm_market(0.0)
-    w, _, sol = _solved(m)
+    w, sol = _solved(m)
     checks = monte_carlo_payments(sol, w, m, n_samples=40000, seed=11)
     for i in range(m.n_sources):
         per_source = [c for c in checks if c.source == i]
@@ -210,10 +211,10 @@ def test_monte_carlo_total_payment_covers_effort():
 def test_monte_carlo_zero_slope_buyer():
     # a buyer with zero slopes pays its flat payment deterministically
     m = two_firm_market(0.0)
-    w, system, sol = _solved(m)
+    w, sol = _solved(m)
     d_mod = sol.d.copy()
     d_mod[0] = 0.0
-    quiet = solution_from_d(d_mod, w, m, system=system)
+    quiet = solution_from_d(d_mod, w, m)
     checks = monte_carlo_payments(quiet, w, m, n_samples=2000, seed=3)
     for chk in checks:
         if chk.buyer == 0:

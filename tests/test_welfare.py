@@ -9,7 +9,6 @@ from datamarket import (
     EtaNotOneError,
     NumericFailure,
     SeparableWeights,
-    build_coupling_system,
     compute_weights,
     price_of_anarchy,
     solve_equilibrium_d,
@@ -21,7 +20,7 @@ from conftest import two_firm_market
 
 def _solved(m):
     w = compute_weights(m)
-    return w, solve_equilibrium_d(build_coupling_system(w, m))
+    return w, solve_equilibrium_d(w, m)
 
 
 def _welfare_row(efforts, w, m):
@@ -67,7 +66,7 @@ def test_social_optimum_closed_form():
 
 
 def test_social_optimum_first_order_condition(solved_suite):
-    for m, w, _, _ in solved_suite[:50]:
+    for m, w, _ in solved_suite[:50]:
         e_hat = _social_optimum(w, m)
         weights = w.gamma.sum(axis=0)
         alphas = np.asarray(m.alphas())
@@ -76,7 +75,7 @@ def test_social_optimum_first_order_condition(solved_suite):
 
 
 def test_social_optimum_is_minimizer(solved_suite):
-    for m, w, _, _ in solved_suite[:30]:
+    for m, w, _ in solved_suite[:30]:
         e_hat = _social_optimum(w, m)
         base = _social_loss(e_hat, w, m)
         for q in range(m.n_sources):
@@ -122,7 +121,7 @@ def test_decoupled_poa_is_one():
 
 
 def test_equilibrium_oversupplies_effort(solved_suite):
-    for m, w, _, sol in solved_suite:
+    for m, w, sol in solved_suite:
         report = price_of_anarchy(sol, w, m)
         assert report.loss_eq > report.loss_opt
         assert (report.efforts_eq - report.efforts_opt).max() > 0.0
@@ -130,7 +129,7 @@ def test_equilibrium_oversupplies_effort(solved_suite):
 
 
 def test_decoupled_markets_reach_the_optimum(decoupled_suite):
-    for m, w, _, sol in decoupled_suite:
+    for m, w, sol in decoupled_suite:
         report = price_of_anarchy(sol, w, m)
         assert np.abs(report.efforts_eq - report.efforts_opt).max() <= 1e-12
         assert abs(report.poa - 1.0) <= 1e-12
