@@ -16,8 +16,7 @@ from .market import (
     MarketInstance,
     Violation,
     validate_market,
-    effort_from_d_total,
-    variance_from_d_total,
+    source_response,
 )
 from .estimators import (
     SingularDesignError,
@@ -65,7 +64,7 @@ __version__ = "0.1.0"
 __all__ = [
     "DataSource", "ValueDistribution", "EstimatorSpec", "DataBuyer",
     "MarketInstance", "Violation", "validate_market",
-    "effort_from_d_total", "variance_from_d_total",
+    "source_response",
     "SingularDesignError", "GammaNegativeError", "SeparableWeights",
     "compute_weights", "weight_rows",
     "RHO_EXISTENCE_THRESHOLD", "NoEquilibriumError", "NumericFailure",

@@ -10,12 +10,11 @@ only up to a polytope; ``canonical_c`` picks one natural point of it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .market import MarketInstance, effort_from_d_total, variance_from_d_total
+from .market import MarketInstance, source_response
 from .estimators import SeparableWeights
 
 __all__ = [
@@ -181,20 +180,15 @@ def _induced_quantities(d: np.ndarray, alphas: np.ndarray) -> tuple:
     # a vanishing eta can push the total to inf; the check below reports it
     with np.errstate(over="ignore"):
         d_total = d.sum(axis=-2)
-    efforts = np.full(d_total.shape, np.nan)
-    variances = np.full(d_total.shape, np.nan)
+    efforts, variances, ok = source_response(d_total, alphas)
     errors = [None] * len(d_total)
-    for r, (totals, rates) in enumerate(zip(d_total.tolist(), alphas.tolist())):
-        try:
-            for i, (t, a) in enumerate(zip(totals, rates)):
-                if not 0.0 < t < math.inf:
-                    raise ValueError(f"source {i} attracts total slope {t:.6g}; its effort is undefined")
-                if not (2.0 * a < math.inf and 2.0 * t * a < math.inf):  # effort_from_d_total's products
-                    raise ValueError(f"source {i} has alpha {a:.6g} at total slope {t:.6g}; its effort overflows")
-            efforts[r] = [effort_from_d_total(t, a) for t, a in zip(totals, rates)]
-            variances[r] = [variance_from_d_total(t, a) for t, a in zip(totals, rates)]
-        except ValueError as err:
-            errors[r] = err
+    for r in np.flatnonzero(~ok.all(axis=-1)):
+        i = int(np.argmin(ok[r]))
+        t, a = d_total[r, i], alphas[r, i]
+        if not 0.0 < t < np.inf:
+            errors[r] = ValueError(f"source {i} attracts total slope {t:.6g}; its effort is undefined")
+        else:
+            errors[r] = ValueError(f"source {i} has alpha {a:.6g} at total slope {t:.6g}; its effort overflows")
     return d_total, efforts, variances, errors
 
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "DataSource",
     "ValueDistribution",
@@ -20,8 +22,7 @@ __all__ = [
     "MarketInstance",
     "Violation",
     "validate_market",
-    "effort_from_d_total",
-    "variance_from_d_total",
+    "source_response",
 ]
 
 ESTIMATOR_KINDS = ("linear-regression", "polynomial-regression")
@@ -294,23 +295,20 @@ def validate_market(m: MarketInstance) -> list:
 # source best response in closed form
 # ---------------------------------------------------------------------------
 
-def effort_from_d_total(d_total: float, alpha: float) -> float:
-    """Effort a rational source settles at under total slope pressure d_total.
+def source_response(d_total, alphas) -> tuple:
+    """Efforts, variances and finiteness of sources under total slope pressure.
 
-    Unique stationary point of ``d_total * exp(-2*alpha*e) + e``; can be
-    negative when the incentives are too weak to justify any effort.
+    Elementwise over broadcast arrays: a source of noise decay ``alpha``
+    facing total slope ``d_total`` settles at ``log(2*alpha*d_total) /
+    (2*alpha)``, the unique stationary point of ``d_total * exp(-2*alpha*e)
+    + e``, and reports with variance ``1 / (2*alpha*d_total)``.  The effort
+    is negative when the incentives are too weak to justify any.  ``ok``
+    marks the entries where both are finite: a nonpositive ``d_total`` at
+    positive ``alpha``, a nonpositive ``alpha`` at positive ``d_total``, or
+    an ``alpha`` so large or so small that either value overflows, gives
+    False.
     """
-    if not d_total > 0.0:
-        raise ValueError(f"d_total must be positive, got {d_total}")
-    if not alpha > 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    return math.log(2.0 * d_total * alpha) / (2.0 * alpha)
-
-
-def variance_from_d_total(d_total: float, alpha: float) -> float:
-    """Report variance at the stationary effort: ``1 / (2 * d_total * alpha)``."""
-    if not d_total > 0.0:
-        raise ValueError(f"d_total must be positive, got {d_total}")
-    if not alpha > 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    return 1.0 / (2.0 * d_total * alpha)
+    with np.errstate(all="ignore"):
+        efforts = np.log(2.0 * alphas * d_total) / (2.0 * alphas)
+        variances = 1.0 / (2.0 * alphas * d_total)
+    return efforts, variances, np.isfinite(efforts) & np.isfinite(variances)

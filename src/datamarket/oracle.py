@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .market import MarketInstance
+from .market import MarketInstance, source_response
 from .estimators import SeparableWeights
 from .equilibrium import EquilibriumSolution
 
@@ -59,25 +59,20 @@ def _deviation_costs(cands: np.ndarray, sol: EquilibriumSolution, k: int,
     Opponents keep their equilibrium contracts.  For each candidate the flat
     payments of buyer k are re-tightened: the least c keeping every source
     participating given the opponents' flats, but never below the buyer's
-    own acceptability floor.  Candidates leaving some source with
-    nonpositive total slope get infinite cost, and so do candidates whose
-    ``2 * alpha * d_total`` overflows: the rule the solve applies to its own
+    own acceptability floor.  Candidates at which some source's response is
+    not finite (a nonpositive total slope, or an effort or variance that
+    overflows) get infinite cost: the rule the solve applies to its own
     efforts.
     """
     alphas = np.asarray(m.alphas(), dtype=float)
     others_d = sol.d.sum(axis=0) - sol.d[k]
-    d_total = others_d[None, :] + cands
+    efforts, variances, ok = source_response(others_d[None, :] + cands, alphas[None, :])
+    ok = ok.all(axis=1)
     costs = np.full(cands.shape[0], np.inf)
-    with np.errstate(over="ignore"):
-        pressure = 2.0 * alphas[None, :] * d_total
-    ok = ((d_total > 0.0) & (pressure < np.inf)).all(axis=1)
     if not ok.any():
         return costs
 
-    pressure = pressure[ok]
-    variances = 1.0 / pressure
-    efforts = np.log(pressure) / (2.0 * alphas[None, :])
-
+    efforts, variances = efforts[ok], variances[ok]
     pen_k = (variances @ w.xi[k].T) * cands[ok]
     pen_others = np.zeros_like(pen_k)
     for j in range(m.n_buyers):

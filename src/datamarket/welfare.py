@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .market import MarketInstance
+from .market import MarketInstance, source_response
 from .estimators import SeparableWeights
 from .equilibrium import EquilibriumSolution, NumericFailure
 
@@ -71,18 +71,19 @@ def _social_loss(efforts: np.ndarray, weights: np.ndarray, alphas: np.ndarray) -
 
 
 def _optimum(weights: np.ndarray, alphas: np.ndarray) -> tuple:
-    """Row-wise optimal efforts and per row the first DegenerateSourceError."""
+    """Row-wise optimal efforts and per row the first DegenerateSourceError.
+
+    The separable, convex loss is least where ``2 * alpha * G * exp(-2*alpha*e)
+    = 1``: the effort a source would settle at under total slope G.
+    Degenerate rows give log(0); they are reported, not used.
+    """
     errors = [None] * len(weights)
-    for r, row in enumerate(weights.tolist()):
-        for i, g in enumerate(row):
-            if not g > 0.0:
-                errors[r] = DegenerateSourceError(
-                    f"source {i} has zero aggregate loss weight; the social loss has no finite minimizer")
-                break
-    # the separable, convex loss is least where 2 * alpha * G * exp(-2*alpha*e) = 1;
-    # degenerate rows give log(0); they are reported, not used
-    with np.errstate(all="ignore"):
-        return np.log(2.0 * alphas * weights) / (2.0 * alphas), errors
+    positive = weights > 0.0
+    for r in np.flatnonzero(~positive.all(axis=-1)):
+        errors[r] = DegenerateSourceError(
+            f"source {int(np.argmin(positive[r]))} has zero aggregate loss weight; "
+            "the social loss has no finite minimizer")
+    return source_response(weights, alphas)[0], errors
 
 
 def welfare_rows(efforts: np.ndarray, w: SeparableWeights, alphas: np.ndarray,

@@ -428,15 +428,21 @@ def test_subnormal_eta_names_the_buyer(tmp_path):
     assert rows[0]["gamma_1_1"] == ""
 
 
-@pytest.mark.parametrize("alpha, eta, total, statuses", [
-    (2.2e307, 1.0, "4.44444", ["ok"] + ["error"] * 4),
-    (1.797e308, 1.0, "4.44444", ["ok"] + ["error"] * 4),
-    (1.797e308, 100.0, "0.0444444", ["ok"] * 3 + ["error"] * 2),  # only 2 * alpha overflows
-], ids=["2.2e307", "1.797e308", "1.797e308-eta100"])
-def test_overflowing_effort_exits_1(tmp_path, capsys, alpha, eta, total, statuses):
-    # log(2 * d_total * alpha) / (2 * alpha) overflows: the effort is not
-    # reported as inf or 0 (or the variance as 0), and a sweep row reads
-    # error, not ok
+_HUGE_ALPHAS = (1e300, 1.7e308, 5)
+_TINY_ALPHAS = (1e-320, 1e-319, 3)
+
+
+@pytest.mark.parametrize("alpha, eta, total, sweep, statuses", [
+    (2.2e307, 1.0, "4.44444", _HUGE_ALPHAS, ["ok"] + ["error"] * 4),
+    (1.797e308, 1.0, "4.44444", _HUGE_ALPHAS, ["ok"] + ["error"] * 4),
+    (1.797e308, 100.0, "0.0444444", _HUGE_ALPHAS, ["ok"] * 3 + ["error"] * 2),  # only 2 * alpha overflows
+    (1e-308, 1.0, "4.44444", _TINY_ALPHAS, ["error"] * 3),  # the effort reaches -inf
+    (1e-320, 1.0, "4.44444", _TINY_ALPHAS, ["error"] * 3),  # and the variance inf
+], ids=["2.2e307", "1.797e308", "1.797e308-eta100", "1e-308", "1e-320"])
+def test_overflowing_effort_exits_1(tmp_path, capsys, alpha, eta, total, sweep, statuses):
+    # log(2 * alpha * d_total) / (2 * alpha) overflows: the effort is not
+    # reported as inf, -inf or 0 (or the variance as 0 or inf), and a sweep
+    # row reads error, not ok
     doc = json.loads(json.dumps(_TWO_FIRM))
     doc["sources"][0]["alpha"] = alpha
     for buyer in doc["buyers"]:
@@ -453,7 +459,7 @@ def test_overflowing_effort_exits_1(tmp_path, capsys, alpha, eta, total, statuse
                                 "its effort overflows\n")
     assert not out.exists()
 
-    spec = write_sweep(tmp_path, doc, 1e300, 1.7e308, 5, param="sources[0].alpha")
+    spec = write_sweep(tmp_path, doc, *sweep, param="sources[0].alpha")
     rows_csv = tmp_path / "alpha.csv"
     assert main(["sweep", str(spec), "--out", str(rows_csv)]) == 0
     assert capsys.readouterr().err == ""

@@ -9,9 +9,8 @@ from datamarket import (
     EstimatorSpec,
     MarketInstance,
     ValueDistribution,
-    effort_from_d_total,
+    source_response,
     validate_market,
-    variance_from_d_total,
 )
 
 from conftest import two_firm_market
@@ -23,55 +22,63 @@ from conftest import two_firm_market
 
 def test_effort_zero_crossing():
     # total slope 1/(2 alpha) makes zero effort the stationary point
-    for alpha in (0.5, 1.0, 2.0, 3.7):
-        assert effort_from_d_total(1.0 / (2.0 * alpha), alpha) == pytest.approx(0.0, abs=1e-15)
+    alphas = np.array([0.5, 1.0, 2.0, 3.7])
+    efforts, _, ok = source_response(1.0 / (2.0 * alphas), alphas)
+    assert ok.all()
+    np.testing.assert_allclose(efforts, 0.0, rtol=0.0, atol=1e-15)
 
 
 def test_effort_two_firm_values():
-    assert effort_from_d_total(40.0 / 9.0, 1.0) == pytest.approx(math.log(80.0 / 9.0) / 2.0, rel=1e-15)
-    assert effort_from_d_total(2.0 / 3.0, 1.0) == pytest.approx(math.log(4.0 / 3.0) / 2.0, rel=1e-15)
+    efforts, _, ok = source_response(np.array([40.0 / 9.0, 2.0 / 3.0]), np.array([1.0, 1.0]))
+    assert ok.all()
+    assert efforts[0] == pytest.approx(math.log(80.0 / 9.0) / 2.0, rel=1e-15)
+    assert efforts[1] == pytest.approx(math.log(4.0 / 3.0) / 2.0, rel=1e-15)
 
 
 def test_variance_values():
-    assert variance_from_d_total(40.0 / 9.0, 1.0) == pytest.approx(9.0 / 80.0, rel=1e-15)
-    assert variance_from_d_total(1.0, 2.0) == pytest.approx(0.25, rel=1e-15)
-    for alpha in (0.5, 1.0, 2.0):
-        assert variance_from_d_total(1.0 / (2.0 * alpha), alpha) == pytest.approx(1.0, rel=1e-15)
+    _, variances, ok = source_response(np.array([40.0 / 9.0, 1.0]), np.array([1.0, 2.0]))
+    assert ok.all()
+    assert variances[0] == pytest.approx(9.0 / 80.0, rel=1e-15)
+    assert variances[1] == pytest.approx(0.25, rel=1e-15)
+    alphas = np.array([0.5, 1.0, 2.0])
+    _, variances, _ = source_response(1.0 / (2.0 * alphas), alphas)
+    np.testing.assert_allclose(variances, 1.0, rtol=1e-15)
 
 
 def test_effort_variance_consistency():
     # the variance at the stationary effort equals exp(-2 alpha e)
     rng = np.random.default_rng(7)
-    for _ in range(200):
-        d_total = float(rng.uniform(0.05, 20.0))
-        alpha = float(rng.uniform(0.1, 4.0))
-        e = effort_from_d_total(d_total, alpha)
-        v = variance_from_d_total(d_total, alpha)
-        assert v == pytest.approx(math.exp(-2.0 * alpha * e), rel=1e-12)
+    d_total = rng.uniform(0.05, 20.0, size=(20, 10))
+    alphas = rng.uniform(0.1, 4.0, size=(20, 10))
+    efforts, variances, ok = source_response(d_total, alphas)
+    assert ok.all()
+    np.testing.assert_allclose(variances, np.exp(-2.0 * alphas * efforts), rtol=1e-12)
 
 
 def test_effort_monotone_in_pressure():
-    alpha = 1.3
     grid = np.linspace(0.1, 5.0, 40)
-    efforts = [effort_from_d_total(d, alpha) for d in grid]
-    variances = [variance_from_d_total(d, alpha) for d in grid]
-    assert all(a < b for a, b in zip(efforts, efforts[1:]))
-    assert all(a > b for a, b in zip(variances, variances[1:]))
+    efforts, variances, ok = source_response(grid, 1.3)
+    assert ok.all()
+    assert (np.diff(efforts) > 0.0).all()
+    assert (np.diff(variances) < 0.0).all()
 
 
 @pytest.mark.parametrize("d_total", [0.0, -1.0])
 def test_effort_rejects_nonpositive_pressure(d_total):
-    with pytest.raises(ValueError):
-        effort_from_d_total(d_total, 1.0)
-    with pytest.raises(ValueError):
-        variance_from_d_total(d_total, 1.0)
+    assert not source_response(np.array([d_total]), np.array([1.0]))[2].any()
 
 
 def test_effort_rejects_nonpositive_alpha():
-    with pytest.raises(ValueError):
-        effort_from_d_total(1.0, 0.0)
-    with pytest.raises(ValueError):
-        variance_from_d_total(1.0, -2.0)
+    assert not source_response(np.array([1.0, 1.0]), np.array([0.0, -2.0]))[2].any()
+
+
+def test_ok_marks_exactly_the_finite_responses():
+    # at the two-firm total slope, a tiny alpha overflows the effort (and at
+    # 1e-320 the variance too), and a huge one overflows 2 * alpha * d_total
+    alphas = np.array([1e-308, 1e-320, 2.2e307, 1e-300])
+    efforts, variances, ok = source_response(40.0 / 9.0, alphas)
+    assert ok.tolist() == [False, False, False, True]
+    assert (ok == (np.isfinite(efforts) & np.isfinite(variances))).all()
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,11 @@ import datamarket
 SUBMODULES = ("market", "estimators", "equilibrium", "welfare", "oracle")
 PACKAGE_DIR = pathlib.Path(datamarket.__file__).parent
 
-# Public names deleted because no command used them, or because the solve
-# and the oracles no longer share a coupling system; see CHANGES.md.
+# Public names deleted because no command used them, because the solve
+# and the oracles no longer share a coupling system, or because the
+# vectorized source response replaced them; see CHANGES.md.
 DELETED = {
+    "market": ("effort_from_d_total", "variance_from_d_total"),
     "estimators": ("h_weight", "loo_weight_tensor", "loss_weight_matrix"),
     "equilibrium": ("CouplingSystem", "build_coupling_system"),
     "welfare": ("social_loss", "social_optimum_efforts"),
