@@ -56,8 +56,9 @@ class InfeasibleCError(Exception):
 
     def __init__(self, source: int, slack: float):
         super().__init__(
-            f"payment polytope of source {source} is empty "
-            f"(participation slack {slack:.6g} < 0)"
+            f"payment polytope of source {source} is empty (participation slack {slack:.6g} < 0)"
+            if np.isfinite(slack) else
+            f"payment polytope of source {source} is undefined (participation slack {slack:.6g})"
         )
         self.source = source
         self.slack = slack
@@ -255,14 +256,20 @@ def c_polytope(sol: EquilibriumSolution, w: SeparableWeights, m: MarketInstance)
     E[i] is the total payment source i must receive so that participating
     and exerting the equilibrium effort breaks even; L[k, i] is the least
     flat payment making buyer k's contract worth accepting on its own.
-    Raises InfeasibleCError when the bounds cross (negative effort).
+    Raises InfeasibleCError when the bounds cross (negative effort), naming
+    the most negative slack, or else when some slack is not finite.
     """
-    expected_penalty = sol.d * np.einsum("jil,l->ji", w.xi, sol.variances)
-    E = expected_penalty.sum(axis=0) + sol.efforts
-    L = expected_penalty
-    slack = E - L.sum(axis=0)
-    worst = int(np.argmin(slack))
-    if slack[worst] < -1e-12:
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite bounds are reported below
+        expected_penalty = sol.d * np.einsum("jil,l->ji", w.xi, sol.variances)
+        E = expected_penalty.sum(axis=0) + sol.efforts
+        L = expected_penalty
+        slack = E - L.sum(axis=0)
+    finite = np.isfinite(slack)
+    # the most negative finite slack is named first, then the first that is not finite
+    worst = int(np.argmin(np.where(finite, slack, np.inf)))
+    if not slack[worst] < -1e-12:
+        worst = int(np.argmin(finite))
+    if not (finite[worst] and slack[worst] >= -1e-12):
         raise InfeasibleCError(worst, float(slack[worst]))
     return CPolytope(E=E, L=L, slack=slack)
 

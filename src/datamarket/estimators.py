@@ -41,7 +41,7 @@ class SingularDesignError(Exception):
 
 class GammaNegativeError(Exception):
     """Some adjusted loss weight is unusable: competition weights push it
-    below zero, or a vanishing eta overflows it."""
+    below zero, or it overflows with the loss weight or a vanishing eta."""
 
     def __init__(self, message: str, xi: np.ndarray | None = None):
         super().__init__(message)
@@ -81,13 +81,15 @@ class SeparableWeights:
 def _design_matrix(locations, degree: int) -> np.ndarray:
     """Monomial design ``X[..., k, c] = x_k ** c``, for leading axes of designs.
 
-    Powers come from repeated multiplication, as ``np.vander`` forms them.
+    Powers come from repeated multiplication, as ``np.vander`` forms them;
+    one that overflows is inf, and ``_fit_operator`` rejects its design.
     """
     xs = np.asarray(locations, dtype=float)
     X = np.empty(xs.shape + (degree + 1,))
     X[..., 0] = 1.0
     X[..., 1:] = xs[..., None]
-    np.multiply.accumulate(X[..., 1:], out=X[..., 1:], axis=-1)
+    with np.errstate(over="ignore"):
+        np.multiply.accumulate(X[..., 1:], out=X[..., 1:], axis=-1)
     return X
 
 
@@ -97,16 +99,22 @@ def _fit_operator(X: np.ndarray):
     Overdetermined designs use the normal equations, underdetermined ones
     the minimum-norm fit.  Either way the relevant Gram matrix must be well
     conditioned: ``ok`` marks the designs whose condition number ``cond``
-    passes, and W is meaningless elsewhere.
+    passes.  A Gram matrix that is not finite counts as rank deficient with
+    cond inf.  W is 0 wherever ``ok`` is False.
     """
     n_pts, n_coef = X.shape[-2:]
-    Xt = np.swapaxes(X, -1, -2)
     over = n_pts >= n_coef
-    gram = Xt @ X if over else X @ Xt
-    cond = np.linalg.cond(gram)
-    ok = np.isfinite(cond) & (cond <= COND_LIMIT)
-    # stand-ins keep the stacked solve defined; their fits are discarded
-    gram[~ok] = np.eye(gram.shape[-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = np.swapaxes(X, -1, -2) @ X if over else X @ np.swapaxes(X, -1, -2)
+    finite = np.isfinite(gram).all(axis=(-2, -1))
+    # stand-ins keep cond and the stacked solve defined, and a failed fit gets W = 0
+    gram[~finite] = np.eye(gram.shape[-1])
+    cond = np.where(finite, np.linalg.cond(gram), np.inf)
+    ok = cond <= COND_LIMIT
+    if not ok.all():
+        gram[~ok] = np.eye(gram.shape[-1])
+        X = np.where(ok[..., None, None], X, 0.0)
+    Xt = np.swapaxes(X, -1, -2)
     W = np.linalg.solve(gram, Xt) if over else Xt @ np.linalg.inv(gram)
     return W, cond, ok
 
@@ -116,15 +124,10 @@ def _rank_message(locations, degree: int, cond) -> str:
             f"for degree {degree} (cond {cond:.3g})")
 
 
-def _moment_matrix(mu: np.ndarray, degree: int) -> np.ndarray:
-    """E[phi(x) phi(x)^T] for the monomial basis from raw moments ``mu[..., p]``."""
-    idx = np.add.outer(np.arange(degree + 1), np.arange(degree + 1))
-    return mu[..., idx]
-
-
-def _raw_moments(dist: ValueDistribution, degree: int) -> np.ndarray:
-    """Exact raw moments of orders 0 .. 2*degree."""
-    return np.array([dist.moment(p) for p in range(2 * degree + 1)])
+def _moment_matrix(dist: ValueDistribution, degree: int) -> np.ndarray:
+    """E[phi(x) phi(x)^T] for the monomial basis, from dist's exact raw moments."""
+    mu = np.array([dist.moment(p) for p in range(2 * degree + 1)])
+    return mu[np.add.outer(np.arange(degree + 1), np.arange(degree + 1))]
 
 
 def _quadratic_form(W: np.ndarray, mom: np.ndarray) -> np.ndarray:
@@ -132,13 +135,15 @@ def _quadratic_form(W: np.ndarray, mom: np.ndarray) -> np.ndarray:
 
     The terms are added in a fixed order, p-major, so a fit's weights do not
     depend on how many fits share the stack; on a full design that order
-    matches ``np.einsum("pi,pq,qi->i")`` on one fit bit for bit.
+    matches ``np.einsum("pi,pq,qi->i")`` on one fit bit for bit.  A weight
+    that overflows is left inf or NaN for ``_adjusted_rows`` to report.
     """
     def term(p, q):
         return (W[..., p, :] * mom[..., p, q, None]) * W[..., q, :]
 
     n_coef = W.shape[-2]
-    h = sum(term(p, q) for p in range(n_coef) for q in range(n_coef))
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = sum(term(p, q) for p in range(n_coef) for q in range(n_coef))
     # quadratic form in a PSD matrix; clip float dust
     return np.maximum(h, 0.0)
 
@@ -147,31 +152,50 @@ def _quadratic_form(W: np.ndarray, mom: np.ndarray) -> np.ndarray:
 # market-level reduction, over rows of source locations and buyer etas
 # ---------------------------------------------------------------------------
 
-def _first_failures(buyers, failed: dict, n_rows: int) -> list:
-    """Per row, (buyer, fit index) of the first failed fit in buyer-major order, or None.
+def _fit_rows(xs: np.ndarray, buyers) -> tuple:
+    """beta[r, j, i] and xi[r, j, i, l] of each row of locations, with per row
+    the first SingularDesignError of the full fits and of the leave-one-out fits.
 
-    ``failed[degree]`` is the (R, ...) mask of failed fits of that degree,
-    which every buyer fitting the degree shares.
+    Each distinct degree, in the order of its first buyer, builds its design
+    X once and fits it whole and with each source left out; X is also the
+    basis the leave-one-out fits predict in.  xi is the square of the weight
+    ``sum_p x_i**p * W[p, l]`` that the fit dropping source i puts on source
+    l when it predicts at x_i, summed over p in order, so a row's bits do
+    not depend on the stack size.  Every buyer of a degree shares its failed
+    fits, so the first buyer of that degree names them.
     """
-    out = [None] * n_rows
-    for j, b in enumerate(buyers):
-        rows = failed[b.estimator.degree].reshape(n_rows, -1)
-        for r in np.flatnonzero(rows.any(axis=1)):
-            if out[r] is None:
-                out[r] = (j, int(np.argmax(rows[r])))
-    return out
-
-
-def _loss_rows(xs: np.ndarray, buyers) -> tuple:
-    """beta[r, j, i] of each row of locations, and per row the first SingularDesignError."""
     n_rows, n = xs.shape
+    own = np.arange(n)
+    kept = np.arange(n - 1)
+    rest = kept[None, :] + (kept[None, :] >= own[:, None])  # row i: every source but i
     beta = np.empty((n_rows, len(buyers), n))
+    xi = np.zeros((n_rows, len(buyers), n, n))
+    beta_errors, xi_errors = [None] * n_rows, [None] * n_rows
     fits = {}
     for j, b in enumerate(buyers):
         degree = b.estimator.degree
         if degree not in fits:
-            fits[degree] = _fit_operator(_design_matrix(xs, degree))
-        h = _quadratic_form(fits[degree][0], _moment_matrix(_raw_moments(b.value_dist, degree), degree))
+            X = _design_matrix(xs, degree)
+            W, cond, ok = _fit_operator(X)
+            loo_W, loo_cond, loo_ok = _fit_operator(X[:, rest])  # one fit per (row, dropped source)
+            # a prediction at a far source may overflow; the designs keeping that source fail
+            with np.errstate(over="ignore", invalid="ignore"):
+                pred = sum(X[..., p, None] * loo_W[..., p, :] for p in range(degree + 1))
+                fits[degree] = (W, pred * pred)
+            for r in np.flatnonzero(~ok):
+                if beta_errors[r] is None:
+                    message = _rank_message(xs[r], degree, cond[r])
+                    beta_errors[r] = SingularDesignError(f"buyer {j}: {message}", buyer=j)
+            for r in np.flatnonzero(~loo_ok.all(axis=1)):
+                if xi_errors[r] is None:
+                    i = int(np.argmin(loo_ok[r]))
+                    message = _rank_message(xs[r, rest[i]], degree, loo_cond[r, i])
+                    xi_errors[r] = SingularDesignError(
+                        f"buyer {j}: leave-one-out design dropping source {i} is singular: {message}",
+                        buyer=j, dropped_source=i,
+                    )
+        W, loo_xi = fits[degree]
+        h = _quadratic_form(W, _moment_matrix(b.value_dist, degree))
         # Two-source "companion" convention: each source carries the weight
         # the fit puts on the other sample point, so at x = (0, 1) under a
         # uniform [-1, 1] buyer beta is (1/3, 4/3) where the fit gives
@@ -180,65 +204,26 @@ def _loss_rows(xs: np.ndarray, buyers) -> tuple:
         # source joins.  PAPER.md holds only the paper's abstract, so the
         # convention cannot yet be traced to the paper's two-firm example.
         beta[:, j] = h[..., ::-1] if n == 2 else h
-
-    errors = [None] * n_rows
-    failed = {degree: ~ok for degree, (_, _, ok) in fits.items()}
-    for r, first in enumerate(_first_failures(buyers, failed, n_rows)):
-        if first is not None:
-            j, degree = first[0], buyers[first[0]].estimator.degree
-            message = _rank_message(xs[r], degree, fits[degree][1][r])
-            errors[r] = SingularDesignError(f"buyer {j}: {message}", buyer=j)
-    return beta, errors
-
-
-def _loo_rows(xs: np.ndarray, buyers) -> tuple:
-    """xi[r, j, i, l] of each row of locations, and per row the first SingularDesignError.
-
-    xi is the square of the weight ``sum_p x_i**p * W[p, l]`` that the fit
-    dropping source i puts on source l when it predicts at x_i.  The sum
-    runs over p in order, so a row's bits do not depend on the stack size.
-    """
-    n_rows, n = xs.shape
-    own = np.arange(n)
-    kept = np.arange(n - 1)
-    rest = kept[None, :] + (kept[None, :] >= own[:, None])  # row i: every source but i
-    xi = np.zeros((n_rows, len(buyers), n, n))
-    fits = {}
-    for j, b in enumerate(buyers):
-        degree = b.estimator.degree
-        if degree not in fits:
-            # one fit per (row, dropped source); xi depends on the degree alone
-            W, cond, ok = _fit_operator(_design_matrix(xs[:, rest], degree))
-            basis = _design_matrix(xs, degree)
-            pred = sum(basis[..., p, None] * W[..., p, :] for p in range(degree + 1))
-            fits[degree] = (pred * pred, cond, ok)
-        xi[:, j, own[:, None], rest] = fits[degree][0]
+        xi[:, j, own[:, None], rest] = loo_xi
     xi[:, :, own, own] = 1.0
-
-    errors = [None] * n_rows
-    failed = {degree: ~ok for degree, (_, _, ok) in fits.items()}
-    for r, first in enumerate(_first_failures(buyers, failed, n_rows)):
-        if first is not None:
-            (j, i), degree = first, buyers[first[0]].estimator.degree
-            message = _rank_message(xs[r, rest[i]], degree, fits[degree][1][r, i])
-            errors[r] = SingularDesignError(
-                f"buyer {j}: leave-one-out design dropping source {i} is singular: {message}",
-                buyer=j, dropped_source=i,
-            )
-    return xi, errors
+    return beta, xi, beta_errors, xi_errors
 
 
 def _adjusted_rows(beta: np.ndarray, etas: np.ndarray, buyers) -> tuple:
     """gamma[r, k, i] and per row the first GammaNegativeError."""
     delta = np.array([b.delta_row for b in buyers], dtype=float)
-    # a subnormal eta overflows gamma; the check below reports it
-    with np.errstate(over="ignore"):
+    # an overflowed beta or a subnormal eta leaves gamma inf or NaN; the check below reports it
+    with np.errstate(over="ignore", invalid="ignore"):
         gamma = (beta - delta @ beta) / etas[..., None]
     tol = 1e-12 * (1.0 + np.abs(beta).max(axis=(-2, -1), initial=0.0))
     finite = np.isfinite(gamma).all(axis=-1)
     errors = [None] * len(beta)
     for r in np.flatnonzero(~finite.all(axis=-1) | (gamma.min(axis=(-2, -1), initial=0.0) < -tol)):
-        if not finite[r].all():
+        if not np.isfinite(beta[r]).all():
+            k, i = np.unravel_index(int(np.argmin(np.isfinite(beta[r]))), beta[r].shape)
+            message = (f"buyer {k}, source {i}: loss weight {beta[r, k, i]:.6g} overflows a float; "
+                       "the buyer's values lie too far from the sources")
+        elif not finite[r].all():
             k = int(np.argmin(finite[r]))
             message = (f"buyer {k}: adjusted loss weights overflow at eta {etas[r, k]:.6g}; "
                        "the buyer's loss scale is too small")
@@ -260,8 +245,7 @@ def weight_rows(m: MarketInstance, xs: np.ndarray, etas: np.ndarray) -> tuple:
     ``weights.xi[r]`` is valid whenever it is None.  Fits are stacked over
     rows, one per distinct degree (times the dropped sources).
     """
-    beta, beta_errors = _loss_rows(xs, m.buyers)
-    xi, xi_errors = _loo_rows(xs, m.buyers)
+    beta, xi, beta_errors, xi_errors = _fit_rows(xs, m.buyers)
     gamma, gamma_errors = _adjusted_rows(beta, etas, m.buyers)
     errors = [b or x or g for b, x, g in zip(beta_errors, xi_errors, gamma_errors)]
     for err, x_err, row_xi in zip(errors, xi_errors, xi):

@@ -105,9 +105,15 @@ def best_response_check(sol: EquilibriumSolution, k: int, w: SeparableWeights,
     n = m.n_sources
     d_eq = np.asarray(sol.d[k], dtype=float)
     # a negative slope reverses the ends
-    shrunk, grown = d_eq * (1.0 - radius), d_eq * (1.0 + radius)
+    with np.errstate(over="ignore"):  # an end that overflows is reported below
+        shrunk, grown = d_eq * (1.0 - radius), d_eq * (1.0 + radius)
     lo, hi = np.minimum(shrunk, grown), np.maximum(shrunk, grown)
     hi[d_eq == 0.0] = radius * float(np.abs(sol.d).max())
+    finite = np.isfinite(lo) & np.isfinite(hi)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"buyer {k}, source {i}: deviation box around slope {d_eq[i]:.6g} "
+                         "overflows a float")
 
     blocks = [d_eq[None, :]]
     for i in range(n):

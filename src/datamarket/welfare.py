@@ -104,11 +104,11 @@ def welfare_rows(efforts: np.ndarray, w: SeparableWeights, alphas: np.ndarray,
         gap = efforts - efforts_opt
         below = ~(gap.min(axis=-1) > -1e-9 * (1.0 + np.abs(efforts_opt).max(axis=-1)))
         poa = loss_eq / loss_opt
+        n_buyers, n = w.gamma.shape[-2:]
+        off_diag = w.xi.copy()
+        off_diag[..., np.arange(n), np.arange(n)] = 0.0
+        floor = (n_buyers - 1) * (off_diag * w.gamma[..., None]).sum(axis=(-3, -2))
 
-    n_buyers, n = w.gamma.shape[-2:]
-    off_diag = w.xi.copy()
-    off_diag[..., np.arange(n), np.arange(n)] = 0.0
-    floor = (n_buyers - 1) * (off_diag * w.gamma[..., None]).sum(axis=(-3, -2))
     coupled = (floor > 1e-9 * weights).any(axis=-1)
     no_oversupply = coupled & ~(gap.max(axis=-1) > 0.0)
 

@@ -164,10 +164,15 @@ _HUGE_ALPHA = [(("sources", 0, "alpha"), 2.2e307)]
 _BIG_ALPHA = [(("sources", 0, "alpha"), 2.0e307)]
 
 
+# a source at 1e300, whose design's Gram matrix overflows
+_FAR_SOURCE = [(("feature_domain", 1), 1e300), (("sources", 1, "x"), 1e300)]
+
+
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(edits=st.lists(st.tuples(st.sampled_from(_leaf_paths(_TWO_FIRM)), _JSON_VALUES),
                       min_size=1, max_size=2))
 @example(edits=_HUGE_ALPHA)
+@example(edits=_FAR_SOURCE)
 def test_solve_any_config_ends_in_an_exit_code(tmp_path, capsys, edits):
     doc = json.loads(json.dumps(_TWO_FIRM))
     for path, value in edits:
@@ -196,6 +201,7 @@ def _reject_constant(name):
                       min_size=1, max_size=2))
 @example(edits=_HUGE_ALPHA)
 @example(edits=_BIG_ALPHA)
+@example(edits=_FAR_SOURCE)
 def test_welfare_and_check_any_config_end_in_an_exit_code(tmp_path, capsys, flags, codes, edits):
     doc = json.loads(json.dumps(_TWO_FIRM))
     for path, value in edits:
@@ -280,13 +286,13 @@ def test_negative_gamma_past_the_gate_has_no_equilibrium(tmp_path, capsys, monke
     # existence is decided by xi alone, ahead of the negative adjusted weight;
     # the xi fitted with the weights is reused, not fitted a second time
     fits = []
-    real = datamarket.estimators._loo_rows
+    real = datamarket.estimators._fit_rows
 
     def counted(*args):
         fits.append(1)
         return real(*args)
 
-    monkeypatch.setattr(datamarket.estimators, "_loo_rows", counted)
+    monkeypatch.setattr(datamarket.estimators, "_fit_rows", counted)
     cfg = tmp_path / "neg_gamma.json"
     cfg.write_text(json.dumps(NEG_GAMMA_DOC))
     for command in ("solve", "check", "welfare"):
@@ -329,6 +335,103 @@ def test_singular_leave_one_out_design_exits_1(tmp_path, capsys, command):
         "error: buyer 0: leave-one-out design dropping source 2 is singular: "
         "design at locations [0.3, 0.3] is rank deficient for degree 1")
     assert len(captured.err.splitlines()) == 1
+
+
+# One degree-2 buyer over sources at 1e300, -1 and 0: the square of 1e300
+# overflows a float.
+FAR_QUADRATIC_DOC = {
+    "sources": [{"x": x, "alpha": 1.0} for x in (1e300, -1.0, 0.0)],
+    "buyers": [{"estimator": {"kind": "polynomial-regression", "degree": 2},
+                "value_dist": {"kind": "point-mass", "params": {"x0": 0.5}},
+                "delta": [0.0], "eta": 1.0}],
+    "feature_domain": [-1.0, 1e300],
+}
+
+
+@pytest.mark.parametrize("doc, message", [
+    (FAR_QUADRATIC_DOC, "buyer 0: design at locations [1e+300, -1.0, 0.0] is rank deficient "
+                        "for degree 2 (cond inf)"),
+    (dict(_TWO_FIRM, feature_domain=[-1.0, 1e300],
+          sources=[_TWO_FIRM["sources"][0], {"x": 1e300, "alpha": 1.0}]),
+     "buyer 0: design at locations [0.0, 1e+300] is rank deficient for degree 1 (cond inf)"),
+    # sources 1e-5 apart fit, but a buyer valuing x = 1e150 has loss weights past 1e308
+    ({"sources": [{"x": 0.0, "alpha": 1.0}, {"x": 1e-5, "alpha": 1.0}],
+      "buyers": [{"estimator": {"kind": "linear-regression", "degree": 1},
+                  "value_dist": {"kind": "point-mass", "params": {"x0": 1e150}},
+                  "delta": [0.0], "eta": 1.0}],
+      "feature_domain": [0.0, 1.0]},
+     "buyer 0, source 0: loss weight inf overflows a float; the buyer's values lie too far from the sources"),
+], ids=["far-quadratic", "far-two-firm", "loss-weight"])
+@pytest.mark.parametrize("command", ["solve", "welfare", "check"])
+def test_weights_that_overflow_exit_1(tmp_path, capsys, doc, message, command):
+    # no LAPACK error, no numpy warning and no blame on eta: the one error line
+    cfg = tmp_path / "far.json"
+    cfg.write_text(json.dumps(doc))
+    assert main([command, str(cfg)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_sweep_to_a_far_source_reports_error_rows(tmp_path, capsys):
+    doc = copy.deepcopy(FAR_QUADRATIC_DOC)
+    doc["sources"][0]["x"] = 0.6
+    spec = write_sweep(tmp_path, doc, 0.6, 1e300, 3)
+    out = tmp_path / "far.csv"
+    assert main(["sweep", str(spec), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert [r["status"] for r in csv.DictReader(out.open())] == ["ok", "error", "error"]
+
+
+# Sources (x, alpha) = (-1, 1e9), (0, 0.5), (1, 1) and a buyer with eta 1e307:
+# slopes near 1e-308 give source 1 a negative effort, and sources 0 and 2
+# payment bounds of inf, so their slacks are NaN.
+NAN_SLACK_DOC = {
+    "sources": [{"x": -1.0, "alpha": 1e9}, {"x": 0.0, "alpha": 0.5}, {"x": 1.0, "alpha": 1.0}],
+    "buyers": [{"estimator": {"kind": "linear-regression", "degree": 1},
+                "value_dist": {"kind": "point-mass", "params": {"x0": 0.5}},
+                "delta": [0.0], "eta": 1e307}],
+    "feature_domain": [-1.0, 1.0],
+}
+
+
+def test_negative_slack_is_found_beside_nan_slacks(tmp_path, capsys):
+    cfg = tmp_path / "nan_slack.json"
+    cfg.write_text(json.dumps(NAN_SLACK_DOC))
+    reason = "payment polytope of source 1 is empty (participation slack -709.091 < 0)"
+    out = tmp_path / "sol.json"
+    assert main(["solve", str(cfg), "--json-out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert f"flat payments: infeasible ({reason})\n" in captured.out
+    assert captured.err == ""
+    payload = json.loads(out.read_text(), parse_constant=_reject_constant)
+    assert payload["c"] == {"feasible": False, "reason": reason}
+    assert main(["check", str(cfg)]) == 1
+    assert capsys.readouterr() == ("", f"error: {reason}\n")
+
+
+# Sources at 0.6 (alpha 1e-200), 0, 0.15 and 0.125, and a linear buyer with
+# eta 1e-308: source 0's slope is 1.7e308, so 1.5 times it overflows.
+TINY_ETA_DOC = {
+    "sources": [{"x": x, "alpha": a} for x, a in ((0.6, 1e-200), (0.0, 1.0), (0.15, 1.0), (0.125, 1.0))],
+    "buyers": [{"estimator": {"kind": "linear-regression", "degree": 1},
+                "value_dist": {"kind": "discrete", "params": {"points": [1.0, 0.5], "weights": [0.5, 0.5]}},
+                "delta": [0.0], "eta": 1e-308}],
+    "feature_domain": [0.0, 1.0],
+}
+
+
+def test_slopes_near_the_float_limit_warn_nothing(tmp_path, capsys):
+    cfg = tmp_path / "tiny_eta.json"
+    cfg.write_text(json.dumps(TINY_ETA_DOC))
+    assert main(["solve", str(cfg)]) == 0
+    captured = capsys.readouterr()
+    assert "welfare: skipped (buyer 0 has eta 1e-308; welfare accounting requires eta == 1)" in captured.out
+    assert captured.err == ""
+    assert main(["welfare", str(cfg)]) == 1
+    assert capsys.readouterr() == ("", "error: buyer 0 has eta 1e-308; welfare accounting requires eta == 1\n")
+    assert main(["check", str(cfg), "--samples", "200", "--steps", "3"]) == 1
+    assert capsys.readouterr() == (
+        "spectral radius: 0\n",
+        "error: buyer 0, source 0: deviation box around slope 1.72495e+308 overflows a float\n")
 
 
 @pytest.mark.parametrize("command, markets, x1, code, built", [

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -413,6 +414,34 @@ def test_polytope_infeasible():
         c_polytope(sol, w, m)
     assert err.value.source in (0, 1)
     assert err.value.slack < 0.0
+
+
+def test_polytope_names_the_negative_slack_before_a_nan():
+    # a huge alpha with a vanishing slope leaves source 0's bounds at inf,
+    # so its slack is NaN; source 1's effort is negative, so its slack is
+    # what empties the polytope
+    buyer = DataBuyer(EstimatorSpec.linear(), ValueDistribution.point_mass(0.5), (0.0,), 1e307)
+    m = MarketInstance(sources=(DataSource(-1.0, 1e9), DataSource(0.0, 0.5), DataSource(1.0, 1.0)),
+                       buyers=(buyer,), feature_domain=(-1.0, 1.0))
+    w = compute_weights(m)
+    sol = solve_equilibrium_d(w, m)
+    with pytest.raises(InfeasibleCError) as err:
+        c_polytope(sol, w, m)
+    assert (err.value.source, str(err.value)) == (
+        1, "payment polytope of source 1 is empty (participation slack -709.091 < 0)")
+
+
+def test_polytope_rejects_bounds_that_are_not_finite():
+    # an infinite variance makes source 0's bounds infinite and its slack
+    # NaN; no slack is negative, and the error says what is wrong
+    m = two_firm_market(0.0)
+    w = compute_weights(m)
+    sol = solve_equilibrium_d(w, m)
+    sol = dataclasses.replace(sol, variances=np.array([np.inf, sol.variances[1]]))
+    with pytest.raises(InfeasibleCError) as err:
+        c_polytope(sol, w, m)
+    assert (err.value.source, str(err.value)) == (
+        0, "payment polytope of source 0 is undefined (participation slack nan)")
 
 
 def test_polytope_properties(solved_suite):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import datamarket.estimators
 from datamarket import (
     DataBuyer,
     DataSource,
@@ -454,6 +455,40 @@ def test_singular_design_errors_match_the_loops():
             assert _same_error(got.value, want)
         assert _same_error(xi_errors[0], wants[1])
     assert {b for b, _ in seen} >= {0, 1} and {full for _, full in seen} == {True, False}
+
+
+def test_each_degree_builds_one_design(monkeypatch):
+    # the full and the leave-one-out fits of a degree, and the basis the
+    # leave-one-out fits predict in, all come from one design
+    built = []
+    real = datamarket.estimators._design_matrix
+
+    def recorded(locations, degree):
+        built.append(degree)
+        return real(locations, degree)
+
+    monkeypatch.setattr(datamarket.estimators, "_design_matrix", recorded)
+    m = _random_fit_market(np.random.default_rng(53), 6, [2, 1, 2, 3, 1])
+    _, errors, _ = weight_rows(m, np.array([m.locations()] * 3), np.array([m.etas()] * 3))
+    assert built == [2, 1, 3]
+    assert errors == [None] * 3
+
+
+@pytest.mark.parametrize("degree, xs", [
+    (2, (1e300, -1.0, 0.0)),  # the square of 1e300 overflows
+    (1, (-1.0, 0.0, 1e155)),  # every power fits a float, the Gram matrix does not
+], ids=["power", "gram"])
+def test_designs_that_overflow_are_rank_deficient(degree, xs):
+    # the design is rank deficient with cond inf, and its loss weights are
+    # 0, with no warning and no LAPACK call on inf or NaN
+    m = _one_buyer_market((-1.0, 0.0, 1.0), ValueDistribution.point_mass(0.5),
+                          EstimatorSpec.polynomial(degree))
+    w, errors, xi_errors = weight_rows(m, np.array([[-1.0, 0.0, 1.0], xs]), np.array([[1.0], [1.0]]))
+    assert errors[0] is None
+    assert str(errors[1]) == (f"buyer 0: design at locations {list(xs)} is rank deficient "
+                              f"for degree {degree} (cond inf)")
+    assert xi_errors[1] is not None  # a design keeping the far source fails too
+    assert np.isfinite(w.beta).all() and not w.beta[1].any()
 
 
 def test_weight_errors_carry_the_leave_one_out_tensor():
