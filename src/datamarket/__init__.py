@@ -8,73 +8,14 @@ whether an equilibrium exists, solves it, compares it to the social optimum
 and certifies the result with independent oracles.
 """
 
-from .market import (
-    DataSource,
-    ValueDistribution,
-    EstimatorSpec,
-    DataBuyer,
-    MarketInstance,
-    Violation,
-    validate_market,
-    source_response,
-)
-from .estimators import (
-    SingularDesignError,
-    GammaNegativeError,
-    SeparableWeights,
-    compute_weights,
-    weight_rows,
-)
-from .equilibrium import (
-    RHO_EXISTENCE_THRESHOLD,
-    NoEquilibriumError,
-    NumericFailure,
-    InfeasibleCError,
-    CPolytope,
-    EquilibriumSolution,
-    spectral_radius,
-    coupling_matrix,
-    coupling_radius,
-    solve_equilibrium_d,
-    solve_rows,
-    c_polytope,
-    canonical_c,
-    complete_solution,
-    solution_from_d,
-)
-from .welfare import (
-    EtaNotOneError,
-    DegenerateSourceError,
-    UndefinedPoaError,
-    WelfareReport,
-    price_of_anarchy,
-    welfare_rows,
-)
-from .oracle import (
-    BestResponseReport,
-    NeumannResult,
-    PaymentCheck,
-    best_response_check,
-    neumann_dynamics,
-    monte_carlo_payments,
-)
+from . import equilibrium, estimators, market, oracle, welfare
+from .market import *  # noqa: F403
+from .estimators import *  # noqa: F403
+from .equilibrium import *  # noqa: F403
+from .welfare import *  # noqa: F403
+from .oracle import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DataSource", "ValueDistribution", "EstimatorSpec", "DataBuyer",
-    "MarketInstance", "Violation", "validate_market",
-    "source_response",
-    "SingularDesignError", "GammaNegativeError", "SeparableWeights",
-    "compute_weights", "weight_rows",
-    "RHO_EXISTENCE_THRESHOLD", "NoEquilibriumError", "NumericFailure",
-    "InfeasibleCError", "CPolytope", "EquilibriumSolution",
-    "spectral_radius", "coupling_matrix", "coupling_radius",
-    "solve_equilibrium_d", "solve_rows", "c_polytope", "canonical_c", "complete_solution",
-    "solution_from_d",
-    "EtaNotOneError", "DegenerateSourceError", "UndefinedPoaError",
-    "WelfareReport", "price_of_anarchy", "welfare_rows",
-    "BestResponseReport", "NeumannResult", "PaymentCheck",
-    "best_response_check", "neumann_dynamics",
-    "monte_carlo_payments",
-]
+__all__ = [*market.__all__, *estimators.__all__, *equilibrium.__all__, *welfare.__all__,
+           *oracle.__all__]

@@ -255,6 +255,13 @@ def _print_vector(label: str, vec: np.ndarray):
     print(f"{label}: {cells}")
 
 
+def _print_welfare(report):
+    _print_vector("socially optimal efforts", report.efforts_opt)
+    print(f"social loss at equilibrium: {_fmt(report.loss_eq)}")
+    print(f"social loss at optimum: {_fmt(report.loss_opt)}")
+    print(f"price of anarchy: {_fmt(report.poa)}")
+
+
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------
@@ -265,7 +272,7 @@ def _cmd_solve(args) -> int:
 
     infeasible_c = None
     try:
-        sol = complete_solution(sol, w, m)
+        sol = complete_solution(sol, w)
     except InfeasibleCError as err:
         infeasible_c = err
 
@@ -286,15 +293,12 @@ def _cmd_solve(args) -> int:
     _print_vector("efforts", sol.efforts)
     _print_vector("variances", sol.variances)
     if infeasible_c is None:
-        _print_matrix("canonical flat payments c", sol.c_canonical)
+        _print_matrix("canonical flat payments c", sol.c_polytope.canonical)
         _print_vector("required total payment E", sol.c_polytope.E)
     else:
         print(f"flat payments: infeasible ({infeasible_c})")
     if welfare is not None:
-        _print_vector("socially optimal efforts", welfare.efforts_opt)
-        print(f"social loss at equilibrium: {_fmt(welfare.loss_eq)}")
-        print(f"social loss at optimum: {_fmt(welfare.loss_opt)}")
-        print(f"price of anarchy: {_fmt(welfare.poa)}")
+        _print_welfare(welfare)
     elif welfare_note:
         print(f"welfare: skipped ({welfare_note})")
 
@@ -318,7 +322,7 @@ def _cmd_solve(args) -> int:
                 "E": sol.c_polytope.E,
                 "L": sol.c_polytope.L,
                 "slack": sol.c_polytope.slack,
-                "canonical": sol.c_canonical,
+                "canonical": sol.c_polytope.canonical,
                 "feasible": True,
             }
         else:
@@ -529,7 +533,7 @@ def _cmd_check(args) -> int:
         raise ValueError(f"check --steps {args.steps} at N = {m.n_sources} sources makes a deviation "
                          f"grid of {grid} floats per buyer, above the cap of {MAX_CHECK_GRID}")
     w, sol = _run(m)
-    sol = complete_solution(sol, w, m)
+    sol = complete_solution(sol, w)
 
     rho, direct_d = sol.rho, sol.d.copy()
     if args.perturb:
@@ -572,7 +576,7 @@ def _cmd_check(args) -> int:
         if rho < 0.99:
             failures.append("fixed-point iteration failed to converge despite rho < 0.99")
 
-    checks = monte_carlo_payments(sol, w, m, n_samples=args.samples, seed=args.seed)
+    checks = monte_carlo_payments(sol, m, n_samples=args.samples, seed=args.seed)
     for chk in checks:
         print(f"payment buyer {chk.buyer + 1} source {chk.source + 1}: "
               f"empirical {_fmt(chk.empirical_mean)} analytic {_fmt(chk.analytic_mean)} "
@@ -600,11 +604,8 @@ def _cmd_welfare(args) -> int:
     w, sol = _run(m)
     report = price_of_anarchy(sol, w, m)
 
-    _print_vector("equilibrium efforts", report.efforts_eq)
-    _print_vector("socially optimal efforts", report.efforts_opt)
-    print(f"social loss at equilibrium: {_fmt(report.loss_eq)}")
-    print(f"social loss at optimum: {_fmt(report.loss_opt)}")
-    print(f"price of anarchy: {_fmt(report.poa)}")
+    _print_vector("equilibrium efforts", sol.efforts)
+    _print_welfare(report)
     return EXIT_OK
 
 

@@ -5,7 +5,8 @@ weight plus a xi-weighted combination of every other buyer's slopes on the
 other sources.  Stacking those conditions yields a Leontief-type linear
 system ``d = A d + gamma`` whose nonnegative solution exists exactly when
 the spectral radius of A stays below one.  Flat payments are pinned down
-only up to a polytope; ``canonical_c`` picks one natural point of it.
+only up to a polytope, which ``complete_solution`` builds along with one
+natural point of it.
 """
 
 from __future__ import annotations
@@ -29,8 +30,6 @@ __all__ = [
     "coupling_radius",
     "solve_equilibrium_d",
     "solve_rows",
-    "c_polytope",
-    "canonical_c",
     "complete_solution",
     "solution_from_d",
 ]
@@ -138,15 +137,19 @@ class CPolytope:
     """Feasible flat payments: ``sum_j c[j, i] == E[i]`` and ``c[k, i] >= L[k, i]``.
 
     ``slack[i] = E[i] - sum_k L[k, i]`` equals the source's equilibrium
-    effort, so feasibility is exactly nonnegative effort.
+    effort, so feasibility is exactly nonnegative effort.  ``canonical`` is
+    one natural point of the polytope: each source's slack split across
+    buyers in proportion to their slopes, so the totals match E and, when
+    every slope is nonnegative, every contract sits weakly above its floor.
     """
 
     E: np.ndarray
     L: np.ndarray
     slack: np.ndarray
+    canonical: np.ndarray
 
     def __post_init__(self):
-        for a in (self.E, self.L, self.slack):
+        for a in (self.E, self.L, self.slack, self.canonical):
             a.setflags(write=False)
 
 
@@ -156,8 +159,8 @@ class EquilibriumSolution:
 
     d is (M, N) buyer-major; d_total, efforts and variances are per source.
     ``solve_equilibrium_d`` sets rho, the coupling's spectral radius.  The
-    payment fields are filled by ``complete_solution`` (or
-    ``solution_from_d``).  Both stay None straight out of ``solve_rows``,
+    payment polytope is attached by ``complete_solution`` (or
+    ``solution_from_d``).  It stays None straight out of ``solve_rows``,
     which returns one for a stack of systems, with a leading row axis on
     every field.
     """
@@ -169,7 +172,6 @@ class EquilibriumSolution:
     residual: float
     rho: float | None = None
     c_polytope: CPolytope | None = None
-    c_canonical: np.ndarray | None = None
 
 
 def _induced_quantities(d: np.ndarray, alphas: np.ndarray) -> tuple:
@@ -212,7 +214,9 @@ def solve_rows(A: np.ndarray, gamma: np.ndarray, alphas: np.ndarray) -> tuple:
     dvec = np.linalg.solve(eye_minus_a, gamma_vec[..., None])[..., 0]
 
     scale = 1.0 + np.abs(dvec).max(axis=-1, initial=0.0)
-    residual = np.abs(dvec - (A @ dvec[..., None])[..., 0] - gamma_vec).max(axis=-1) / scale
+    # slopes that overflowed make the residual NaN; _induced_quantities rejects their rows
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = np.abs(dvec - (A @ dvec[..., None])[..., 0] - gamma_vec).max(axis=-1) / scale
     lowest = dvec.min(axis=-1, initial=0.0)
     errors = [None] * n_rows
     for r in np.flatnonzero((residual > _RESIDUAL_HARD_LIMIT) | (lowest < -1e-12 * scale)):
@@ -250,8 +254,9 @@ def solve_equilibrium_d(w: SeparableWeights, m: MarketInstance) -> EquilibriumSo
                                variances=sol.variances[0], residual=float(sol.residual[0]), rho=rho)
 
 
-def c_polytope(sol: EquilibriumSolution, w: SeparableWeights, m: MarketInstance) -> CPolytope:
-    """Participation and acceptability bounds on the flat payments.
+def complete_solution(sol: EquilibriumSolution, w: SeparableWeights) -> EquilibriumSolution:
+    """Attach the payment polytope: participation and acceptability bounds
+    on the flat payments, with its canonical point.
 
     E[i] is the total payment source i must receive so that participating
     and exerting the equilibrium effort breaks even; L[k, i] is the least
@@ -260,9 +265,8 @@ def c_polytope(sol: EquilibriumSolution, w: SeparableWeights, m: MarketInstance)
     the most negative slack, or else when some slack is not finite.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite bounds are reported below
-        expected_penalty = sol.d * np.einsum("jil,l->ji", w.xi, sol.variances)
-        E = expected_penalty.sum(axis=0) + sol.efforts
-        L = expected_penalty
+        L = sol.d * np.einsum("jil,l->ji", w.xi, sol.variances)
+        E = L.sum(axis=0) + sol.efforts
         slack = E - L.sum(axis=0)
     finite = np.isfinite(slack)
     # the most negative finite slack is named first, then the first that is not finite
@@ -271,27 +275,8 @@ def c_polytope(sol: EquilibriumSolution, w: SeparableWeights, m: MarketInstance)
         worst = int(np.argmin(finite))
     if not (finite[worst] and slack[worst] >= -1e-12):
         raise InfeasibleCError(worst, float(slack[worst]))
-    return CPolytope(E=E, L=L, slack=slack)
-
-
-def canonical_c(polytope: CPolytope, d: np.ndarray) -> np.ndarray:
-    """One natural point of the payment polytope.
-
-    Splits each source's participation slack across buyers in proportion to
-    their slopes, so the totals match E exactly and, when every slope is
-    nonnegative, every contract sits weakly above its acceptability floor.
-    """
-    d_total = d.sum(axis=0)
-    share = d / d_total[None, :]
-    return polytope.L + share * polytope.slack[None, :]
-
-
-def complete_solution(sol: EquilibriumSolution, w: SeparableWeights,
-                      m: MarketInstance) -> EquilibriumSolution:
-    """Attach the payment polytope and the canonical flat payments."""
-    poly = c_polytope(sol, w, m)
-    c = canonical_c(poly, sol.d)
-    return replace(sol, c_polytope=poly, c_canonical=c)
+    canonical = L + sol.d / sol.d.sum(axis=0) * slack
+    return replace(sol, c_polytope=CPolytope(E=E, L=L, slack=slack, canonical=canonical))
 
 
 def solution_from_d(d: np.ndarray, w: SeparableWeights, m: MarketInstance) -> EquilibriumSolution:
@@ -315,4 +300,4 @@ def solution_from_d(d: np.ndarray, w: SeparableWeights, m: MarketInstance) -> Eq
     residual = float(np.abs(d - (pull.sum(axis=0) - pull) - w.gamma).max()) / scale
     sol = EquilibriumSolution(d=d, d_total=d_total[0], efforts=efforts[0],
                               variances=variances[0], residual=residual)
-    return complete_solution(sol, w, m)
+    return complete_solution(sol, w)

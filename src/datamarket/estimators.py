@@ -31,11 +31,8 @@ COND_LIMIT = 1e12
 class SingularDesignError(Exception):
     """Design too ill-conditioned to fit the requested basis."""
 
-    def __init__(self, message: str, buyer: int | None = None, dropped_source: int | None = None,
-                 xi: np.ndarray | None = None):
+    def __init__(self, message: str, xi: np.ndarray | None = None):
         super().__init__(message)
-        self.buyer = buyer
-        self.dropped_source = dropped_source
         self.xi = xi
 
 
@@ -185,15 +182,13 @@ def _fit_rows(xs: np.ndarray, buyers) -> tuple:
             for r in np.flatnonzero(~ok):
                 if beta_errors[r] is None:
                     message = _rank_message(xs[r], degree, cond[r])
-                    beta_errors[r] = SingularDesignError(f"buyer {j}: {message}", buyer=j)
+                    beta_errors[r] = SingularDesignError(f"buyer {j}: {message}")
             for r in np.flatnonzero(~loo_ok.all(axis=1)):
                 if xi_errors[r] is None:
                     i = int(np.argmin(loo_ok[r]))
                     message = _rank_message(xs[r, rest[i]], degree, loo_cond[r, i])
                     xi_errors[r] = SingularDesignError(
-                        f"buyer {j}: leave-one-out design dropping source {i} is singular: {message}",
-                        buyer=j, dropped_source=i,
-                    )
+                        f"buyer {j}: leave-one-out design dropping source {i} is singular: {message}")
         W, loo_xi = fits[degree]
         h = _quadratic_form(W, _moment_matrix(b.value_dist, degree))
         # Two-source "companion" convention: each source carries the weight

@@ -44,7 +44,6 @@ _MC_BLOCK = 4096
 
 @dataclass(frozen=True)
 class BestResponseReport:
-    buyer: int
     cost_eq: float
     max_improvement: float
     argmin_d: np.ndarray
@@ -81,7 +80,8 @@ def _deviation_costs(cands: np.ndarray, sol: EquilibriumSolution, k: int,
         pen_others += (variances @ w.xi[j].T) * sol.d[j][None, :]
 
     E = pen_k + pen_others + efforts
-    others_c = sol.c_canonical.sum(axis=0) - sol.c_canonical[k]
+    canonical = sol.c_polytope.canonical
+    others_c = canonical.sum(axis=0) - canonical[k]
     c_k = np.maximum(E - others_c[None, :], pen_k)
 
     eta_k = m.buyers[k].eta
@@ -93,7 +93,7 @@ def best_response_check(sol: EquilibriumSolution, k: int, w: SeparableWeights,
                         m: MarketInstance, *, radius: float, steps: int) -> BestResponseReport:
     """Search for a profitable deviation of buyer k's slope vector.
 
-    ``sol`` must carry its flat payments (``complete_solution`` or
+    ``sol`` must carry its payment polytope (``complete_solution`` or
     ``solution_from_d``).  Scans each coordinate over ``steps`` points of the
     multiplicative box between ``d * (1 - radius)`` and ``d * (1 + radius)``
     around the equilibrium slopes, plus ``steps**2`` seeded random joint
@@ -130,7 +130,6 @@ def best_response_check(sol: EquilibriumSolution, k: int, w: SeparableWeights,
     max_improvement = cost_eq - float(costs[best])
     tolerance = 1e-6 * (1.0 + abs(cost_eq))
     return BestResponseReport(
-        buyer=k,
         cost_eq=cost_eq,
         max_improvement=max_improvement,
         argmin_d=cands[best].copy(),
@@ -239,8 +238,8 @@ def _residual_moments(op: np.ndarray, rng: np.random.Generator, n_samples: int) 
     return mean, np.sqrt(m2 / (n_samples - 1))
 
 
-def monte_carlo_payments(sol: EquilibriumSolution, w: SeparableWeights,
-                         m: MarketInstance, n_samples: int, seed: int) -> list:
+def monte_carlo_payments(sol: EquilibriumSolution, m: MarketInstance,
+                         n_samples: int, seed: int) -> list:
     """Simulate the reporting protocol and compare payments to closed form.
 
     Every round draws one report per source at the equilibrium variance,
@@ -253,10 +252,11 @@ def monte_carlo_payments(sol: EquilibriumSolution, w: SeparableWeights,
     the variances are tiny.  The residual operators of the distinct
     estimator degrees are stacked into one, so each block of draws takes
     one matmul, and buyers of one degree share its rows.  The empirical mean
-    payment per (buyer, source) is compared with the analytic expectation
-    through a z-score; systematic errors in the weight algebra show up as
-    |z| far above 4.  ``sol`` must carry its flat payments
-    (``complete_solution`` or ``solution_from_d``).
+    payment per (buyer, source) is compared with the analytic expectation,
+    the canonical payment less the acceptability floor ``L``, through a
+    z-score; systematic errors in the weight algebra show up as |z| far
+    above 4.  ``sol`` must carry its payment polytope (``complete_solution``
+    or ``solution_from_d``).
     """
     rng = np.random.default_rng(seed)
     xs = np.asarray(m.locations(), dtype=float)
@@ -268,13 +268,14 @@ def monte_carlo_payments(sol: EquilibriumSolution, w: SeparableWeights,
     moments = dict(zip(degrees, zip(means.reshape(len(degrees), -1),
                                     spreads.reshape(len(degrees), -1))))
 
+    poly = sol.c_polytope
     out = []
     for j, b in enumerate(m.buyers):
         mean, spread = moments[b.estimator.degree]
         slope = sol.d[j] * scale * scale
-        empirical = sol.c_canonical[j] - slope * mean
+        empirical = poly.canonical[j] - slope * mean
         std_error = np.abs(slope) * spread / math.sqrt(n_samples)
-        analytic = sol.c_canonical[j] - sol.d[j] * (w.xi[j] @ sol.variances)
+        analytic = poly.canonical[j] - poly.L[j]
         for i, (e, a, se) in enumerate(zip(empirical.tolist(), analytic.tolist(),
                                            std_error.tolist())):
             if se == 0.0:

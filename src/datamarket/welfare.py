@@ -40,13 +40,12 @@ class UndefinedPoaError(Exception):
 
 @dataclass(frozen=True)
 class WelfareReport:
-    """Efforts and social losses at equilibrium and at the optimum.
+    """Optimal efforts and social losses at equilibrium and at the optimum.
 
     ``welfare_rows`` returns one for a stack of markets, with a leading row
     axis on every field.
     """
 
-    efforts_eq: np.ndarray
     efforts_opt: np.ndarray
     loss_eq: float
     loss_opt: float
@@ -122,8 +121,7 @@ def welfare_rows(efforts: np.ndarray, w: SeparableWeights, alphas: np.ndarray,
             errors[r] = NumericFailure("equilibrium efforts fell below the social optimum")
         elif no_oversupply[r]:
             errors[r] = NumericFailure("coupled market failed to over-incentivize effort")
-    report = WelfareReport(efforts_eq=np.array(efforts, dtype=float), efforts_opt=efforts_opt,
-                           loss_eq=loss_eq, loss_opt=loss_opt, poa=poa)
+    report = WelfareReport(efforts_opt=efforts_opt, loss_eq=loss_eq, loss_opt=loss_opt, poa=poa)
     return report, errors
 
 
@@ -144,6 +142,5 @@ def price_of_anarchy(sol: EquilibriumSolution, w: SeparableWeights,
                                np.array([m.alphas()], dtype=float), np.array([m.etas()], dtype=float))
     if errors[0] is not None:
         raise errors[0]
-    return WelfareReport(efforts_eq=rep.efforts_eq[0], efforts_opt=rep.efforts_opt[0],
-                         loss_eq=float(rep.loss_eq[0]), loss_opt=float(rep.loss_opt[0]),
-                         poa=float(rep.poa[0]))
+    return WelfareReport(efforts_opt=rep.efforts_opt[0], loss_eq=float(rep.loss_eq[0]),
+                         loss_opt=float(rep.loss_opt[0]), poa=float(rep.poa[0]))

@@ -152,7 +152,7 @@ def build_solved_suite(count=200, seed=20260819):
         if sol.rho >= 0.9 or float(sol.d_total.max()) > 40.0:
             continue
         try:
-            sol = complete_solution(sol, w, m)
+            sol = complete_solution(sol, w)
         except InfeasibleCError:
             continue
         out.append((m, w, sol))
@@ -178,7 +178,7 @@ def build_decoupled_suite(count=20, seed=4157):
             continue
         w = compute_weights(m)
         try:
-            sol = complete_solution(solve_equilibrium_d(w, m), w, m)
+            sol = complete_solution(solve_equilibrium_d(w, m), w)
         except (InfeasibleCError, ValueError):
             continue
         out.append((m, w, sol))

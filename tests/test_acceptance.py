@@ -43,7 +43,7 @@ def _verdict(num, label, ok, detail=""):
 
 def _solve(m):
     w = compute_weights(m)
-    return w, complete_solution(solve_equilibrium_d(w, m), w, m)
+    return w, complete_solution(solve_equilibrium_d(w, m), w)
 
 
 def test_criterion_1_decoupled_market():
@@ -59,7 +59,7 @@ def test_criterion_1_decoupled_market():
         np.abs(off_diag).max() == 0.0
         and np.allclose(w.gamma, 1 / 3, rtol=1e-9, atol=0)
         and np.allclose(sol.d, 1 / 3, rtol=1e-9, atol=0)
-        and np.abs(rep.efforts_eq - rep.efforts_opt).max() <= 1e-9
+        and np.abs(sol.efforts - rep.efforts_opt).max() <= 1e-9
         and abs(rep.poa - 1.0) <= 1e-9
         and elapsed < 1.0
     )
@@ -115,10 +115,10 @@ def test_criterion_4_equilibrium_oversupplies_effort(solved_suite, decoupled_sui
     for m, w, sol in solved_suite:
         rep = price_of_anarchy(sol, w, m)
         ok = ok and rep.loss_eq > rep.loss_opt
-        ok = ok and (rep.efforts_eq - rep.efforts_opt).max() > 0.0
+        ok = ok and (sol.efforts - rep.efforts_opt).max() > 0.0
     for m, w, sol in decoupled_suite:
         rep = price_of_anarchy(sol, w, m)
-        ok = ok and np.abs(rep.efforts_eq - rep.efforts_opt).max() <= 1e-12
+        ok = ok and np.abs(sol.efforts - rep.efforts_opt).max() <= 1e-12
         ok = ok and abs(rep.poa - 1.0) <= 1e-12
     _verdict(4, "coupled markets oversupply, decoupled ones do not", ok,
              f"({len(solved_suite)} coupled, {len(decoupled_suite)} decoupled)")
@@ -148,7 +148,7 @@ def test_criterion_6_payments_cover_effort_exactly(solved_suite):
     worst = 0.0
     for m, w, sol in solved_suite:
         penalties = sol.d * np.einsum("jil,l->ji", w.xi, sol.variances)
-        expected_payment = sol.c_canonical - penalties
+        expected_payment = sol.c_polytope.canonical - penalties
         gap = np.abs(expected_payment.sum(axis=0) - sol.efforts).max()
         worst = max(worst, gap)
         ok = ok and gap <= 1e-10
@@ -199,7 +199,7 @@ def test_criterion_8_simulated_payments_match_analytics():
     for x1 in (-1.0, 0.0):
         m = two_firm_market(x1)
         w, sol = _solve(m)
-        checks = monte_carlo_payments(sol, w, m, n_samples=100000, seed=42)
+        checks = monte_carlo_payments(sol, m, n_samples=100000, seed=42)
         worst = max(worst, max(abs(c.z_score) for c in checks))
     elapsed = time.perf_counter() - t0
     ok = worst < 4.0 and elapsed < 30.0

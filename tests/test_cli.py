@@ -434,6 +434,31 @@ def test_slopes_near_the_float_limit_warn_nothing(tmp_path, capsys):
         "error: buyer 0, source 0: deviation box around slope 1.72495e+308 overflows a float\n")
 
 
+# Sources (x, alpha) = (1e-320, 1.63) and (0.0912, 1e-9), and linear buyers at
+# point masses 1e150 (eta 1e307) and 0 (eta 1e-308): gamma reaches 1e308 with
+# xi near 1, so the solved slopes overflow and the solve residual is NaN.
+NAN_RESIDUAL_DOC = {
+    "sources": [{"x": 1e-320, "alpha": 1.63}, {"x": 0.0912, "alpha": 1e-9}],
+    "buyers": [{"estimator": {"kind": "linear-regression", "degree": 1},
+                "value_dist": {"kind": "point-mass", "params": {"x0": x0}},
+                "delta": [0.0, 0.0], "eta": eta} for x0, eta in ((1e150, 1e307), (0.0, 1e-308))],
+    "feature_domain": [-1.0, 1.0],
+}
+
+
+def test_slopes_that_overflow_are_rejected_without_a_warning(tmp_path, capsys):
+    cfg = tmp_path / "nan_residual.json"
+    cfg.write_text(json.dumps(NAN_RESIDUAL_DOC))
+    for command in ("solve", "welfare", "check"):
+        assert main([command, str(cfg)]) == 1
+        assert capsys.readouterr() == ("", "error: source 0 attracts total slope nan; its effort is undefined\n")
+    spec = write_sweep(tmp_path, NAN_RESIDUAL_DOC, 1e-9, 1.0, 3, param="sources[1].alpha")
+    out = tmp_path / "out.csv"
+    assert main(["sweep", str(spec), "--out", str(out)]) == 0
+    assert capsys.readouterr() == (f"wrote 3 rows to {out}\n", "")
+    assert [line.rsplit(",", 1)[1] for line in out.read_text().splitlines()[1:]] == ["error"] * 3
+
+
 @pytest.mark.parametrize("command, markets, x1, code, built", [
     pytest.param("solve", 1, 0.0, 0, 1, id="solve-1"),
     pytest.param("welfare", 1, 0.0, 0, 1, id="welfare-1"),

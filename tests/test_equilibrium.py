@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import math
+import pathlib
 import re
 
 import numpy as np
@@ -18,8 +20,6 @@ from datamarket import (
     SeparableWeights,
     SingularDesignError,
     ValueDistribution,
-    c_polytope,
-    canonical_c,
     complete_solution,
     compute_weights,
     coupling_matrix,
@@ -30,7 +30,11 @@ from datamarket import (
     spectral_radius,
 )
 
+from datamarket.cli import market_from_config
+
 from conftest import two_firm_market
+
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 
 # ---------------------------------------------------------------------------
@@ -374,21 +378,68 @@ def test_fixed_point_residual(solved_suite):
 # payment polytope
 # ---------------------------------------------------------------------------
 
+def _c_polytope_reference(sol, w):
+    """Reference: the payment bounds as ``c_polytope`` built them before
+    ``complete_solution`` took them over; returns ``(E, L, slack)``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected_penalty = sol.d * np.einsum("jil,l->ji", w.xi, sol.variances)
+        E = expected_penalty.sum(axis=0) + sol.efforts
+        L = expected_penalty
+        slack = E - L.sum(axis=0)
+    finite = np.isfinite(slack)
+    worst = int(np.argmin(np.where(finite, slack, np.inf)))
+    if not slack[worst] < -1e-12:
+        worst = int(np.argmin(finite))
+    if not (finite[worst] and slack[worst] >= -1e-12):
+        raise InfeasibleCError(worst, float(slack[worst]))
+    return E, L, slack
+
+
+def _canonical_c_reference(L, slack, d):
+    """Reference: the canonical point as ``canonical_c`` built it."""
+    d_total = d.sum(axis=0)
+    share = d / d_total[None, :]
+    return L + share * slack[None, :]
+
+
+def test_complete_solution_matches_the_reference_bitwise(solved_suite):
+    markets = [(m, w) for m, w, _ in solved_suite]
+    for name in ("two_firm.json", "two_firm_decoupled.json"):
+        m = market_from_config(json.loads((CONFIGS / name).read_text(encoding="utf-8")))
+        markets.append((m, compute_weights(m)))
+    for m, w in markets:
+        sol = solve_equilibrium_d(w, m)
+        poly = complete_solution(sol, w).c_polytope
+        E, L, slack = _c_polytope_reference(sol, w)
+        canonical = _canonical_c_reference(L, slack, sol.d)
+        for got, want in zip((poly.E, poly.L, poly.slack, poly.canonical), (E, L, slack, canonical)):
+            assert got.tobytes() == want.tobytes()
+
+
+def _polytope_error(sol, w):
+    """The InfeasibleCError of complete_solution, checked against the reference's."""
+    with pytest.raises(InfeasibleCError) as want:
+        _c_polytope_reference(sol, w)
+    with pytest.raises(InfeasibleCError) as err:
+        complete_solution(sol, w)
+    assert (err.value.source, str(err.value)) == (want.value.source, str(want.value))
+    return err.value
+
 def test_polytope_two_firm_anchors():
     m = two_firm_market(0.0)
     w = compute_weights(m)
-    sol = complete_solution(solve_equilibrium_d(w, m), w, m)
+    sol = complete_solution(solve_equilibrium_d(w, m), w)
     assert sol.c_polytope.E[0] == pytest.approx(1.7394598521982427, rel=1e-11)
     assert sol.c_polytope.slack == pytest.approx(sol.efforts, rel=1e-12)
-    assert sol.c_canonical.sum(axis=0) == pytest.approx(sol.c_polytope.E, rel=1e-12)
+    assert sol.c_polytope.canonical.sum(axis=0) == pytest.approx(sol.c_polytope.E, rel=1e-12)
 
     m = two_firm_market(-1.0)
     w = compute_weights(m)
-    sol = complete_solution(solve_equilibrium_d(w, m), w, m)
+    sol = complete_solution(solve_equilibrium_d(w, m), w)
     assert sol.c_polytope.L == pytest.approx(np.full((2, 2), 0.25), rel=1e-12)
     e_star = math.log(4 / 3) / 2
     assert sol.c_polytope.E == pytest.approx([0.25 * 2 + e_star] * 2, rel=1e-12)
-    assert sol.c_canonical == pytest.approx(np.full((2, 2), 0.25 + e_star / 2), rel=1e-12)
+    assert sol.c_polytope.canonical == pytest.approx(np.full((2, 2), 0.25 + e_star / 2), rel=1e-12)
 
 
 def test_polytope_zero_slack():
@@ -398,10 +449,9 @@ def test_polytope_zero_slack():
     w = compute_weights(m)
     sol = solve_equilibrium_d(w, m)
     assert sol.efforts == pytest.approx([0.0, 0.0], abs=1e-14)
-    poly = c_polytope(sol, w, m)
+    poly = complete_solution(sol, w).c_polytope
     assert poly.slack == pytest.approx([0.0, 0.0], abs=1e-14)
-    c = canonical_c(poly, sol.d)
-    assert c == pytest.approx(poly.L, abs=1e-14)
+    assert poly.canonical == pytest.approx(poly.L, abs=1e-14)
 
 
 def test_polytope_infeasible():
@@ -409,11 +459,9 @@ def test_polytope_infeasible():
     # satisfy participation and acceptability at once
     m = two_firm_market(-1.0, alphas=(0.1, 0.1))
     w = compute_weights(m)
-    sol = solve_equilibrium_d(w, m)
-    with pytest.raises(InfeasibleCError) as err:
-        c_polytope(sol, w, m)
-    assert err.value.source in (0, 1)
-    assert err.value.slack < 0.0
+    err = _polytope_error(solve_equilibrium_d(w, m), w)
+    assert err.source in (0, 1)
+    assert err.slack < 0.0
 
 
 def test_polytope_names_the_negative_slack_before_a_nan():
@@ -424,10 +472,8 @@ def test_polytope_names_the_negative_slack_before_a_nan():
     m = MarketInstance(sources=(DataSource(-1.0, 1e9), DataSource(0.0, 0.5), DataSource(1.0, 1.0)),
                        buyers=(buyer,), feature_domain=(-1.0, 1.0))
     w = compute_weights(m)
-    sol = solve_equilibrium_d(w, m)
-    with pytest.raises(InfeasibleCError) as err:
-        c_polytope(sol, w, m)
-    assert (err.value.source, str(err.value)) == (
+    err = _polytope_error(solve_equilibrium_d(w, m), w)
+    assert (err.source, str(err)) == (
         1, "payment polytope of source 1 is empty (participation slack -709.091 < 0)")
 
 
@@ -438,16 +484,15 @@ def test_polytope_rejects_bounds_that_are_not_finite():
     w = compute_weights(m)
     sol = solve_equilibrium_d(w, m)
     sol = dataclasses.replace(sol, variances=np.array([np.inf, sol.variances[1]]))
-    with pytest.raises(InfeasibleCError) as err:
-        c_polytope(sol, w, m)
-    assert (err.value.source, str(err.value)) == (
+    err = _polytope_error(sol, w)
+    assert (err.source, str(err)) == (
         0, "payment polytope of source 0 is undefined (participation slack nan)")
 
 
 def test_polytope_properties(solved_suite):
     for m, w, sol in solved_suite:
         poly = sol.c_polytope
-        c = sol.c_canonical
+        c = poly.canonical
         assert (c - poly.L).min() >= -1e-12
         assert c.sum(axis=0) == pytest.approx(poly.E, rel=1e-10)
         # participation is tight: total expected payment equals effort cost
@@ -463,17 +508,17 @@ def test_single_buyer_gets_whole_polytope(solved_suite):
                      buyers=(type(buyer)(buyer.estimator, buyer.value_dist, (0.0,), 1.0),),
                      feature_domain=m.feature_domain)
     w = compute_weights(single)
-    sol = complete_solution(solve_equilibrium_d(w, single), w, single)
-    assert sol.c_canonical[0] == pytest.approx(sol.c_polytope.E, rel=1e-12)
+    sol = complete_solution(solve_equilibrium_d(w, single), w)
+    assert sol.c_polytope.canonical[0] == pytest.approx(sol.c_polytope.E, rel=1e-12)
 
 
 def test_solution_from_d_roundtrip():
     m = two_firm_market(0.0)
     w = compute_weights(m)
-    sol = complete_solution(solve_equilibrium_d(w, m), w, m)
+    sol = complete_solution(solve_equilibrium_d(w, m), w)
     rebuilt = solution_from_d(sol.d, w, m)
     assert rebuilt.efforts == pytest.approx(sol.efforts, rel=1e-14)
-    assert rebuilt.c_canonical == pytest.approx(sol.c_canonical, rel=1e-14)
+    assert rebuilt.c_polytope.canonical == pytest.approx(sol.c_polytope.canonical, rel=1e-14)
     assert rebuilt.residual <= 1e-12
     # a source with no slope on it has no effort, so no cost is defined
     with pytest.raises(ValueError, match="^source 0 attracts total slope 0;"):

@@ -29,7 +29,7 @@ from conftest import two_firm_market
 
 def _solved(m):
     w = compute_weights(m)
-    return w, complete_solution(solve_equilibrium_d(w, m), w, m)
+    return w, complete_solution(solve_equilibrium_d(w, m), w)
 
 
 def _buyer_cost(k, c, d, w, m):
@@ -55,8 +55,8 @@ def _retightened_cost(k, d_k, sol, w, m):
     eff = np.log(2.0 * alphas * d_total) / (2.0 * alphas)
     pen = d * np.einsum("jil,l->ji", w.xi, var)
     E = pen.sum(axis=0) + eff
-    others_c = sol.c_canonical.sum(axis=0) - sol.c_canonical[k]
-    c = sol.c_canonical.copy()
+    others_c = sol.c_polytope.canonical.sum(axis=0) - sol.c_polytope.canonical[k]
+    c = sol.c_polytope.canonical.copy()
     c[k] = np.maximum(E - others_c, pen[k])
     return _buyer_cost(k, c, d, w, m)
 
@@ -71,7 +71,7 @@ def test_buyer_cost_anchor():
     got = _cost_eq(sol, 0, w, m)
     var = np.array([9.0 / 80.0, 9.0 / 68.0])
     pen = sol.d[0] * (w.xi[0] @ var)
-    expected = float(w.gamma[0] @ var + (sol.c_canonical[0] - pen).sum())
+    expected = float(w.gamma[0] @ var + (sol.c_polytope.canonical[0] - pen).sum())
     assert got == pytest.approx(expected, rel=1e-14)
     assert math.isfinite(got)
 
@@ -100,7 +100,7 @@ def test_eta_scales_buyer_cost():
     w2 = compute_weights(m2)
     cost1 = _cost_eq(sol1, 0, w1, m1)
     cost2 = _cost_eq(sol1, 0, w2, m2)
-    pay = float((sol1.c_canonical[0] - sol1.d[0] * (w1.xi[0] @ sol1.variances)).sum())
+    pay = float((sol1.c_polytope.canonical[0] - sol1.d[0] * (w1.xi[0] @ sol1.variances)).sum())
     assert cost2 - cost1 == pytest.approx(pay, rel=1e-12)
 
 
@@ -189,7 +189,7 @@ def test_monte_carlo_two_firm():
     for x1 in (-1.0, 0.0):
         m = two_firm_market(x1)
         w, sol = _solved(m)
-        checks = monte_carlo_payments(sol, w, m, n_samples=30000, seed=7)
+        checks = monte_carlo_payments(sol, m, n_samples=30000, seed=7)
         assert len(checks) == 4
         for chk in checks:
             assert abs(chk.z_score) < 4.0
@@ -200,7 +200,7 @@ def test_monte_carlo_total_payment_covers_effort():
     # empirical totals should agree within a conservative s.e. budget
     m = two_firm_market(0.0)
     w, sol = _solved(m)
-    checks = monte_carlo_payments(sol, w, m, n_samples=40000, seed=11)
+    checks = monte_carlo_payments(sol, m, n_samples=40000, seed=11)
     for i in range(m.n_sources):
         per_source = [c for c in checks if c.source == i]
         total = sum(c.empirical_mean for c in per_source)
@@ -215,7 +215,7 @@ def test_monte_carlo_zero_slope_buyer():
     d_mod = sol.d.copy()
     d_mod[0] = 0.0
     quiet = solution_from_d(d_mod, w, m)
-    checks = monte_carlo_payments(quiet, w, m, n_samples=2000, seed=3)
+    checks = monte_carlo_payments(quiet, m, n_samples=2000, seed=3)
     for chk in checks:
         if chk.buyer == 0:
             assert chk.z_score == 0.0
@@ -250,11 +250,11 @@ def _monte_carlo_payments_loop(sol, w, m, f_coeffs, n_samples, seed):
             coefs = reports[:, rest] @ np.linalg.pinv(X).T
             predicted = coefs @ basis_i
             fit_bias = float(basis_i @ np.linalg.pinv(X) @ f(xs[rest]) - f(xs[i]))
-            payments = sol.c_canonical[j, i] - sol.d[j, i] * (reports[:, i] - (predicted - fit_bias)) ** 2
+            payments = sol.c_polytope.canonical[j, i] - sol.d[j, i] * (reports[:, i] - (predicted - fit_bias)) ** 2
 
             empirical = float(payments.mean())
             std_error = float(payments.std(ddof=1)) / math.sqrt(n_samples)
-            analytic = float(sol.c_canonical[j, i] - sol.d[j, i] * (w.xi[j, i] @ sol.variances))
+            analytic = float(sol.c_polytope.canonical[j, i] - sol.d[j, i] * (w.xi[j, i] @ sol.variances))
             if std_error == 0.0:
                 z = 0.0 if empirical == analytic else math.inf
             else:
@@ -290,8 +290,10 @@ def _contract_book(rng, n, degrees):
     w = compute_weights(m)
     d = w.gamma * rng.uniform(0.5, 1.5, w.gamma.shape)
     variances = 1.0 / (2.0 * np.asarray(m.alphas()) * d.sum(axis=0))
-    c = d * (w.xi @ variances) + rng.uniform(0.0, 1.0, d.shape)
-    return m, w, SimpleNamespace(d=d, c_canonical=c, variances=variances)
+    pen = d * (w.xi @ variances)
+    c = pen + rng.uniform(0.0, 1.0, d.shape)
+    return m, w, SimpleNamespace(d=d, variances=variances,
+                                 c_polytope=SimpleNamespace(L=pen, canonical=c))
 
 
 @pytest.mark.parametrize("f_coeffs", [(1.5,), (0.0, 1.0), (0.3, -1.0, 0.0, 2.0)],
@@ -302,7 +304,7 @@ def test_noise_only_payments_match_the_truth_loop(f_coeffs):
     rng = np.random.default_rng(6061)
     for n, degrees in _PAYMENT_CASES:
         m, w, sol = _contract_book(rng, n, degrees)
-        got = monte_carlo_payments(sol, w, m, n_samples=3000, seed=n)
+        got = monte_carlo_payments(sol, m, n_samples=3000, seed=n)
         want = _monte_carlo_payments_loop(sol, w, m, f_coeffs, 3000, seed=n)
         assert len(got) == len(want) == n * len(degrees)
         for chk, (j, i, empirical, analytic, std_error, z) in zip(got, want):
@@ -388,7 +390,7 @@ def test_payment_simulation_memory_does_not_grow_with_samples():
     m, w, sol = _contract_book(np.random.default_rng(8), 8, (1, 2))
     tracemalloc.start()
     try:
-        monte_carlo_payments(sol, w, m, n_samples=100_000, seed=1)
+        monte_carlo_payments(sol, m, n_samples=100_000, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

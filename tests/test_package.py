@@ -12,12 +12,13 @@ SUBMODULES = ("market", "estimators", "equilibrium", "welfare", "oracle")
 PACKAGE_DIR = pathlib.Path(datamarket.__file__).parent
 
 # Public names deleted because no command used them, because the solve
-# and the oracles no longer share a coupling system, or because the
-# vectorized source response replaced them; see CHANGES.md.
+# and the oracles no longer share a coupling system, because the
+# vectorized source response replaced them, or because complete_solution
+# builds the whole payment polytope; see CHANGES.md.
 DELETED = {
     "market": ("effort_from_d_total", "variance_from_d_total"),
     "estimators": ("h_weight", "loo_weight_tensor", "loss_weight_matrix"),
-    "equilibrium": ("CouplingSystem", "build_coupling_system"),
+    "equilibrium": ("CouplingSystem", "build_coupling_system", "c_polytope", "canonical_c"),
     "welfare": ("social_loss", "social_optimum_efforts"),
     "oracle": ("eval_buyer_cost",),
     "cli": ("market_to_config",),

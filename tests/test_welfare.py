@@ -117,21 +117,21 @@ def test_decoupled_poa_is_one():
     w, sol = _solved(m)
     report = price_of_anarchy(sol, w, m)
     assert abs(report.poa - 1.0) <= 1e-12
-    assert report.efforts_eq == pytest.approx(report.efforts_opt, abs=1e-12)
+    assert sol.efforts == pytest.approx(report.efforts_opt, abs=1e-12)
 
 
 def test_equilibrium_oversupplies_effort(solved_suite):
     for m, w, sol in solved_suite:
         report = price_of_anarchy(sol, w, m)
         assert report.loss_eq > report.loss_opt
-        assert (report.efforts_eq - report.efforts_opt).max() > 0.0
+        assert (sol.efforts - report.efforts_opt).max() > 0.0
         assert report.poa > 1.0
 
 
 def test_decoupled_markets_reach_the_optimum(decoupled_suite):
     for m, w, sol in decoupled_suite:
         report = price_of_anarchy(sol, w, m)
-        assert np.abs(report.efforts_eq - report.efforts_opt).max() <= 1e-12
+        assert np.abs(sol.efforts - report.efforts_opt).max() <= 1e-12
         assert abs(report.poa - 1.0) <= 1e-12
 
 
