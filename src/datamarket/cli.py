@@ -56,8 +56,8 @@ from .welfare import (
 )
 from .oracle import (
     best_response_check,
-    monte_carlo_payments,
     neumann_dynamics,
+    payment_moments,
 )
 
 EXIT_OK = 0
@@ -68,9 +68,6 @@ EXIT_CERTIFICATION = 3
 # A sweep is one curve: more points than this is a malformed spec, and an
 # unbounded count would exhaust memory before the first row.
 MAX_SWEEP_STEPS = 10_000
-# The payment simulation streams its draws, so only its time grows with
-# --samples: 21-24 s at this count and N = 8 on one Xeon core.
-MAX_CHECK_SAMPLES = 10**8
 # Floats per buyer in check's grid, (1 + N*steps + steps**2) * N: at ~91 B each, ~256 MB peak.
 MAX_CHECK_GRID = 2_800_000
 # Coupling-matrix entries (8 bytes each) per batch of sweep rows computed
@@ -518,13 +515,11 @@ def _cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_check(args) -> int:
-    # one sample has no spread, and a grid of one point or an empty box
-    # searches nothing: each would certify without testing anything
-    if (not 2 <= args.samples <= MAX_CHECK_SAMPLES or args.steps < 2
-            or not (math.isfinite(args.radius) and args.radius > 0.0)):
-        raise ValueError(f"check needs --samples from 2 to {MAX_CHECK_SAMPLES}, --steps >= 2 "
-                         "and a positive finite --radius")
-    # past radius 1 the box holds negative slopes; numpy rejects a negative seed mid-report
+    # a grid of one point or an empty box searches nothing: either would
+    # certify without testing anything
+    if args.steps < 2 or not (math.isfinite(args.radius) and args.radius > 0.0):
+        raise ValueError("check needs --steps >= 2 and a positive finite --radius")
+    # past radius 1 the box holds negative slopes; --seed keeps its old range
     if args.radius > 1.0 or args.seed < 0:
         raise ValueError("check needs --radius at most 1 and --seed >= 0")
     m = _load_market(args.config)
@@ -576,15 +571,14 @@ def _cmd_check(args) -> int:
         if rho < 0.99:
             failures.append("fixed-point iteration failed to converge despite rho < 0.99")
 
-    checks = monte_carlo_payments(sol, m, n_samples=args.samples, seed=args.seed)
-    for chk in checks:
-        print(f"payment buyer {chk.buyer + 1} source {chk.source + 1}: "
-              f"empirical {_fmt(chk.empirical_mean)} analytic {_fmt(chk.analytic_mean)} "
-              f"z {chk.z_score:+.2f}")
+    pay = payment_moments(sol, m)
+    for (j, i), z in np.ndenumerate(pay.z_score):
+        print(f"payment buyer {j + 1} source {i + 1}: empirical {_fmt(pay.exact_mean[j, i])} "
+              f"analytic {_fmt(pay.analytic_mean[j, i])} z {z:+.2f}")
     # np.max propagates NaN, and a NaN z-score must fail
-    worst = float(np.max(np.abs([chk.z_score for chk in checks]), initial=0.0))
-    if not worst < 4.0:
-        failures.append(f"payment simulation disagrees with closed form (|z| = {worst:.2f})")
+    worst = float(np.max(np.abs(pay.z_score), initial=0.0))
+    if not worst <= 1.0:
+        failures.append(f"exact payment means disagree with the payment floors (|z| = {worst:.2f})")
 
     if failures:
         print("certification: FAIL")
@@ -648,8 +642,8 @@ def main(argv=None) -> int:
 
     p_check = sub.add_parser("check", help="certify a solved market with independent oracles")
     p_check.add_argument("config", help="market config JSON")
-    p_check.add_argument("--seed", type=int, default=42, help="simulation seed")
-    p_check.add_argument("--samples", type=int, default=100000, help="simulation rounds")
+    p_check.add_argument("--seed", type=int, default=42,
+                         help="accepted for older scripts; it no longer changes the result")
     p_check.add_argument("--radius", type=float, default=0.5, help="deviation box half-width")
     p_check.add_argument("--steps", type=int, default=41, help="grid points per coordinate")
     p_check.add_argument("--perturb", default=None, metavar="BUYER,SOURCE,DELTA",

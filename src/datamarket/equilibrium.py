@@ -214,13 +214,14 @@ def solve_rows(A: np.ndarray, gamma: np.ndarray, alphas: np.ndarray) -> tuple:
     dvec = np.linalg.solve(eye_minus_a, gamma_vec[..., None])[..., 0]
 
     scale = 1.0 + np.abs(dvec).max(axis=-1, initial=0.0)
-    # slopes that overflowed make the residual NaN; _induced_quantities rejects their rows
+    # slopes that overflowed make the residual NaN, which fails the limit
     with np.errstate(over="ignore", invalid="ignore"):
         residual = np.abs(dvec - (A @ dvec[..., None])[..., 0] - gamma_vec).max(axis=-1) / scale
     lowest = dvec.min(axis=-1, initial=0.0)
+    off_limit = ~(residual <= _RESIDUAL_HARD_LIMIT)
     errors = [None] * n_rows
-    for r in np.flatnonzero((residual > _RESIDUAL_HARD_LIMIT) | (lowest < -1e-12 * scale)):
-        if residual[r] > _RESIDUAL_HARD_LIMIT:
+    for r in np.flatnonzero(off_limit | (lowest < -1e-12 * scale)):
+        if off_limit[r]:
             errors[r] = NumericFailure(
                 f"fixed-point residual {residual[r]:.3g} exceeds {_RESIDUAL_HARD_LIMIT:g}")
         else:

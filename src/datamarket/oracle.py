@@ -3,15 +3,16 @@
 Nothing here reuses the linear-algebra route that produced the solution:
 best responses are certified by brute-force grid search over deviations,
 the fixed point is re-derived by iterating the best-response map, and the
-payment algebra is validated by Monte Carlo simulation of the reporting
-protocol.  The simulation fits each leave-one-out prediction with its own
-pseudo-inverse, never with the weights of ``estimators``, and draws the
-noise alone: the ground truth cancels from every settled payment.
+payment algebra is validated by the exact mean of each settled payment of
+the reporting protocol.  That mean comes from each leave-one-out fit's own
+pseudo-inverse, never from the weights of ``estimators``, and it is
+deterministic: no noise is drawn.  It must match the polytope's floors to
+a relative tolerance that grows with the squared condition number of the
+buyer's designs.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,16 +27,12 @@ __all__ = [
     "PaymentCheck",
     "best_response_check",
     "neumann_dynamics",
-    "monte_carlo_payments",
+    "payment_moments",
 ]
 
 # Fixed-point iteration: sweep budget and relative step that counts as converged.
 NEUMANN_MAX_ITERS = 10000
 NEUMANN_TOL = 1e-12
-
-# Samples per block of the payment simulation: at N = 8 a block of draws and
-# its squared residuals take well under a 4 MB L2 cache.
-_MC_BLOCK = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -179,109 +176,75 @@ def neumann_dynamics(w: SeparableWeights) -> NeumannResult:
 
 
 # ---------------------------------------------------------------------------
-# payment simulation
+# payment means
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class PaymentCheck:
-    buyer: int
-    source: int
-    empirical_mean: float
-    analytic_mean: float
-    std_error: float
-    z_score: float
+    """Exact settled-payment means against the polytope, per (buyer, source).
+
+    ``exact_mean`` and ``analytic_mean`` are (M, N); ``tolerance`` holds each
+    buyer's relative tolerance and ``z_score`` the signed gap
+    ``exact_mean - analytic_mean`` in units of ``tolerance * |L|``.
+    """
+
+    exact_mean: np.ndarray
+    analytic_mean: np.ndarray
+    tolerance: np.ndarray
+    z_score: np.ndarray
 
 
-def _loo_residual_operator(xs: np.ndarray, degree: int) -> np.ndarray:
-    """``I - P`` for the leave-one-out prediction operator P of one degree.
+def _loo_residual_operator(xs: np.ndarray, degree: int) -> tuple:
+    """``I - P`` for the leave-one-out prediction operator P of one degree,
+    and the largest condition number of its designs.
 
     Row i of P is ``basis(x_i) @ pinv(vander(x_-i))`` at the other sources,
     with a zero diagonal, so row i of ``(I - P) @ noise`` is source i's
-    settled residual.
+    settled residual.  One SVD of the stacked designs gives both: the
+    pseudo-inverses, cut off as ``np.linalg.pinv`` cuts them, and each
+    design's condition number.
     """
     n = xs.size
     off = ~np.eye(n, dtype=bool)
-    designs = np.stack([np.vander(xs[row], degree + 1, increasing=True) for row in off])
-    basis = xs[:, None] ** np.arange(degree + 1)
+    designs = np.vander(np.broadcast_to(xs, (n, n))[off], degree + 1, increasing=True)
+    u, s, vt = np.linalg.svd(designs.reshape(n, n - 1, -1), full_matrices=False)
+    inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=s > 1e-15 * s[:, :1])
+    basis = np.vander(xs, degree + 1, increasing=True)
+    coef = np.einsum("ik,irk->ir", basis, vt) * inv_s
     predict = np.zeros((n, n))
-    predict[off] = np.einsum("ik,ikl->il", basis, np.linalg.pinv(designs)).ravel()
-    return np.eye(n) - predict
+    predict[off] = np.einsum("ir,imr->im", coef, u).ravel()
+    return np.eye(n) - predict, float((s[:, 0] / s[:, -1]).max())
 
 
-def _residual_moments(op: np.ndarray, rng: np.random.Generator, n_samples: int) -> tuple:
-    """Per-row mean and spread of the squared residuals ``(op @ z)**2``.
+def payment_moments(sol: EquilibriumSolution, m: MarketInstance) -> PaymentCheck:
+    """Expected settled payments of the reporting protocol, in closed form.
 
-    ``z`` runs over ``n_samples`` standard normal draws of ``op.shape[1]``
-    sources, drawn ``_MC_BLOCK`` rows at a time: the generator fills in
-    order, so the blocks are the rows of one ``(n_samples, N)`` draw.  Each
-    block's residuals come from one matmul, a row per operator row, squared
-    and centered in place; its count, mean and sum of squared deviations
-    are merged into the running ones by the pairwise update of Chan, Golub
-    & LeVeque (1983).  Memory does not grow with ``n_samples``.
+    A source's settled payment from buyer j is ``c[j, i] - d[j, i] * r_i**2``,
+    with r its report's residual against the buyer's leave-one-out fit of
+    the others.  The ground truth cancels from r, so ``r = op @ noise`` with
+    ``op = I - P`` built here from ``pinv`` of each leave-one-out design,
+    never from the weights of ``estimators``, and independent noise gives
+    ``E[r_i**2] = sum_l op[i, l]**2 * variances[l]``.  That mean is compared
+    with the analytic one, the canonical payment less the acceptability
+    floor ``L``, at the relative tolerance ``1e-10 + 64 * kappa**2 * 2**-53``:
+    ``L`` comes from normal equations, whose rounding grows with the square
+    of the largest condition number kappa among the buyer's designs.
+    ``sol`` must carry its payment polytope (``complete_solution`` or
+    ``solution_from_d``).
     """
-    n_rows, n = op.shape
-    count = 0
-    mean = np.zeros(n_rows)
-    m2 = np.zeros(n_rows)
-    for start in range(0, n_samples, _MC_BLOCK):
-        size = min(_MC_BLOCK, n_samples - start)
-        r = op @ rng.standard_normal((size, n)).T
-        np.square(r, out=r)
-        block_mean = r.mean(axis=1)
-        r -= block_mean[:, None]
-        np.square(r, out=r)
-        delta = block_mean - mean
-        total = count + size
-        mean += delta * (size / total)
-        m2 += r.sum(axis=1) + delta * delta * (count * size / total)
-        count = total
-    return mean, np.sqrt(m2 / (n_samples - 1))
-
-
-def monte_carlo_payments(sol: EquilibriumSolution, m: MarketInstance,
-                         n_samples: int, seed: int) -> list:
-    """Simulate the reporting protocol and compare payments to closed form.
-
-    Every round draws one report per source at the equilibrium variance,
-    fits each buyer's leave-one-out estimator per source, and settles the
-    quadratic contract.  For any design, the prediction minus its
-    deterministic fit offset is ``f(x_i) + basis_i @ pinv(X) @ noise_rest``,
-    so the ground truth ``f`` cancels from the settled residual and only the
-    noise is simulated.  The noise is drawn in units of the largest standard
-    deviation, so neither a squared residual nor its spread underflows when
-    the variances are tiny.  The residual operators of the distinct
-    estimator degrees are stacked into one, so each block of draws takes
-    one matmul, and buyers of one degree share its rows.  The empirical mean
-    payment per (buyer, source) is compared with the analytic expectation,
-    the canonical payment less the acceptability floor ``L``, through a
-    z-score; systematic errors in the weight algebra show up as |z| far
-    above 4.  ``sol`` must carry its payment polytope (``complete_solution``
-    or ``solution_from_d``).
-    """
-    rng = np.random.default_rng(seed)
     xs = np.asarray(m.locations(), dtype=float)
-    sigmas = np.sqrt(np.asarray(sol.variances, dtype=float))
-    scale = float(sigmas.max())
-    degrees = sorted({b.estimator.degree for b in m.buyers})
-    op = np.vstack([_loo_residual_operator(xs, g) for g in degrees]) * (sigmas / scale)[None, :]
-    means, spreads = _residual_moments(op, rng, int(n_samples))
-    moments = dict(zip(degrees, zip(means.reshape(len(degrees), -1),
-                                    spreads.reshape(len(degrees), -1))))
-
+    degrees = np.array([b.estimator.degree for b in m.buyers])
     poly = sol.c_polytope
-    out = []
-    for j, b in enumerate(m.buyers):
-        mean, spread = moments[b.estimator.degree]
-        slope = sol.d[j] * scale * scale
-        empirical = poly.canonical[j] - slope * mean
-        std_error = np.abs(slope) * spread / math.sqrt(n_samples)
-        analytic = poly.canonical[j] - poly.L[j]
-        for i, (e, a, se) in enumerate(zip(empirical.tolist(), analytic.tolist(),
-                                           std_error.tolist())):
-            if se == 0.0:
-                z = 0.0 if e == a else math.inf
-            else:
-                z = (e - a) / se
-            out.append(PaymentCheck(buyer=j, source=i, empirical_mean=e, analytic_mean=a,
-                                    std_error=se, z_score=z))
-    return out
+    mean_square = np.empty(poly.L.shape)
+    tolerance = np.empty(len(degrees))
+    for g in set(degrees.tolist()):
+        op, kappa = _loo_residual_operator(xs, g)
+        mean_square[degrees == g] = (op * op) @ sol.variances
+        tolerance[degrees == g] = 1e-10 + 64.0 * kappa * kappa * 2.0 ** -53
+    penalty = sol.d * mean_square
+    gap = poly.L - penalty
+    # a zero floor (a zero slope) is matched exactly or not at all
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.where(gap == 0.0, 0.0, gap / np.abs(poly.L) / tolerance[:, None])
+    return PaymentCheck(exact_mean=poly.canonical - penalty, analytic_mean=poly.canonical - poly.L,
+                        tolerance=tolerance, z_score=z)

@@ -32,8 +32,10 @@ from datamarket import (
     NumericFailure,
     SingularDesignError,
     UndefinedPoaError,
+    complete_solution,
     compute_weights,
     coupling_radius,
+    payment_moments,
     price_of_anarchy,
     solve_equilibrium_d,
     validate_market,
@@ -194,7 +196,7 @@ def _reject_constant(name):
 
 @pytest.mark.parametrize("flags, codes", [
     (["welfare"], (0, 1, 2)),
-    (["check", "--samples", "200", "--steps", "5"], (0, 1, 2, 3)),
+    (["check", "--steps", "5"], (0, 1, 2, 3)),
 ], ids=["welfare", "check"])
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(edits=st.lists(st.tuples(st.sampled_from(_leaf_paths(_TWO_FIRM)), _JSON_VALUES),
@@ -428,7 +430,7 @@ def test_slopes_near_the_float_limit_warn_nothing(tmp_path, capsys):
     assert captured.err == ""
     assert main(["welfare", str(cfg)]) == 1
     assert capsys.readouterr() == ("", "error: buyer 0 has eta 1e-308; welfare accounting requires eta == 1\n")
-    assert main(["check", str(cfg), "--samples", "200", "--steps", "3"]) == 1
+    assert main(["check", str(cfg), "--steps", "3"]) == 1
     assert capsys.readouterr() == (
         "spectral radius: 0\n",
         "error: buyer 0, source 0: deviation box around slope 1.72495e+308 overflows a float\n")
@@ -451,7 +453,7 @@ def test_slopes_that_overflow_are_rejected_without_a_warning(tmp_path, capsys):
     cfg.write_text(json.dumps(NAN_RESIDUAL_DOC))
     for command in ("solve", "welfare", "check"):
         assert main([command, str(cfg)]) == 1
-        assert capsys.readouterr() == ("", "error: source 0 attracts total slope nan; its effort is undefined\n")
+        assert capsys.readouterr() == ("", "error: fixed-point residual nan exceeds 1e-08\n")
     spec = write_sweep(tmp_path, NAN_RESIDUAL_DOC, 1e-9, 1.0, 3, param="sources[1].alpha")
     out = tmp_path / "out.csv"
     assert main(["sweep", str(spec), "--out", str(out)]) == 0
@@ -485,7 +487,7 @@ def test_coupling_matrix_built_once_per_market(tmp_path, monkeypatch, command, m
     argv = {
         "solve": ["solve", cfg],
         "welfare": ["welfare", cfg],
-        "check": ["check", cfg, "--samples", "1000", "--steps", "5"],
+        "check": ["check", cfg, "--steps", "5"],
         "sweep": ["sweep", spec, "--out", str(tmp_path / "rows.csv")],
     }[command]
     assert main(argv) == code
@@ -518,7 +520,7 @@ def test_vanishing_eta_writes_only_the_error_line(tmp_path):
     spec = write_sweep(tmp_path, market_to_config(two_firm_market(0.0)), 1e-308, 1.0, 3,
                        param="buyers[0].eta")
     for argv, lines in ((["solve", str(cfg)], 1), (["welfare", str(cfg)], 1),
-                        (["check", str(cfg), "--samples", "200", "--steps", "3"], 1),
+                        (["check", str(cfg), "--steps", "3"], 1),
                         (["sweep", str(spec), "--out", str(tmp_path / "eta.csv")], 0)):
         proc = subprocess.run([sys.executable, "-m", "datamarket"] + argv,
                               capture_output=True, text=True)
@@ -539,7 +541,7 @@ def test_subnormal_eta_names_the_buyer(tmp_path):
     spec = write_sweep(tmp_path, doc, 5e-324, 1.0, 2, param="buyers[0].eta")
     rows_csv = tmp_path / "subnormal.csv"
     for argv in (["solve", str(cfg)], ["welfare", str(cfg)],
-                 ["check", str(cfg), "--samples", "200", "--steps", "3"],
+                 ["check", str(cfg), "--steps", "3"],
                  ["sweep", str(spec), "--out", str(rows_csv)]):
         proc = subprocess.run([sys.executable, "-m", "datamarket"] + argv,
                               capture_output=True, text=True)
@@ -579,7 +581,7 @@ def test_overflowing_effort_exits_1(tmp_path, capsys, alpha, eta, total, sweep, 
     cfg.write_text(json.dumps(doc))
     out = tmp_path / "sol.json"
     for argv in (["solve", str(cfg), "--json-out", str(out)], ["welfare", str(cfg)],
-                 ["check", str(cfg), "--samples", "200", "--steps", "5"]):
+                 ["check", str(cfg), "--steps", "5"]):
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -686,13 +688,13 @@ def test_solve_json_out_matches_json_dumps(tmp_path, monkeypatch, capsys, market
 
 def test_check_passes(tmp_path, capsys):
     cfg = write_config(tmp_path, two_firm_market(0.0))
-    assert main(["check", str(cfg), "--seed", "42", "--samples", "20000"]) == 0
+    assert main(["check", str(cfg), "--seed", "42"]) == 0
     assert "certification: PASS" in capsys.readouterr().out
 
 
 def test_check_perturbed_fails(tmp_path, capsys):
     cfg = write_config(tmp_path, two_firm_market(0.0))
-    code = main(["check", str(cfg), "--samples", "5000", "--perturb", "1,1,0.5"])
+    code = main(["check", str(cfg), "--perturb", "1,1,0.5"])
     assert code == 3
     assert "certification: FAIL" in capsys.readouterr().out
 
@@ -703,7 +705,7 @@ def test_check_negative_slope_searches_a_box(capsys):
     # is costed with re-tightened flats like every deviation, and it too
     # can improve
     cfg = os.path.join(ROOT, "configs", "two_firm.json")
-    assert main(["check", cfg, "--samples", "5000", "--perturb", "1,1,-2.3"]) == 3
+    assert main(["check", cfg, "--perturb", "1,1,-2.3"]) == 3
     captured = capsys.readouterr()
     assert "best response buyer 1: max improvement 0.0149 (tolerance 1.76e-06) IMPROVABLE" in captured.out
     assert "best response buyer 2: max improvement 0.00645" in captured.out
@@ -729,7 +731,7 @@ def test_check_zero_slope_searches_a_real_grid(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(datamarket.oracle, "_deviation_costs", recorded)
     cfg = write_config(tmp_path, m)
-    assert main(["check", str(cfg), "--samples", "5000", "--steps", "5"]) == 0
+    assert main(["check", str(cfg), "--steps", "5"]) == 0
     assert "best response buyer 1: max improvement 0 (tolerance 1e-06) certified" in capsys.readouterr().out
     assert len(grids) == 3
     for cands in grids:
@@ -742,27 +744,27 @@ def test_fixed_point_iteration_does_not_use_the_solves_matrix(monkeypatch, capsy
     real = datamarket.equilibrium.coupling_matrix
     monkeypatch.setattr(datamarket.equilibrium, "coupling_matrix", lambda xi: 0.5 * real(xi))
     cfg = os.path.join(ROOT, "configs", "two_firm.json")
-    assert main(["check", cfg, "--samples", "5000"]) == 3
+    assert main(["check", cfg]) == 3
     assert "iterative and direct solutions disagree (0.468)" in capsys.readouterr().err
 
 
 def test_check_bad_perturb_flag(tmp_path):
     cfg = write_config(tmp_path, two_firm_market(0.0))
-    assert main(["check", str(cfg), "--perturb", "9,9,0.5", "--samples", "1000"]) == 1
+    assert main(["check", str(cfg), "--perturb", "9,9,0.5"]) == 1
 
 
 def test_check_overflowing_slopes_exit_1(tmp_path, capsys):
     # a vanishing eta scales the slopes to ~1e308: their total overflows and
     # the solve rejects it before any oracle runs
     cfg = write_config(tmp_path, two_firm_market(0.0, etas=(1e-308, 1.0)))
-    assert main(["check", str(cfg), "--samples", "200", "--steps", "3"]) == 1
+    assert main(["check", str(cfg), "--steps", "3"]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: source 0 attracts total slope inf")
     assert captured.out == ""
 
 
 @pytest.mark.parametrize("flags", [
-    ["--samples", "1"], ["--samples", "0"],
+    ["--steps", "-1"], ["--radius", "-0.0"],
     ["--steps", "1"], ["--steps", "0"],
     ["--radius", "-1"], ["--radius", "0"], ["--radius", "nan"], ["--radius", "inf"],
     ["--radius", "1.5"], ["--radius", "1e300"], ["--radius", "1e308"], ["--seed", "-1"],
@@ -775,17 +777,27 @@ def test_check_rejects_vacuous_search(tmp_path, capsys, flags):
     assert captured.err.startswith("error: check needs")
 
 
-def test_check_rejects_too_many_samples_before_loading(tmp_path, capsys):
-    # the simulation's time grows with --samples, so an absurd count is an
-    # input error, reported before the config is read; the config is
-    # missing, so no build can reach the simulation
-    too_many = str(datamarket.cli.MAX_CHECK_SAMPLES + 1)
-    argv = ["check", str(tmp_path / "missing.json"), "--samples", too_many]
-    assert main(argv) == 1
+def test_check_rejects_the_samples_flag(tmp_path, capsys):
+    # the payment means are exact, so there is no simulation to size: the
+    # flag is a usage error, reported before the config is read
+    argv = ["check", str(tmp_path / "missing.json"), "--samples", "1000"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("error: check needs --samples from 2 to 100000000, --steps >= 2 "
-                            "and a positive finite --radius\n")
+    assert captured.err.endswith("datamarket: error: unrecognized arguments: --samples 1000\n")
+
+
+def test_check_output_does_not_depend_on_the_seed(capsys):
+    # --seed is still accepted, but nothing the check prints is drawn
+    cfg = os.path.join(ROOT, "configs", "two_firm.json")
+    outputs = []
+    for seed in ("1", "2"):
+        assert main(["check", cfg, "--seed", seed]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].err == ""
 
 
 @pytest.mark.parametrize("steps", [1183, 100_000])
@@ -809,7 +821,7 @@ def test_check_deviation_grid_overflow_is_silent(tmp_path):
     cfg = tmp_path / "big_alpha.json"
     cfg.write_text(json.dumps(doc))
     proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "datamarket",
-                           "check", str(cfg), "--samples", "2000"],
+                           "check", str(cfg)],
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stderr == ""
@@ -818,9 +830,8 @@ def test_check_deviation_grid_overflow_is_silent(tmp_path):
 
 @pytest.mark.parametrize("eta", [1e-150, 1e-300])
 def test_check_tiny_eta_passes(tmp_path, capsys, eta):
-    # noise of sigma ~ sqrt(eta) used to vanish when added to the ground
-    # truth, and its squared spread to underflow; the simulation now draws
-    # the noise alone, in units of the largest sigma
+    # variances of ~eta: the exact payment means square no noise, so nothing
+    # underflows, and they match the floors within tolerance
     doc = json.loads(json.dumps(_TWO_FIRM))
     doc["buyers"][0]["eta"] = eta
     cfg = tmp_path / "tiny_eta.json"
@@ -831,20 +842,75 @@ def test_check_tiny_eta_passes(tmp_path, capsys, eta):
     assert "certification: PASS" in captured.out
     zs = [float(z) for z in re.findall(r" z (\S+)$", captured.out, re.M)]
     assert len(zs) == 4
-    assert max(abs(z) for z in zs) < 4.0
+    assert max(abs(z) for z in zs) <= 1.0
 
 
 def test_check_nan_z_score_fails(tmp_path, monkeypatch, capsys):
-    real = datamarket.cli.monte_carlo_payments
+    real = datamarket.cli.payment_moments
 
     def nan_z(*args, **kwargs):
-        checks = real(*args, **kwargs)
-        return [dataclasses.replace(checks[0], z_score=math.nan)] + checks[1:]
+        pay = real(*args, **kwargs)
+        z = pay.z_score.copy()
+        z[0, 0] = math.nan
+        return dataclasses.replace(pay, z_score=z)
 
-    monkeypatch.setattr(datamarket.cli, "monte_carlo_payments", nan_z)
+    monkeypatch.setattr(datamarket.cli, "payment_moments", nan_z)
     cfg = write_config(tmp_path, two_firm_market(0.0))
-    assert main(["check", str(cfg), "--samples", "1000"]) == 3
+    assert main(["check", str(cfg)]) == 3
     assert "certification: FAIL" in capsys.readouterr().out
+
+
+def test_check_catches_floors_off_by_one_part_in_a_million(monkeypatch, capsys):
+    # the sampled means missed a 1% error in L; the exact ones see 1e-6
+    real = datamarket.cli.complete_solution
+
+    def scaled_floors(sol, w):
+        sol = real(sol, w)
+        return dataclasses.replace(sol, c_polytope=dataclasses.replace(
+            sol.c_polytope, L=sol.c_polytope.L * (1.0 + 1e-6)))
+
+    monkeypatch.setattr(datamarket.cli, "complete_solution", scaled_floors)
+    assert main(["check", os.path.join(ROOT, "configs", "two_firm.json")]) == 3
+    captured = capsys.readouterr()
+    assert "certification: FAIL" in captured.out
+    assert "exact payment means disagree with the payment floors (|z| = " in captured.err
+
+
+# Five sources, three of them within 0.017 of each other, and one cubic
+# buyer: the leave-one-out designs reach condition number 2.5e5, so L, from
+# normal equations, is off the exact mean by up to 1.1e-6 relative.
+ILL_CONDITIONED_DOC = {
+    "sources": [{"x": x, "alpha": 1.0}
+                for x in (0.437214, 0.444292, 0.454252, 0.804653, 0.854959)],
+    "buyers": [{"estimator": {"kind": "polynomial-regression", "degree": 3},
+                "value_dist": {"kind": "uniform", "params": {"lo": -0.524122, "hi": 0.723586}},
+                "delta": [0.0], "eta": 1.0}],
+    "feature_domain": [-1.0, 1.0],
+}
+
+
+def test_check_ill_conditioned_market_passes(tmp_path, capsys):
+    # the tolerance grows with kappa**2, so rounding in L is not a failure
+    cfg = tmp_path / "ill_conditioned.json"
+    cfg.write_text(json.dumps(ILL_CONDITIONED_DOC))
+    assert main(["check", str(cfg)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "certification: PASS" in captured.out
+    m = market_from_config(ILL_CONDITIONED_DOC)
+    w = compute_weights(m)
+    sol = complete_solution(solve_equilibrium_d(w, m), w)
+    tolerance = payment_moments(sol, m).tolerance[0]
+    assert 1e-4 < tolerance < 1e-3
+    lines = re.findall(r"^payment buyer 1 source (\d): empirical (\S+) analytic (\S+) z (\S+)$",
+                       captured.out, re.M)
+    assert len(lines) == 5
+    gaps = []
+    for i, empirical, analytic, z in lines:
+        floor = sol.c_polytope.L[0, int(i) - 1]
+        gaps.append(abs(float(empirical) - float(analytic)) / floor)
+        assert abs(float(z)) <= 1.0
+    assert 1e-7 < max(gaps) <= tolerance
 
 
 # ---------------------------------------------------------------------------

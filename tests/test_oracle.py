@@ -1,6 +1,9 @@
 import ast
+import json
 import math
+import os
 import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,24 +11,28 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 
 import datamarket.oracle
-from datamarket.oracle import _MC_BLOCK, _loo_residual_operator, _residual_moments
+from datamarket.cli import market_from_config
+from datamarket.oracle import _loo_residual_operator
 from datamarket import (
     DataBuyer,
     DataSource,
     EstimatorSpec,
+    GammaNegativeError,
     MarketInstance,
     ValueDistribution,
     best_response_check,
     complete_solution,
     compute_weights,
-    monte_carlo_payments,
+    coupling_radius,
     neumann_dynamics,
+    payment_moments,
     solution_from_d,
     solve_equilibrium_d,
 )
 
 from conftest import two_firm_market
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 def _solved(m):
     w = compute_weights(m)
@@ -182,29 +189,124 @@ def test_neumann_stalls_near_unit_radius():
 
 
 # ---------------------------------------------------------------------------
-# payment simulation
+# payment means, and the simulation they replaced as the reference
 # ---------------------------------------------------------------------------
+
+# Samples per block of the reference simulation: at N = 8 a block of draws
+# and its squared residuals take well under a 4 MB L2 cache.
+_MC_BLOCK = 4096
+
+
+def _loo_residual_operator_pinv(xs, degree):
+    """Reference: ``I - P`` of one degree from ``np.linalg.pinv`` of each
+    leave-one-out design, the route the SVD-based operator replaced."""
+    n = xs.size
+    off = ~np.eye(n, dtype=bool)
+    designs = np.stack([np.vander(xs[row], degree + 1, increasing=True) for row in off])
+    basis = xs[:, None] ** np.arange(degree + 1)
+    predict = np.zeros((n, n))
+    predict[off] = np.einsum("ik,ikl->il", basis, np.linalg.pinv(designs)).ravel()
+    return np.eye(n) - predict
+
+
+def _residual_moments(op, rng, n_samples):
+    """Per-row mean and spread of the squared residuals ``(op @ z)**2``.
+
+    ``z`` runs over ``n_samples`` standard normal draws of ``op.shape[1]``
+    sources, drawn ``_MC_BLOCK`` rows at a time: the generator fills in
+    order, so the blocks are the rows of one ``(n_samples, N)`` draw.  Each
+    block's count, mean and sum of squared deviations are merged into the
+    running ones by the pairwise update of Chan, Golub & LeVeque (1983), so
+    memory does not grow with ``n_samples``.
+    """
+    n_rows, n = op.shape
+    count = 0
+    mean = np.zeros(n_rows)
+    m2 = np.zeros(n_rows)
+    for start in range(0, n_samples, _MC_BLOCK):
+        size = min(_MC_BLOCK, n_samples - start)
+        r = op @ rng.standard_normal((size, n)).T
+        np.square(r, out=r)
+        block_mean = r.mean(axis=1)
+        r -= block_mean[:, None]
+        np.square(r, out=r)
+        delta = block_mean - mean
+        total = count + size
+        mean += delta * (size / total)
+        m2 += r.sum(axis=1) + delta * delta * (count * size / total)
+        count = total
+    return mean, np.sqrt(m2 / (n_samples - 1))
+
+
+def _simulated_payments(sol, m, n_samples, seed):
+    """Reference: the reporting protocol simulated on the noise alone.
+
+    Draws ``n_samples`` rounds of reports at the equilibrium variances, in
+    units of the largest standard deviation, settles every (buyer, source)
+    contract against its leave-one-out fit, and returns per pair
+    ``(buyer, source, empirical, analytic, std_error, z)``: the sample mean
+    payment, the canonical payment less the floor ``L``, the mean's
+    standard error and their z-score.
+    """
+    rng = np.random.default_rng(seed)
+    xs = np.asarray(m.locations(), dtype=float)
+    sigmas = np.sqrt(np.asarray(sol.variances, dtype=float))
+    scale = float(sigmas.max())
+    degrees = sorted({b.estimator.degree for b in m.buyers})
+    op = np.vstack([_loo_residual_operator_pinv(xs, g) for g in degrees]) * (sigmas / scale)[None, :]
+    means, spreads = _residual_moments(op, rng, int(n_samples))
+    moments = dict(zip(degrees, zip(means.reshape(len(degrees), -1),
+                                    spreads.reshape(len(degrees), -1))))
+
+    poly = sol.c_polytope
+    out = []
+    for j, b in enumerate(m.buyers):
+        mean, spread = moments[b.estimator.degree]
+        slope = sol.d[j] * scale * scale
+        empirical = poly.canonical[j] - slope * mean
+        std_error = np.abs(slope) * spread / math.sqrt(n_samples)
+        analytic = poly.canonical[j] - poly.L[j]
+        for i, (e, a, se) in enumerate(zip(empirical.tolist(), analytic.tolist(),
+                                           std_error.tolist())):
+            if se == 0.0:
+                z = 0.0 if e == a else math.inf
+            else:
+                z = (e - a) / se
+            out.append((j, i, e, a, se, z))
+    return out
+
+
+def _assert_in_simulated_band(pay, simulated):
+    # every exact mean lies within 4 standard errors of the simulated one
+    for j, i, empirical, analytic, std_error, z in simulated:
+        assert pay.analytic_mean[j, i] == analytic
+        assert abs(pay.exact_mean[j, i] - empirical) <= 4.0 * std_error, (j, i)
+
 
 def test_monte_carlo_two_firm():
     for x1 in (-1.0, 0.0):
         m = two_firm_market(x1)
         w, sol = _solved(m)
-        checks = monte_carlo_payments(sol, m, n_samples=30000, seed=7)
-        assert len(checks) == 4
-        for chk in checks:
-            assert abs(chk.z_score) < 4.0
+        pay = payment_moments(sol, m)
+        assert pay.z_score.shape == (2, 2)
+        assert (np.abs(pay.z_score) <= 1.0).all()
+        simulated = _simulated_payments(sol, m, n_samples=30000, seed=7)
+        assert all(abs(z) < 4.0 for *_, z in simulated)
+        _assert_in_simulated_band(pay, simulated)
 
 
 def test_monte_carlo_total_payment_covers_effort():
     # summed over buyers, expected payments compensate effort exactly; the
-    # empirical totals should agree within a conservative s.e. budget
+    # simulated totals agree within a conservative s.e. budget
     m = two_firm_market(0.0)
     w, sol = _solved(m)
-    checks = monte_carlo_payments(sol, m, n_samples=40000, seed=11)
+    pay = payment_moments(sol, m)
+    np.testing.assert_allclose(pay.exact_mean.sum(axis=0), sol.efforts, rtol=1e-12, atol=0.0)
+    simulated = _simulated_payments(sol, m, n_samples=40000, seed=11)
     for i in range(m.n_sources):
-        per_source = [c for c in checks if c.source == i]
-        total = sum(c.empirical_mean for c in per_source)
-        budget = sum(c.std_error for c in per_source)
+        per_source = [(e, se) for _, source, e, _, se, _ in simulated if source == i]
+        total = sum(e for e, _ in per_source)
+        budget = sum(se for _, se in per_source)
         assert abs(total - sol.efforts[i]) <= 4.0 * budget
 
 
@@ -215,11 +317,62 @@ def test_monte_carlo_zero_slope_buyer():
     d_mod = sol.d.copy()
     d_mod[0] = 0.0
     quiet = solution_from_d(d_mod, w, m)
-    checks = monte_carlo_payments(quiet, m, n_samples=2000, seed=3)
-    for chk in checks:
-        if chk.buyer == 0:
-            assert chk.z_score == 0.0
-            assert chk.empirical_mean == chk.analytic_mean
+    pay = payment_moments(quiet, m)
+    assert (pay.z_score[0] == 0.0).all()
+    assert np.array_equal(pay.exact_mean[0], pay.analytic_mean[0])
+    for j, i, empirical, analytic, std_error, z in _simulated_payments(quiet, m, 2000, 3):
+        if j == 0:
+            assert z == 0.0
+            assert empirical == analytic
+
+
+def test_exact_means_lie_in_the_simulated_band():
+    # the two-firm config and feasible markets built as the check benchmark
+    # builds them (N 2-8, degrees 1-2, alphas set to 1 / d_total so that
+    # every effort is positive): the exact means certify, and each lies
+    # within 4 standard errors of a 100,000-round simulation
+    with open(os.path.join(ROOT, "configs", "two_firm.json"), encoding="utf-8") as fh:
+        markets = [market_from_config(json.load(fh))]
+    rng = np.random.default_rng(905)
+    for n, degrees in ((2, (1, 1)), (3, (2, 2)), (5, (1, 1)), (8, (1, 2)), (8, (1, 1, 1))):
+        while True:
+            xs = ((np.arange(n) + rng.uniform(0.2, 0.8, n)) / n) * 2.0 - 1.0
+            delta = rng.uniform(0.0, 0.05, (len(degrees), len(degrees)))
+            np.fill_diagonal(delta, 0.0)
+            buyers = tuple(DataBuyer(EstimatorSpec.polynomial(g),
+                                     ValueDistribution.uniform(*np.sort(rng.uniform(-1.0, 1.0, 2))),
+                                     tuple(row))
+                           for g, row in zip(degrees, delta))
+            m = MarketInstance(sources=tuple(DataSource(float(x), 1.0) for x in xs),
+                               buyers=buyers, feature_domain=(-1.0, 1.0))
+            try:
+                w = compute_weights(m)
+            except GammaNegativeError:
+                continue
+            if coupling_radius(w.xi) < 0.99:
+                break
+        d_total = solve_equilibrium_d(w, m).d_total
+        markets.append(replace(m, sources=tuple(DataSource(float(x), float(1.0 / t))
+                                                for x, t in zip(xs, d_total))))
+    for k, m in enumerate(markets):
+        w, sol = _solved(m)
+        pay = payment_moments(sol, m)
+        assert (np.abs(pay.z_score) <= 1.0).all()
+        _assert_in_simulated_band(pay, _simulated_payments(sol, m, 100_000, seed=k))
+
+
+def test_residual_operator_matches_pinv():
+    # one SVD per degree gives np.linalg.pinv's operator and the largest
+    # condition number of the leave-one-out designs
+    rng = np.random.default_rng(5150)
+    for n, degrees in _PAYMENT_CASES:
+        xs = np.sort(rng.uniform(-1.0, 1.0, n))
+        for g in set(degrees):
+            op, kappa = _loo_residual_operator(xs, g)
+            want = _loo_residual_operator_pinv(xs, g)
+            assert np.abs(op - want).max() <= 1e-12 * np.abs(want).max()
+            designs = [np.vander(np.delete(xs, i), g + 1, increasing=True) for i in range(n)]
+            assert kappa == pytest.approx(max(np.linalg.cond(x) for x in designs), rel=1e-12)
 
 
 def _monte_carlo_payments_loop(sol, w, m, f_coeffs, n_samples, seed):
@@ -227,7 +380,7 @@ def _monte_carlo_payments_loop(sol, w, m, f_coeffs, n_samples, seed):
 
     One leave-one-out fit per (buyer, source) on reports that carry the
     ground truth, with the fit's deterministic offset removed; this is the
-    simulation that the noise-only ``monte_carlo_payments`` replaced.
+    simulation that the noise-only ``_simulated_payments`` replaced.
     """
     def f(x):
         return npoly.polyval(x, f_coeffs)
@@ -276,7 +429,7 @@ _PAYMENT_CASES = [
 def _contract_book(rng, n, degrees):
     """A market, its weights and a contract book (d, c, variances).
 
-    The simulation settles any book, equilibrium or not, and most markets of
+    The protocol settles any book, equilibrium or not, and most markets of
     high degree couple past the existence gate; so the slopes are gamma
     scaled at random, the variances follow from them, and the flat payments
     exceed the expected penalties.
@@ -300,19 +453,21 @@ def _contract_book(rng, n, degrees):
                          ids=["constant", "linear", "cubic"])
 def test_noise_only_payments_match_the_truth_loop(f_coeffs):
     # the ground truth cancels from every settled payment, so the noise-only
-    # simulation reproduces the f(x) + noise one from the same draws
+    # simulation reproduces the f(x) + noise one from the same draws, and
+    # the exact means of every book certify
     rng = np.random.default_rng(6061)
     for n, degrees in _PAYMENT_CASES:
         m, w, sol = _contract_book(rng, n, degrees)
-        got = monte_carlo_payments(sol, m, n_samples=3000, seed=n)
+        got = _simulated_payments(sol, m, n_samples=3000, seed=n)
         want = _monte_carlo_payments_loop(sol, w, m, f_coeffs, 3000, seed=n)
         assert len(got) == len(want) == n * len(degrees)
-        for chk, (j, i, empirical, analytic, std_error, z) in zip(got, want):
-            assert (chk.buyer, chk.source) == (j, i)
-            assert chk.empirical_mean == pytest.approx(empirical, rel=1e-12)
-            assert chk.analytic_mean == pytest.approx(analytic, rel=1e-12)
-            assert chk.std_error == pytest.approx(std_error, rel=1e-9)
-            assert abs(chk.z_score - z) <= 1e-9
+        for (j, i, empirical, analytic, std_error, z), expected in zip(got, want):
+            assert (j, i) == expected[:2]
+            assert empirical == pytest.approx(expected[2], rel=1e-12)
+            assert analytic == pytest.approx(expected[3], rel=1e-12)
+            assert std_error == pytest.approx(expected[4], rel=1e-9)
+            assert abs(z - expected[5]) <= 1e-9
+        assert (np.abs(payment_moments(sol, m).z_score) <= 1.0).all()
 
 
 def _whole_array_moments(op, draws):
@@ -323,19 +478,9 @@ def _whole_array_moments(op, draws):
 
 
 def _loo_residual_moments(xs, units, draws, degree):
-    """Reference: the whole-array residual moments of one estimator degree.
-
-    This is the path the blocked ``_residual_moments`` replaced: the
-    leave-one-out prediction operator built from ``pinv`` and every source's
-    residuals over all draws at once, source-major (N, S).
-    """
-    n = xs.size
-    off = ~np.eye(n, dtype=bool)
-    designs = np.stack([np.vander(xs[row], degree + 1, increasing=True) for row in off])
-    basis = xs[:, None] ** np.arange(degree + 1)
-    predict = np.zeros((n, n))
-    predict[off] = np.einsum("ik,ikl->il", basis, np.linalg.pinv(designs)).ravel()
-    return _whole_array_moments((np.eye(n) - predict) * units[None, :], draws)
+    """Reference: the whole-array residual moments of one estimator degree,
+    every source's residuals over all draws at once, source-major (N, S)."""
+    return _whole_array_moments(_loo_residual_operator_pinv(xs, degree) * units[None, :], draws)
 
 
 _SAMPLE_COUNTS = [2, 3, _MC_BLOCK - 1, _MC_BLOCK, _MC_BLOCK + 1, 2 * _MC_BLOCK + 7, 100_000]
@@ -343,14 +488,14 @@ _SAMPLE_COUNTS = [2, 3, _MC_BLOCK - 1, _MC_BLOCK, _MC_BLOCK + 1, 2 * _MC_BLOCK +
 
 @pytest.mark.parametrize("n_samples", _SAMPLE_COUNTS)
 def test_blocked_moments_match_the_whole_array(n_samples):
-    # the merged block moments agree with one pass over the whole draw, for
-    # every degree of the stacked operator
+    # the reference simulation's merged block moments agree with one pass
+    # over the whole draw, for every degree of the stacked operator
     rng = np.random.default_rng(4242)
     for n, degrees in _PAYMENT_CASES:
         xs = np.sort(rng.uniform(-1.0, 1.0, n))
         units = rng.uniform(1e-3, 1.0, n)
         distinct = sorted(set(degrees))
-        op = np.vstack([_loo_residual_operator(xs, g) for g in distinct]) * units[None, :]
+        op = np.vstack([_loo_residual_operator_pinv(xs, g) for g in distinct]) * units[None, :]
         mean, spread = _residual_moments(op, np.random.default_rng(n), n_samples)
         draws = np.random.default_rng(n).standard_normal((n_samples, n))
         want = [_loo_residual_moments(xs, units, draws, g) for g in distinct]
@@ -363,7 +508,7 @@ def test_blocked_moments_of_a_tiny_row(row_scale):
     # a row far below the others: at 1e-150 its squared deviations underflow
     # to zero in both paths, and its mean still agrees
     xs = np.array([-0.9, -0.4, 0.1, 0.5, 0.8])
-    op = np.vstack([_loo_residual_operator(xs, 1), _loo_residual_operator(xs, 3)])
+    op = np.vstack([_loo_residual_operator_pinv(xs, 1), _loo_residual_operator_pinv(xs, 3)])
     op[2] *= row_scale
     for n_samples in (3, 2 * _MC_BLOCK + 7):
         got = _residual_moments(op, np.random.default_rng(17), n_samples)
@@ -385,12 +530,13 @@ def test_blocked_draws_are_the_rows_of_one_draw():
 
 
 def test_payment_simulation_memory_does_not_grow_with_samples():
-    # the whole-array path held (S, N) draws plus (N, S) squared residuals
+    # the reference simulation runs at 100,000 rounds in the tests; a
+    # whole-array pass would hold (S, N) draws plus (N, S) squared residuals
     # and their centered copy, about 18 MB here
     m, w, sol = _contract_book(np.random.default_rng(8), 8, (1, 2))
     tracemalloc.start()
     try:
-        monte_carlo_payments(sol, m, n_samples=100_000, seed=1)
+        _simulated_payments(sol, m, n_samples=100_000, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
