@@ -55,7 +55,7 @@ from .welfare import (
     welfare_rows,
 )
 from .oracle import (
-    best_response_check,
+    best_response_certificate,
     neumann_dynamics,
     payment_moments,
 )
@@ -68,8 +68,6 @@ EXIT_CERTIFICATION = 3
 # A sweep is one curve: more points than this is a malformed spec, and an
 # unbounded count would exhaust memory before the first row.
 MAX_SWEEP_STEPS = 10_000
-# Floats per buyer in check's grid, (1 + N*steps + steps**2) * N: at ~91 B each, ~256 MB peak.
-MAX_CHECK_GRID = 2_800_000
 # Coupling-matrix entries (8 bytes each) per batch of sweep rows computed
 # together, so a sweep of a large market stays within a few megabytes.
 _BATCH_ENTRIES = 1 << 20
@@ -515,18 +513,10 @@ def _cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_check(args) -> int:
-    # a grid of one point or an empty box searches nothing: either would
-    # certify without testing anything
-    if args.steps < 2 or not (math.isfinite(args.radius) and args.radius > 0.0):
-        raise ValueError("check needs --steps >= 2 and a positive finite --radius")
-    # past radius 1 the box holds negative slopes; --seed keeps its old range
-    if args.radius > 1.0 or args.seed < 0:
-        raise ValueError("check needs --radius at most 1 and --seed >= 0")
+    # --seed keeps its old range
+    if args.seed < 0:
+        raise ValueError("check needs --seed >= 0")
     m = _load_market(args.config)
-    grid = (1 + m.n_sources * args.steps + args.steps ** 2) * m.n_sources
-    if grid > MAX_CHECK_GRID:
-        raise ValueError(f"check --steps {args.steps} at N = {m.n_sources} sources makes a deviation "
-                         f"grid of {grid} floats per buyer, above the cap of {MAX_CHECK_GRID}")
     w, sol = _run(m)
     sol = complete_solution(sol, w)
 
@@ -551,12 +541,17 @@ def _cmd_check(args) -> int:
     failures = []
 
     for k in range(m.n_buyers):
-        rep = best_response_check(sol, k, w, m, radius=args.radius, steps=args.steps)
-        verdict = "certified" if rep.certified else "IMPROVABLE"
-        print(f"best response buyer {k + 1}: max improvement {rep.max_improvement:.3g} "
+        rep = best_response_certificate(sol, k, w, m)
+        if rep.certified:
+            saving, verdict = f"{rep.bound:.3g}", "certified"
+        elif rep.improvable:
+            saving, verdict = f"{rep.improvement:.3g}", "IMPROVABLE"
+            failures.append(f"buyer {k + 1} can improve by {saving}")
+        else:
+            saving, verdict = f"between {rep.improvement:.3g} and {rep.bound:.3g}", "UNDECIDED"
+            failures.append(f"buyer {k + 1}'s best response is undecided")
+        print(f"best response buyer {k + 1}: max improvement {saving} "
               f"(tolerance {rep.tolerance:.3g}) {verdict}")
-        if not rep.certified:
-            failures.append(f"buyer {k + 1} can improve by {rep.max_improvement:.3g}")
 
     neu = neumann_dynamics(w)
     if neu.converged:
@@ -644,8 +639,6 @@ def main(argv=None) -> int:
     p_check.add_argument("config", help="market config JSON")
     p_check.add_argument("--seed", type=int, default=42,
                          help="accepted for older scripts; it no longer changes the result")
-    p_check.add_argument("--radius", type=float, default=0.5, help="deviation box half-width")
-    p_check.add_argument("--steps", type=int, default=41, help="grid points per coordinate")
     p_check.add_argument("--perturb", default=None, metavar="BUYER,SOURCE,DELTA",
                          help="nudge one slope before checking (diagnostic)")
     p_check.set_defaults(handler=_cmd_check)

@@ -268,7 +268,8 @@ def complete_solution(sol: EquilibriumSolution, w: SeparableWeights) -> Equilibr
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite bounds are reported below
         L = sol.d * np.einsum("jil,l->ji", w.xi, sol.variances)
         E = L.sum(axis=0) + sol.efforts
-        slack = E - L.sum(axis=0)
+    # the slack is the effort; a bound that is not finite leaves it undefined
+    slack = np.where(np.isfinite(E), sol.efforts, np.nan)
     finite = np.isfinite(slack)
     # the most negative finite slack is named first, then the first that is not finite
     worst = int(np.argmin(np.where(finite, slack, np.inf)))

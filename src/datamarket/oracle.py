@@ -1,14 +1,15 @@
 """Independent checks of a solved market.
 
-Nothing here reuses the linear-algebra route that produced the solution:
-best responses are certified by brute-force grid search over deviations,
-the fixed point is re-derived by iterating the best-response map, and the
-payment algebra is validated by the exact mean of each settled payment of
-the reporting protocol.  That mean comes from each leave-one-out fit's own
-pseudo-inverse, never from the weights of ``estimators``, and it is
-deterministic: no noise is drawn.  It must match the polytope's floors to
-a relative tolerance that grows with the squared condition number of the
-buyer's designs.
+Nothing here reuses the linear-algebra route that produced the solution.
+Best responses are certified in closed form, because each buyer's cost of
+deviating is convex in the variances, with a small dual Newton solve where
+the closed form leaves the verdict open.  The fixed point is re-derived by
+iterating the best-response map.  The payment algebra is validated by the
+exact mean of each settled payment of the reporting protocol.  That mean
+comes from each leave-one-out fit's own pseudo-inverse, never from the
+weights of ``estimators``, and it is deterministic: no noise is drawn.  It
+must match the polytope's floors to a relative tolerance that grows with
+the squared condition number of the buyer's designs.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .market import MarketInstance, source_response
+from .market import MarketInstance
 from .estimators import SeparableWeights
 from .equilibrium import EquilibriumSolution
 
@@ -25,7 +26,7 @@ __all__ = [
     "BestResponseReport",
     "NeumannResult",
     "PaymentCheck",
-    "best_response_check",
+    "best_response_certificate",
     "neumann_dynamics",
     "payment_moments",
 ]
@@ -33,6 +34,10 @@ __all__ = [
 # Fixed-point iteration: sweep budget and relative step that counts as converged.
 NEUMANN_MAX_ITERS = 10000
 NEUMANN_TOL = 1e-12
+# Dual ascent behind a best-response certificate: Newton steps, and the
+# halvings of one step before it gives up.
+_DUAL_MAX_STEPS = 50
+_DUAL_MAX_HALVINGS = 30
 
 
 # ---------------------------------------------------------------------------
@@ -41,97 +46,136 @@ NEUMANN_TOL = 1e-12
 
 @dataclass(frozen=True)
 class BestResponseReport:
+    """Buyer k's best-response certificate.
+
+    ``cost_eq`` is the buyer's cost at the checked slopes.  ``bound`` is a
+    proven upper bound on what any deviation saves; ``improvement`` is what
+    the deviation ``argmin_d`` saves, 0 when ``argmin_d`` is the checked
+    slopes.  The buyer is ``certified`` when ``bound <= tolerance`` and
+    ``improvable`` when ``improvement > tolerance``; when neither holds the
+    check is undecided.
+    """
+
     cost_eq: float
-    max_improvement: float
+    improvement: float
+    bound: float
     argmin_d: np.ndarray
     tolerance: float
     certified: bool
 
-
-def _deviation_costs(cands: np.ndarray, sol: EquilibriumSolution, k: int,
-                     w: SeparableWeights, m: MarketInstance) -> np.ndarray:
-    """Vectorized buyer-k cost over candidate slope rows.
-
-    Opponents keep their equilibrium contracts.  For each candidate the flat
-    payments of buyer k are re-tightened: the least c keeping every source
-    participating given the opponents' flats, but never below the buyer's
-    own acceptability floor.  Candidates at which some source's response is
-    not finite (a nonpositive total slope, or an effort or variance that
-    overflows) get infinite cost: the rule the solve applies to its own
-    efforts.
-    """
-    alphas = np.asarray(m.alphas(), dtype=float)
-    others_d = sol.d.sum(axis=0) - sol.d[k]
-    efforts, variances, ok = source_response(others_d[None, :] + cands, alphas[None, :])
-    ok = ok.all(axis=1)
-    costs = np.full(cands.shape[0], np.inf)
-    if not ok.any():
-        return costs
-
-    efforts, variances = efforts[ok], variances[ok]
-    pen_k = (variances @ w.xi[k].T) * cands[ok]
-    pen_others = np.zeros_like(pen_k)
-    for j in range(m.n_buyers):
-        if j == k:
-            continue
-        pen_others += (variances @ w.xi[j].T) * sol.d[j][None, :]
-
-    E = pen_k + pen_others + efforts
-    canonical = sol.c_polytope.canonical
-    others_c = canonical.sum(axis=0) - canonical[k]
-    c_k = np.maximum(E - others_c[None, :], pen_k)
-
-    eta_k = m.buyers[k].eta
-    costs[ok] = eta_k * ((variances @ w.gamma[k]) + (c_k - pen_k).sum(axis=1))
-    return costs
+    @property
+    def improvable(self) -> bool:
+        return self.improvement > self.tolerance
 
 
-def best_response_check(sol: EquilibriumSolution, k: int, w: SeparableWeights,
-                        m: MarketInstance, *, radius: float, steps: int) -> BestResponseReport:
-    """Search for a profitable deviation of buyer k's slope vector.
+def _misfit(lam: np.ndarray, floors: np.ndarray) -> float:
+    """``sum_i max(f_i, 0) - lam_i * f_i``: how far a point's payment slacks
+    are from the complementary slackness of multipliers ``lam``."""
+    return float(((1.0 - lam) * np.maximum(floors, 0.0) + lam * np.maximum(-floors, 0.0)).sum())
+
+
+def best_response_certificate(sol: EquilibriumSolution, k: int, w: SeparableWeights,
+                              m: MarketInstance) -> BestResponseReport:
+    """Certify buyer k's slopes as a best response, or find a better reply.
 
     ``sol`` must carry its payment polytope (``complete_solution`` or
-    ``solution_from_d``).  Scans each coordinate over ``steps`` points of the
-    multiplicative box between ``d * (1 - radius)`` and ``d * (1 + radius)``
-    around the equilibrium slopes, plus ``steps**2`` seeded random joint
-    moves inside the box.  A zero slope has no multiplicative box; it is
-    searched over ``[0, radius * max|sol.d|]``.  Certifies the solution for
-    buyer k when nothing beats the equilibrium cost by more than
+    ``solution_from_d``).  Opponents keep their slopes and flat payments;
+    buyer k's flat payments are re-tightened at every deviation, the least
+    that keeps each source participating but never below the buyer's own
+    floor.  In the variances ``v = 1 / (2 alpha t)`` of the total slopes t,
+    buyer k's cost is then ``eta_k * (v @ gamma_k + sum_i max(f_i(v), 0))``
+    with ``f_i(v) = A[i] @ v - log(v_i) / (2 alpha_i) - others_c[i]`` and
+    ``A[i, q] = sum_{j != k} d[j, i] * xi[j, i, q]``: source i's cost left
+    over after the opponents' flats.  Each f_i is convex, so the cost is
+    convex in v, and every v > 0 is some deviation: no box is searched.
+
+    The saving is bracketed by weak duality.  Multipliers ``lam`` in
+    ``(0, 1]^N`` with ``c = gamma_k + lam @ A > 0`` give the deviation
+    ``v(lam) = lam / (2 alpha c)`` and a lower bound on the least cost; at
+    ``lam = 1`` the deviation is the closed form ``t = gamma_k + sum_{j != k}
+    xi[j].T @ d[j]``, the best-response map ``neumann_dynamics`` iterates.
+    The bound and the saving are sums of nonnegative terms, so neither
+    subtracts two large costs.  When ``lam = 1`` leaves the verdict open,
+    or finds a saving more than ``1e-12 * (1 + |cost|)`` short of the bound,
+    projected Newton steps on the dual close the bracket.  The tolerance is
     ``1e-6 * (1 + |cost|)``.
     """
-    n = m.n_sources
-    d_eq = np.asarray(sol.d[k], dtype=float)
-    # a negative slope reverses the ends
-    with np.errstate(over="ignore"):  # an end that overflows is reported below
-        shrunk, grown = d_eq * (1.0 - radius), d_eq * (1.0 + radius)
-    lo, hi = np.minimum(shrunk, grown), np.maximum(shrunk, grown)
-    hi[d_eq == 0.0] = radius * float(np.abs(sol.d).max())
-    finite = np.isfinite(lo) & np.isfinite(hi)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise ValueError(f"buyer {k}, source {i}: deviation box around slope {d_eq[i]:.6g} "
-                         "overflows a float")
-
-    blocks = [d_eq[None, :]]
-    for i in range(n):
-        block = np.repeat(d_eq[None, :], steps, axis=0)
-        block[:, i] = np.linspace(lo[i], hi[i], steps)
-        blocks.append(block)
-    rng = np.random.default_rng(176522 + k)
-    blocks.append(rng.uniform(lo, hi, size=(steps * steps, n)))
-    cands = np.vstack(blocks)
-
-    costs = _deviation_costs(cands, sol, k, w, m)
-    cost_eq = float(costs[0])  # the point itself, costed like every deviation
-    best = int(np.argmin(costs))
-    max_improvement = cost_eq - float(costs[best])
+    alphas = np.asarray(m.alphas(), dtype=float)
+    eta = m.buyers[k].eta
+    gamma = w.gamma[k]
+    others = np.arange(m.n_buyers) != k
+    others_d = sol.d[others].sum(axis=0)
+    others_c = sol.c_polytope.canonical[others].sum(axis=0)
+    v0 = sol.variances
+    # values that overflow fail the comparisons below and decide nothing
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        A = np.einsum("ji,jiq->iq", sol.d[others], w.xi[others])
+        f0 = A @ v0 - np.log(v0) / (2.0 * alphas) - others_c
+        cost_eq = eta * float(v0 @ gamma + np.maximum(f0, 0.0).sum())
     tolerance = 1e-6 * (1.0 + abs(cost_eq))
+    exact = 1e-12 * (1.0 + abs(cost_eq))
+
+    def bracket(lam):
+        """At multipliers lam: the bound, the saving of deviation v(lam), its
+        total slopes, v(lam) and c, and the dual gradient f(v(lam)); None
+        outside the dual's domain."""
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            c = gamma + lam @ A
+            v = lam / (2.0 * alphas * c)
+            if not (np.isfinite(v) & (v > 0.0)).all():
+                return None
+            # r - 1 - log(r) for r = v0 / v, from log1p where r is near 1
+            ratio = v0 / v - 1.0
+            log_ratio = np.where(np.abs(ratio) < 0.5, np.log1p(ratio), np.log(v0) - np.log(v))
+            f = A @ v - np.log(v) / (2.0 * alphas) - others_c
+            bound = eta * (float((lam / (2.0 * alphas) * (ratio - log_ratio)).sum()) + _misfit(lam, f0))
+            gap = eta * _misfit(lam, f)
+        return bound, bound - gap, c / lam, v, c, f
+
+    # a closed-form reply that is no deviation (some t <= 0) leaves the
+    # check undecided
+    lam = np.ones(m.n_sources)
+    state = bracket(lam)
+    bound, best, best_t = np.inf, -np.inf, None
+    for _ in range(_DUAL_MAX_STEPS):
+        if state is None:
+            break
+        bound, saving, t, v, c, f = state
+        if saving > best:
+            best, best_t = saving, t
+        if bound <= tolerance or (best > tolerance and bound - best <= exact):
+            break
+        # ascend the dual along Newton's direction, holding multipliers at 1
+        # whose constraint still binds
+        s = 1.0 / (2.0 * alphas * c)
+        hess = A * s + (A * s).T - (A * (v / c)) @ A.T - np.diag(1.0 / (2.0 * alphas * lam))
+        free = (lam < 1.0) | (f <= 0.0)
+        if not free.any():
+            break
+        step = np.zeros_like(lam)
+        try:
+            step[free] = np.linalg.solve(-hess[np.ix_(free, free)], f[free])
+        except np.linalg.LinAlgError:
+            break
+        for _ in range(_DUAL_MAX_HALVINGS):
+            trial = np.minimum(lam + step, 1.0)
+            nxt = bracket(trial) if (trial > 0.0).all() else None
+            if nxt is not None and nxt[0] < bound:
+                lam, state = trial, nxt
+                break
+            step = 0.5 * step
+        else:
+            break
+
+    certified = bool(np.isfinite(cost_eq) and bound <= tolerance)
+    improved = best > 0.0 and np.isfinite(best)
     return BestResponseReport(
         cost_eq=cost_eq,
-        max_improvement=max_improvement,
-        argmin_d=cands[best].copy(),
+        improvement=best if improved else 0.0,
+        bound=bound,
+        argmin_d=best_t - others_d if improved else np.array(sol.d[k], dtype=float),
         tolerance=tolerance,
-        certified=max_improvement <= tolerance,
+        certified=certified,
     )
 
 

@@ -36,7 +36,9 @@ from datamarket import (
     compute_weights,
     coupling_radius,
     payment_moments,
+    best_response_certificate,
     price_of_anarchy,
+    solution_from_d,
     solve_equilibrium_d,
     validate_market,
     weight_rows,
@@ -44,6 +46,7 @@ from datamarket import (
 from datamarket.cli import ConfigError, main, market_from_config
 
 from conftest import market_to_config, two_firm_market
+from test_oracle import CONVEX_SOLVE_DOC, _grid_search
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -161,8 +164,8 @@ _JSON_VALUES = st.recursive(
 
 # an effort of log(2 * d_total * alpha) / (2 * alpha) that overflows
 _HUGE_ALPHA = [(("sources", 0, "alpha"), 2.2e307)]
-# an effort that does not overflow, while 2 * alpha * d_total does on part
-# of check's deviation grid
+# an effort that does not overflow, with 2 * alpha within a float of
+# overflowing
 _BIG_ALPHA = [(("sources", 0, "alpha"), 2.0e307)]
 
 
@@ -196,7 +199,7 @@ def _reject_constant(name):
 
 @pytest.mark.parametrize("flags, codes", [
     (["welfare"], (0, 1, 2)),
-    (["check", "--steps", "5"], (0, 1, 2, 3)),
+    (["check"], (0, 1, 2, 3)),
 ], ids=["welfare", "check"])
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(edits=st.lists(st.tuples(st.sampled_from(_leaf_paths(_TWO_FIRM)), _JSON_VALUES),
@@ -430,10 +433,12 @@ def test_slopes_near_the_float_limit_warn_nothing(tmp_path, capsys):
     assert captured.err == ""
     assert main(["welfare", str(cfg)]) == 1
     assert capsys.readouterr() == ("", "error: buyer 0 has eta 1e-308; welfare accounting requires eta == 1\n")
-    assert main(["check", str(cfg), "--steps", "3"]) == 1
-    assert capsys.readouterr() == (
-        "spectral radius: 0\n",
-        "error: buyer 0, source 0: deviation box around slope 1.72495e+308 overflows a float\n")
+    # the lone buyer's best reply is its loss weight, slope 1.72e308 included
+    assert main(["check", str(cfg)]) == 0
+    captured = capsys.readouterr()
+    assert "best response buyer 1: max improvement 0 (tolerance 1e-06) certified\n" in captured.out
+    assert "certification: PASS\n" in captured.out
+    assert captured.err == ""
 
 
 # Sources (x, alpha) = (1e-320, 1.63) and (0.0912, 1e-9), and linear buyers at
@@ -487,7 +492,7 @@ def test_coupling_matrix_built_once_per_market(tmp_path, monkeypatch, command, m
     argv = {
         "solve": ["solve", cfg],
         "welfare": ["welfare", cfg],
-        "check": ["check", cfg, "--steps", "5"],
+        "check": ["check", cfg],
         "sweep": ["sweep", spec, "--out", str(tmp_path / "rows.csv")],
     }[command]
     assert main(argv) == code
@@ -520,7 +525,7 @@ def test_vanishing_eta_writes_only_the_error_line(tmp_path):
     spec = write_sweep(tmp_path, market_to_config(two_firm_market(0.0)), 1e-308, 1.0, 3,
                        param="buyers[0].eta")
     for argv, lines in ((["solve", str(cfg)], 1), (["welfare", str(cfg)], 1),
-                        (["check", str(cfg), "--steps", "3"], 1),
+                        (["check", str(cfg)], 1),
                         (["sweep", str(spec), "--out", str(tmp_path / "eta.csv")], 0)):
         proc = subprocess.run([sys.executable, "-m", "datamarket"] + argv,
                               capture_output=True, text=True)
@@ -541,7 +546,7 @@ def test_subnormal_eta_names_the_buyer(tmp_path):
     spec = write_sweep(tmp_path, doc, 5e-324, 1.0, 2, param="buyers[0].eta")
     rows_csv = tmp_path / "subnormal.csv"
     for argv in (["solve", str(cfg)], ["welfare", str(cfg)],
-                 ["check", str(cfg), "--steps", "3"],
+                 ["check", str(cfg)],
                  ["sweep", str(spec), "--out", str(rows_csv)]):
         proc = subprocess.run([sys.executable, "-m", "datamarket"] + argv,
                               capture_output=True, text=True)
@@ -581,7 +586,7 @@ def test_overflowing_effort_exits_1(tmp_path, capsys, alpha, eta, total, sweep, 
     cfg.write_text(json.dumps(doc))
     out = tmp_path / "sol.json"
     for argv in (["solve", str(cfg), "--json-out", str(out)], ["welfare", str(cfg)],
-                 ["check", str(cfg), "--steps", "5"]):
+                 ["check", str(cfg)]):
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -699,43 +704,36 @@ def test_check_perturbed_fails(tmp_path, capsys):
     assert "certification: FAIL" in capsys.readouterr().out
 
 
-def test_check_negative_slope_searches_a_box(capsys):
-    # d[1,1] = 20/9 - 2.3 < 0: the box's ends swap, and buyer 2 can improve;
-    # buyer 1's canonical flat payment sits below its floor, so the point
-    # is costed with re-tightened flats like every deviation, and it too
-    # can improve
+def test_check_negative_slope_finds_the_best_reply(capsys):
+    # d[1,1] = 20/9 - 2.3 < 0, and buyer 1's canonical flat payment sits
+    # below its floor, so the book is costed with re-tightened flats like
+    # every deviation; both buyers can improve, buyer 1 by far more than any
+    # box around the book would find
     cfg = os.path.join(ROOT, "configs", "two_firm.json")
     assert main(["check", cfg, "--perturb", "1,1,-2.3"]) == 3
     captured = capsys.readouterr()
-    assert "best response buyer 1: max improvement 0.0149 (tolerance 1.76e-06) IMPROVABLE" in captured.out
-    assert "best response buyer 2: max improvement 0.00645" in captured.out
+    assert "best response buyer 1: max improvement 0.198 (tolerance 1.76e-06) IMPROVABLE" in captured.out
+    assert "best response buyer 2: max improvement 0.00646 (tolerance 2.51e-06) IMPROVABLE" in captured.out
     assert "certification: FAIL" in captured.out
-    assert "buyer 2 can improve by 0.00645" in captured.err
+    assert "buyer 2 can improve by 0.00646" in captured.err
 
 
-def test_check_zero_slope_searches_a_real_grid(tmp_path, monkeypatch, capsys):
+def test_check_zero_slope_buyer_certifies(tmp_path, capsys):
     # buyer 1 discounts the others by 1/2 and they hold its weights: its
-    # gamma and d are exactly 0, so a multiplicative box would be one point
+    # gamma and d are exactly 0, which is its best reply, and a nonzero
+    # slope is not
     dist = ValueDistribution.uniform(-1.0, 1.0)
     buyers = tuple(DataBuyer(EstimatorSpec.linear(), dist, row)
                    for row in ((0.0, 0.5, 0.5), (0.5, 0.0, 0.0), (0.5, 0.0, 0.0)))
     m = MarketInstance(sources=(DataSource(-1.0, 3.0), DataSource(1.0, 3.0)), buyers=buyers,
                        feature_domain=(-1.0, 1.0))
     assert not compute_weights(m).gamma[0].any()
-    grids = []
-    real = datamarket.oracle._deviation_costs
-
-    def recorded(cands, sol, k, w, m):
-        grids.append(cands.copy())
-        return real(cands, sol, k, w, m)
-
-    monkeypatch.setattr(datamarket.oracle, "_deviation_costs", recorded)
     cfg = write_config(tmp_path, m)
-    assert main(["check", str(cfg), "--steps", "5"]) == 0
+    assert main(["check", str(cfg)]) == 0
     assert "best response buyer 1: max improvement 0 (tolerance 1e-06) certified" in capsys.readouterr().out
-    assert len(grids) == 3
-    for cands in grids:
-        assert (np.ptp(cands, axis=0) > 0.0).all()
+    assert main(["check", str(cfg), "--perturb", "1,1,0.1"]) == 3
+    assert re.search(r"^best response buyer 1: max improvement \S+ \(tolerance \S+\) IMPROVABLE$",
+                     capsys.readouterr().out, re.M)
 
 
 def test_fixed_point_iteration_does_not_use_the_solves_matrix(monkeypatch, capsys):
@@ -757,7 +755,7 @@ def test_check_overflowing_slopes_exit_1(tmp_path, capsys):
     # a vanishing eta scales the slopes to ~1e308: their total overflows and
     # the solve rejects it before any oracle runs
     cfg = write_config(tmp_path, two_firm_market(0.0, etas=(1e-308, 1.0)))
-    assert main(["check", str(cfg), "--steps", "3"]) == 1
+    assert main(["check", str(cfg)]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: source 0 attracts total slope inf")
     assert captured.out == ""
@@ -770,11 +768,20 @@ def test_check_overflowing_slopes_exit_1(tmp_path, capsys):
     ["--radius", "1.5"], ["--radius", "1e300"], ["--radius", "1e308"], ["--seed", "-1"],
 ])
 def test_check_rejects_vacuous_search(tmp_path, capsys, flags):
+    # the best responses are certified in closed form, so the grid's
+    # --steps and --radius are usage errors; --seed keeps its old range
     cfg = write_config(tmp_path, two_firm_market(0.0))
-    assert main(["check", str(cfg)] + flags) == 1
+    try:
+        code = main(["check", str(cfg)] + flags)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 1
     captured = capsys.readouterr()
-    assert "PASS" not in captured.out
-    assert captured.err.startswith("error: check needs")
+    assert captured.out == ""
+    if flags[0] == "--seed":
+        assert captured.err == "error: check needs --seed >= 0\n"
+    else:
+        assert captured.err.endswith(f"datamarket: error: unrecognized arguments: {' '.join(flags)}\n")
 
 
 def test_check_rejects_the_samples_flag(tmp_path, capsys):
@@ -802,20 +809,19 @@ def test_check_output_does_not_depend_on_the_seed(capsys):
 
 @pytest.mark.parametrize("steps", [1183, 100_000])
 def test_check_rejects_an_oversized_deviation_grid(tmp_path, capsys, steps):
-    # two sources: 2 * (steps + 1)**2 floats per buyer, just past the cap at
-    # 1183 steps; rejected before any grid is built
-    cfg = write_config(tmp_path, two_firm_market(0.0))
-    assert main(["check", str(cfg), "--steps", str(steps)]) == 1
+    # no grid is built, whatever its size: --steps is a usage error,
+    # reported before the config is read
+    with pytest.raises(SystemExit) as exc:
+        main(["check", str(tmp_path / "missing.json"), "--steps", str(steps)])
+    assert exc.value.code == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"error: check --steps {steps} at N = 2 sources")
-    # the default grid fits the largest benchmarked market
-    assert (1 + 160 * 41 + 41 ** 2) * 160 <= datamarket.cli.MAX_CHECK_GRID
+    assert captured.err.endswith(f"datamarket: error: unrecognized arguments: --steps {steps}\n")
 
 
-def test_check_deviation_grid_overflow_is_silent(tmp_path):
-    # the market solves, but 2 * alpha * d_total overflows on part of the
-    # deviation grid; those candidates cost inf, with no numpy warning
+def test_check_huge_alpha_is_silent(tmp_path):
+    # the market solves with 2 * alpha within a float of overflowing; the
+    # certificate's arithmetic raises no numpy warning
     doc = json.loads(json.dumps(_TWO_FIRM))
     doc["sources"][0]["alpha"] = 2.0e307
     cfg = tmp_path / "big_alpha.json"
@@ -826,6 +832,76 @@ def test_check_deviation_grid_overflow_is_silent(tmp_path):
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert "certification: PASS" in proc.stdout
+
+
+def test_check_huge_slope_is_silent_and_caught():
+    # d[1,1] + 1e300 drives source 1's variance to 5e-301; buyer 1's best
+    # reply saves about the source's effort, 345.7.  Buyer 2's payment slack
+    # on source 1 is a difference of terms near 3.3e298 with no digit left,
+    # so its best response is undecided.  No numpy warning is raised.
+    cfg = os.path.join(ROOT, "configs", "two_firm.json")
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "datamarket",
+                           "check", cfg, "--perturb", "1,1,1e300"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert "best response buyer 1: max improvement 344 (tolerance 0.000347) IMPROVABLE\n" in proc.stdout
+    assert "best response buyer 2: max improvement between 0 and " in proc.stdout
+    assert proc.stderr == ("  - buyer 1 can improve by 344\n"
+                           "  - buyer 2's best response is undecided\n")
+
+
+# Eight sources and a quadratic and a linear buyer, delta 0.0046: after
+# d[2,4] += 0.01376, buyer 1's best reply saves 1.67e-6 against a tolerance
+# of 1.29e-6, a move that falls between the points of a grid search.
+GRID_MISS_DOC = {
+    "sources": [{"x": x, "alpha": a} for x, a in zip(
+        (-0.94944, -0.575493, -0.426831, -0.15986, 0.18205, 0.376469, 0.677073, 0.895958),
+        (9.33201, 5.59216, 7.77117, 8.07797, 7.34657, 8.16634, 8.34235, 10.6069))],
+    "buyers": [{"estimator": {"kind": "polynomial-regression", "degree": 2},
+                "value_dist": {"kind": "uniform", "params": {"lo": -0.346495, "hi": 0.520948}},
+                "delta": [0.0, 0.0046], "eta": 1.0},
+               {"estimator": {"kind": "linear-regression", "degree": 1},
+                "value_dist": {"kind": "uniform", "params": {"lo": -0.551362, "hi": 0.294439}},
+                "delta": [0.0046, 0.0], "eta": 1.0}],
+    "feature_domain": [-1.0, 1.0],
+}
+
+
+def test_check_catches_a_reply_between_grid_points(tmp_path, capsys):
+    cfg = tmp_path / "grid_miss.json"
+    cfg.write_text(json.dumps(GRID_MISS_DOC))
+    assert main(["check", str(cfg), "--perturb", "2,4,0.013761276528635532"]) == 3
+    captured = capsys.readouterr()
+    assert "best response buyer 1: max improvement 1.67e-06 (tolerance 1.29e-06) IMPROVABLE\n" in captured.out
+    assert "best response buyer 2: max improvement 0.000332 (tolerance 1.27e-06) IMPROVABLE\n" in captured.out
+    assert captured.err == "  - buyer 1 can improve by 1.67e-06\n  - buyer 2 can improve by 0.000332\n"
+    # the grid search it replaced certified buyer 1
+    m = market_from_config(GRID_MISS_DOC)
+    w = compute_weights(m)
+    sol = complete_solution(solve_equilibrium_d(w, m), w)
+    d = sol.d.copy()
+    d[1, 3] += 0.013761276528635532
+    pert = solution_from_d(d, w, m)
+    rep = best_response_certificate(pert, 0, w, m)
+    assert rep.improvable
+    assert _grid_search(pert, 0, w, m)[1] <= rep.tolerance
+
+
+def test_check_undecided_best_response_fails(tmp_path, monkeypatch, capsys):
+    # buyer 2's closed-form reply to this book leaves the verdict open; the
+    # dual ascent decides it, and cut to the closed form the check fails
+    cfg = tmp_path / "convex_solve.json"
+    cfg.write_text(json.dumps(CONVEX_SOLVE_DOC))
+    argv = ["check", str(cfg), "--perturb", "1,2,1"]
+    assert main(argv) == 3
+    assert "best response buyer 2: max improvement 0.00626 (tolerance 2.14e-06) IMPROVABLE\n" in (
+        capsys.readouterr().out)
+    monkeypatch.setattr(datamarket.oracle, "_DUAL_MAX_STEPS", 1)
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert ("best response buyer 2: max improvement between 0 and 0.0224 (tolerance 2.14e-06) UNDECIDED\n"
+            in captured.out)
+    assert "  - buyer 2's best response is undecided\n" in captured.err
 
 
 @pytest.mark.parametrize("eta", [1e-150, 1e-300])

@@ -380,12 +380,14 @@ def test_fixed_point_residual(solved_suite):
 
 def _c_polytope_reference(sol, w):
     """Reference: the payment bounds as ``c_polytope`` built them before
-    ``complete_solution`` took them over; returns ``(E, L, slack)``."""
+    ``complete_solution`` took them over, with the slack taken as the
+    effort it equals rather than as ``E - sum(L)``, which cancels when the
+    floors dwarf the effort; returns ``(E, L, slack)``."""
     with np.errstate(over="ignore", invalid="ignore"):
         expected_penalty = sol.d * np.einsum("jil,l->ji", w.xi, sol.variances)
         E = expected_penalty.sum(axis=0) + sol.efforts
         L = expected_penalty
-        slack = E - L.sum(axis=0)
+    slack = np.where(np.isfinite(E), sol.efforts, np.nan)
     finite = np.isfinite(slack)
     worst = int(np.argmin(np.where(finite, slack, np.inf)))
     if not slack[worst] < -1e-12:
@@ -440,6 +442,21 @@ def test_polytope_two_firm_anchors():
     e_star = math.log(4 / 3) / 2
     assert sol.c_polytope.E == pytest.approx([0.25 * 2 + e_star] * 2, rel=1e-12)
     assert sol.c_polytope.canonical == pytest.approx(np.full((2, 2), 0.25 + e_star / 2), rel=1e-12)
+
+
+def test_polytope_slack_is_the_effort_beside_huge_floors():
+    # d[0, 0] + 1e300 puts a floor of about 2.8e283 on source 0 beside an
+    # effort of 345.7: E - sum(L) cancels that effort away, and the slack is
+    # the effort itself
+    m = market_from_config(json.loads((CONFIGS / "two_firm.json").read_text(encoding="utf-8")))
+    w = compute_weights(m)
+    d = solve_equilibrium_d(w, m).d.copy()
+    d[0, 0] += 1e300
+    sol = solution_from_d(d, w, m)
+    poly = sol.c_polytope
+    assert poly.L[0, 0] > 1e283
+    assert poly.slack.tobytes() == sol.efforts.tobytes()
+    assert poly.slack[0] == pytest.approx(345.734, rel=1e-5)
 
 
 def test_polytope_zero_slack():

@@ -18,9 +18,10 @@ from datamarket import (
     DataSource,
     EstimatorSpec,
     GammaNegativeError,
+    InfeasibleCError,
     MarketInstance,
     ValueDistribution,
-    best_response_check,
+    best_response_certificate,
     complete_solution,
     compute_weights,
     coupling_radius,
@@ -28,6 +29,7 @@ from datamarket import (
     payment_moments,
     solution_from_d,
     solve_equilibrium_d,
+    source_response,
 )
 
 from conftest import two_firm_market
@@ -49,7 +51,7 @@ def _buyer_cost(k, c, d, w, m):
 
 
 def _cost_eq(sol, k, w, m):
-    return best_response_check(sol, k, w, m, radius=0.5, steps=5).cost_eq
+    return best_response_certificate(sol, k, w, m).cost_eq
 
 
 def _retightened_cost(k, d_k, sol, w, m):
@@ -112,16 +114,101 @@ def test_eta_scales_buyer_cost():
 
 
 # ---------------------------------------------------------------------------
-# best-response certification
+# best-response certification, and the grid search it replaced as the reference
 # ---------------------------------------------------------------------------
+
+def _deviation_costs(cands, sol, k, w, m):
+    """Reference: buyer k's cost over candidate slope rows, as the grid
+    search costed them.
+
+    Opponents keep their equilibrium contracts.  For each candidate the flat
+    payments of buyer k are re-tightened: the least c keeping every source
+    participating given the opponents' flats, but never below the buyer's
+    own acceptability floor.  Candidates at which some source's response is
+    not finite get infinite cost.
+    """
+    alphas = np.asarray(m.alphas(), dtype=float)
+    others_d = sol.d.sum(axis=0) - sol.d[k]
+    efforts, variances, ok = source_response(others_d[None, :] + cands, alphas[None, :])
+    ok = ok.all(axis=1)
+    costs = np.full(cands.shape[0], np.inf)
+    if not ok.any():
+        return costs
+
+    efforts, variances = efforts[ok], variances[ok]
+    pen_k = (variances @ w.xi[k].T) * cands[ok]
+    pen_others = np.zeros_like(pen_k)
+    for j in range(m.n_buyers):
+        if j == k:
+            continue
+        pen_others += (variances @ w.xi[j].T) * sol.d[j][None, :]
+
+    E = pen_k + pen_others + efforts
+    canonical = sol.c_polytope.canonical
+    others_c = canonical.sum(axis=0) - canonical[k]
+    c_k = np.maximum(E - others_c[None, :], pen_k)
+
+    eta_k = m.buyers[k].eta
+    costs[ok] = eta_k * ((variances @ w.gamma[k]) + (c_k - pen_k).sum(axis=1))
+    return costs
+
+
+def _grid_search(sol, k, w, m, radius=0.5, steps=41):
+    """Reference: the seeded grid search over buyer k's deviations that
+    certified best responses, as ``(cost_eq, improvement, argmin_d)``.
+
+    Scans each coordinate over ``steps`` points of the multiplicative box
+    between ``d * (1 - radius)`` and ``d * (1 + radius)``, plus ``steps**2``
+    seeded random joint moves inside it.  A zero slope is searched over
+    ``[0, radius * max|sol.d|]``.
+    """
+    n = m.n_sources
+    d_eq = np.asarray(sol.d[k], dtype=float)
+    shrunk, grown = d_eq * (1.0 - radius), d_eq * (1.0 + radius)
+    lo, hi = np.minimum(shrunk, grown), np.maximum(shrunk, grown)
+    hi[d_eq == 0.0] = radius * float(np.abs(sol.d).max())
+    blocks = [d_eq[None, :]]
+    for i in range(n):
+        block = np.repeat(d_eq[None, :], steps, axis=0)
+        block[:, i] = np.linspace(lo[i], hi[i], steps)
+        blocks.append(block)
+    rng = np.random.default_rng(176522 + k)
+    blocks.append(rng.uniform(lo, hi, size=(steps * steps, n)))
+    cands = np.vstack(blocks)
+    costs = _deviation_costs(cands, sol, k, w, m)
+    best = int(np.argmin(costs))
+    return float(costs[0]), float(costs[0] - costs[best]), cands[best].copy()
+
+
+def _best_response_map(sol, k, w):
+    """Reference: buyer k's reply ``gamma[k, q] + sum_{j != k, l != q}
+    xi[j, l, q] * d[j, l]``, one step of the map ``neumann_dynamics`` iterates."""
+    n = sol.d.shape[1]
+    pull = np.einsum("jlq,jl->jq", np.where(np.eye(n, dtype=bool), 0.0, w.xi), sol.d)
+    return w.gamma[k] + pull.sum(axis=0) - pull[k]
+
+
+def _perturbed_books(suite, scale=1.3):
+    """Each solved market with one slope, chosen by a fixed seed, scaled;
+    books whose payment polytope is empty are skipped."""
+    rng = np.random.default_rng(1301)
+    for m, w, sol in suite:
+        d = sol.d.copy()
+        d[rng.integers(m.n_buyers), rng.integers(m.n_sources)] *= scale
+        try:
+            yield m, w, solution_from_d(d, w, m)
+        except InfeasibleCError:
+            continue
+
 
 def test_two_firm_equilibrium_certifies():
     m = two_firm_market(0.0)
     w, sol = _solved(m)
     for k in range(2):
-        rep = best_response_check(sol, k, w, m, radius=0.5, steps=41)
-        assert rep.certified
-        assert rep.max_improvement <= rep.tolerance
+        rep = best_response_certificate(sol, k, w, m)
+        assert rep.certified and not rep.improvable
+        assert rep.bound <= 1e-15 * (1.0 + abs(rep.cost_eq))
+        assert rep.argmin_d == pytest.approx(sol.d[k], rel=1e-12)
 
 
 def test_perturbed_point_fails_certification():
@@ -130,29 +217,101 @@ def test_perturbed_point_fails_certification():
     d_mod = sol.d.copy()
     d_mod[0, 0] += 0.5
     pert = solution_from_d(d_mod, w, m)
-    rep = best_response_check(pert, 0, w, m, radius=0.5, steps=41)
-    assert not rep.certified
-    # the analytic gap along the slope coordinate is about 2.8e-3
-    assert rep.max_improvement > 1e-3
-    assert rep.argmin_d[0] < d_mod[0, 0]
+    rep = best_response_certificate(pert, 0, w, m)
+    assert not rep.certified and rep.improvable
+    # no floor binds at the closed-form reply, so it is the best reply: the
+    # bracket is closed, and the saving is the witness's
+    assert rep.argmin_d == pytest.approx(_best_response_map(pert, 0, w), rel=1e-12)
+    assert rep.improvement == pytest.approx(rep.bound, rel=1e-12)
+    saving = rep.cost_eq - _retightened_cost(0, rep.argmin_d, pert, w, m)
+    assert rep.improvement == pytest.approx(saving, rel=1e-9)
+    assert rep.improvement == pytest.approx(2.743e-3, rel=1e-3)
+    assert rep.improvement >= _grid_search(pert, 0, w, m)[1]
 
 
 def test_decoupled_argmin_is_equilibrium():
     m = two_firm_market(-1.0)
     w, sol = _solved(m)
-    rep = best_response_check(sol, 0, w, m, radius=0.5, steps=21)
+    rep = best_response_certificate(sol, 0, w, m)
     assert rep.certified
     assert rep.argmin_d == pytest.approx(sol.d[0], rel=1e-12)
 
 
 def test_suite_certification_sample(solved_suite):
-    for m, w, sol in solved_suite[:25]:
+    for m, w, sol in solved_suite:
         for k in range(m.n_buyers):
-            rep = best_response_check(sol, k, w, m, radius=0.5, steps=21)
+            rep = best_response_certificate(sol, k, w, m)
             assert rep.certified, (
-                f"buyer {k} improves by {rep.max_improvement:.3g} (tol {rep.tolerance:.3g})"
+                f"buyer {k} may improve by {rep.bound:.3g} (tol {rep.tolerance:.3g})"
             )
+            assert rep.bound <= 1e-15 * (1.0 + abs(rep.cost_eq))
 
+
+@pytest.mark.parametrize("scale", [1.0, 1.3])
+def test_certificate_agrees_with_the_grid(solved_suite, scale):
+    # the grid's saving is witnessed, so it bounds the best saving from
+    # below: the certificate never certifies past it, and never reports less
+    books = solved_suite if scale == 1.0 else list(_perturbed_books(solved_suite, scale))
+    assert len(books) >= 200
+    missed = 0
+    for m, w, sol in books:
+        for k in range(m.n_buyers):
+            rep = best_response_certificate(sol, k, w, m)
+            cost_eq, gain, _ = _grid_search(sol, k, w, m)
+            assert rep.cost_eq == pytest.approx(cost_eq, rel=1e-12)
+            assert rep.certified != rep.improvable
+            assert not (rep.certified and gain > rep.tolerance)
+            figure = rep.bound if rep.certified else rep.improvement
+            assert figure >= gain - 1e-12 * (1.0 + abs(cost_eq))
+            assert 0.0 <= rep.improvement <= rep.bound
+            saving = rep.cost_eq - _retightened_cost(k, rep.argmin_d, sol, w, m)
+            assert saving == pytest.approx(rep.improvement, rel=1e-9, abs=1e-12)
+            missed += rep.improvable and gain <= rep.tolerance
+    # the grid certifies buyers whose best reply fell between its points
+    # (6 of the scaled books' buyers)
+    assert (missed > 0) == (scale != 1.0)
+
+
+# Two sources and two linear buyers: after d[1, 2] += 1 (1-based), buyer 2's
+# closed-form reply drives a payment slack below zero, so the closed form
+# alone decides nothing.
+CONVEX_SOLVE_DOC = {
+    "sources": [{"x": 0.068, "alpha": 0.777}, {"x": 0.74, "alpha": 0.861}],
+    "buyers": [{"estimator": {"kind": "linear-regression", "degree": 1},
+                "value_dist": {"kind": "discrete", "params": {"points": [-0.434, 0.075, -0.096],
+                                                              "weights": [0.17, 0.395, 0.435]}},
+                "delta": [0.0, 0.2125]},
+               {"estimator": {"kind": "linear-regression", "degree": 1},
+                "value_dist": {"kind": "point-mass", "params": {"x0": 0.344}},
+                "delta": [0.2125, 0.0]}],
+    "feature_domain": [-1.0, 1.0],
+}
+
+
+def _convex_solve_book():
+    m = market_from_config(CONVEX_SOLVE_DOC)
+    w, sol = _solved(m)
+    d = sol.d.copy()
+    d[0, 1] += 1.0
+    return m, w, solution_from_d(d, w, m)
+
+
+def test_convex_solve_decides_what_the_closed_form_leaves_open(monkeypatch):
+    m, w, pert = _convex_solve_book()
+    monkeypatch.setattr(datamarket.oracle, "_DUAL_MAX_STEPS", 1)
+    closed = best_response_certificate(pert, 1, w, m)
+    # the closed-form reply is worse than the book, and the smooth bound is loose
+    assert _retightened_cost(1, _best_response_map(pert, 1, w), pert, w, m) > closed.cost_eq
+    assert closed.improvement == 0.0 and not closed.certified
+    assert closed.bound == pytest.approx(0.0224, rel=1e-2)
+    monkeypatch.undo()
+    rep = best_response_certificate(pert, 1, w, m)
+    assert rep.improvable
+    assert rep.bound - rep.improvement <= 1e-12 * (1.0 + abs(rep.cost_eq))
+    assert rep.improvement == pytest.approx(6.26e-3, rel=1e-3)
+    assert rep.improvement > _grid_search(pert, 1, w, m)[1]
+    saving = rep.cost_eq - _retightened_cost(1, rep.argmin_d, pert, w, m)
+    assert saving == pytest.approx(rep.improvement, rel=1e-9)
 
 # ---------------------------------------------------------------------------
 # fixed-point iteration

@@ -14,15 +14,16 @@ PACKAGE_DIR = pathlib.Path(datamarket.__file__).parent
 # Public names deleted because no command used them, because the solve
 # and the oracles no longer share a coupling system, because the
 # vectorized source response replaced them, because complete_solution
-# builds the whole payment polytope, or because the payment means are
-# exact rather than simulated; see CHANGES.md.
+# builds the whole payment polytope, or because the payment means and the
+# best responses are certified in closed form rather than simulated or
+# searched; see CHANGES.md.
 DELETED = {
     "market": ("effort_from_d_total", "variance_from_d_total"),
     "estimators": ("h_weight", "loo_weight_tensor", "loss_weight_matrix"),
     "equilibrium": ("CouplingSystem", "build_coupling_system", "c_polytope", "canonical_c"),
     "welfare": ("social_loss", "social_optimum_efforts"),
-    "oracle": ("eval_buyer_cost", "monte_carlo_payments"),
-    "cli": ("market_to_config",),
+    "oracle": ("eval_buyer_cost", "monte_carlo_payments", "best_response_check"),
+    "cli": ("market_to_config", "MAX_CHECK_GRID"),
 }
 
 
