@@ -13,6 +13,7 @@ import argparse
 import copy
 import json
 import math
+import numbers
 import os
 import re
 import sys
@@ -47,13 +48,7 @@ from .equilibrium import (
     solve_rows,
     spectral_radius,  # noqa: F401  (the benchmark's tracer test looks it up here)
 )
-from .welfare import (
-    DegenerateSourceError,
-    EtaNotOneError,
-    UndefinedPoaError,
-    price_of_anarchy,
-    welfare_rows,
-)
+from .welfare import UndefinedPoaError, price_of_anarchy, welfare_rows
 from .oracle import (
     best_response_certificate,
     neumann_dynamics,
@@ -85,12 +80,19 @@ def _fmt(x: float) -> str:
 # config documents
 # ---------------------------------------------------------------------------
 
+def _number(v) -> float:
+    """v as a float if it is a number; a boolean or a numeric string is not."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise TypeError(f"{v!r} is not a number")
+    return float(v)
+
+
 def _as_float(doc, key, where):
     try:
-        return float(doc[key])
+        return _number(doc[key])
     except KeyError:
         raise ConfigError(f"{where}: missing key {key!r}") from None
-    except (TypeError, ValueError, OverflowError):
+    except (TypeError, OverflowError):
         raise ConfigError(f"{where}: {key!r} must be a number, got {doc[key]!r}") from None
 
 
@@ -111,8 +113,8 @@ def _dist_from_config(doc, where) -> ValueDistribution:
         if not isinstance(pts, list) or not isinstance(wts, list):
             raise ConfigError(f"{where}: discrete value_dist needs 'points' and 'weights' lists")
         try:
-            return ValueDistribution.discrete(pts, wts)
-        except (TypeError, ValueError, OverflowError):
+            return ValueDistribution.discrete(map(_number, pts), map(_number, wts))
+        except (TypeError, OverflowError):
             raise ConfigError(f"{where}: discrete points and weights must be numbers") from None
     raise ConfigError(f"{where}: unknown value_dist kind {kind!r}")
 
@@ -157,15 +159,15 @@ def market_from_config(doc: dict) -> MarketInstance:
         if not isinstance(delta, list):
             raise ConfigError(f"{where}: delta must be a list")
         try:
-            delta = tuple(float(v) for v in delta)
-        except (TypeError, ValueError, OverflowError):
+            delta = tuple(map(_number, delta))
+        except (TypeError, OverflowError):
             raise ConfigError(f"{where}: delta entries must be numbers") from None
         eta = _as_float(b, "eta", where) if "eta" in b else 1.0
         buyers.append(DataBuyer(estimator=est, value_dist=dist, delta_row=delta, eta=eta))
 
     try:
-        fd = (float(fd[0]), float(fd[1]))
-    except (TypeError, ValueError, OverflowError):
+        fd = (_number(fd[0]), _number(fd[1]))
+    except (TypeError, OverflowError):
         raise ConfigError("feature_domain entries must be numbers") from None
     return MarketInstance(sources=tuple(sources), buyers=tuple(buyers), feature_domain=fd)
 
@@ -275,7 +277,7 @@ def _cmd_solve(args) -> int:
     welfare_note = None
     try:
         welfare = price_of_anarchy(sol, w, m)
-    except (EtaNotOneError, DegenerateSourceError, UndefinedPoaError) as err:
+    except UndefinedPoaError as err:
         welfare_note = str(err)
 
     print(f"market: {m.n_sources} sources, {m.n_buyers} buyers")
@@ -316,7 +318,7 @@ def _cmd_solve(args) -> int:
             payload["c"] = {
                 "E": sol.c_polytope.E,
                 "L": sol.c_polytope.L,
-                "slack": sol.c_polytope.slack,
+                "slack": sol.efforts,
                 "canonical": sol.c_polytope.canonical,
                 "feasible": True,
             }
@@ -407,9 +409,9 @@ def _sweep_lines(m: MarketInstance, values: np.ndarray, column: str, index: int)
                         for name in ("locations", "alphas", "etas"))
     {"locations": xs, "alphas": alphas, "etas": etas}[column][:, index] = values
 
-    w, errors, xi_errors = weight_rows(m, xs, etas)
+    w, errors = weight_rows(m, xs, etas)
     weighted = np.array([e is None for e in errors], dtype=bool)
-    has_xi = np.array([e is None for e in xi_errors], dtype=bool)
+    has_xi = np.array([e is None or e.xi is not None for e in errors], dtype=bool)
     rho = np.zeros(len(values))
     rho[has_xi] = coupling_radius(w.xi[has_xi])
     past_gate = has_xi & (rho >= RHO_EXISTENCE_THRESHOLD)
@@ -467,10 +469,10 @@ def _cmd_sweep(args) -> int:
         raise ConfigError("sweep spec needs 'param', 'range' and 'base'")
 
     try:
-        lo = float(rng_doc["from"])
-        hi = float(rng_doc["to"])
+        lo = _number(rng_doc["from"])
+        hi = _number(rng_doc["to"])
         steps = rng_doc["steps"]
-    except (KeyError, TypeError, ValueError, OverflowError):
+    except (KeyError, TypeError, OverflowError):
         raise ConfigError("range needs numeric 'from', 'to' and integer 'steps'") from None
     if not isinstance(steps, int) or isinstance(steps, bool) or not 2 <= steps <= MAX_SWEEP_STEPS:
         raise ConfigError(f"range.steps must be an integer from 2 to {MAX_SWEEP_STEPS}, got {steps!r}")
@@ -605,8 +607,7 @@ def _cmd_welfare(args) -> int:
 # Input and model errors: each exits 1 with its message.
 _INPUT_ERRORS = (
     ConfigError, SingularDesignError, GammaNegativeError, InfeasibleCError,
-    NumericFailure, EtaNotOneError, DegenerateSourceError, UndefinedPoaError,
-    ValueError, OverflowError,
+    NumericFailure, UndefinedPoaError, ValueError, OverflowError,
 )
 
 

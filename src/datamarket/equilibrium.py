@@ -136,20 +136,19 @@ def coupling_radius(xi: np.ndarray):
 class CPolytope:
     """Feasible flat payments: ``sum_j c[j, i] == E[i]`` and ``c[k, i] >= L[k, i]``.
 
-    ``slack[i] = E[i] - sum_k L[k, i]`` equals the source's equilibrium
-    effort, so feasibility is exactly nonnegative effort.  ``canonical`` is
-    one natural point of the polytope: each source's slack split across
-    buyers in proportion to their slopes, so the totals match E and, when
-    every slope is nonnegative, every contract sits weakly above its floor.
+    Source i's slack ``E[i] - sum_k L[k, i]`` is its equilibrium effort, so
+    feasibility is exactly nonnegative effort.  ``canonical`` is one natural
+    point of the polytope: each source's slack split across buyers in
+    proportion to their slopes, so the totals match E and, when every slope
+    is nonnegative, every contract sits weakly above its floor.
     """
 
     E: np.ndarray
     L: np.ndarray
-    slack: np.ndarray
     canonical: np.ndarray
 
     def __post_init__(self):
-        for a in (self.E, self.L, self.slack, self.canonical):
+        for a in (self.E, self.L, self.canonical):
             a.setflags(write=False)
 
 
@@ -277,8 +276,8 @@ def complete_solution(sol: EquilibriumSolution, w: SeparableWeights) -> Equilibr
         worst = int(np.argmin(finite))
     if not (finite[worst] and slack[worst] >= -1e-12):
         raise InfeasibleCError(worst, float(slack[worst]))
-    canonical = L + sol.d / sol.d.sum(axis=0) * slack
-    return replace(sol, c_polytope=CPolytope(E=E, L=L, slack=slack, canonical=canonical))
+    canonical = L + sol.d / sol.d.sum(axis=0) * sol.efforts
+    return replace(sol, c_polytope=CPolytope(E=E, L=L, canonical=canonical))
 
 
 def solution_from_d(d: np.ndarray, w: SeparableWeights, m: MarketInstance) -> EquilibriumSolution:

@@ -5,7 +5,10 @@ prediction error that is linear in the sources' report variances.  The
 coefficient attached to each variance depends only on the sample locations,
 the basis and where the buyer evaluates the fit, so the whole market reduces
 to three arrays: full-design loss weights (beta), leave-one-out prediction
-weights (xi) and competition-adjusted weights (gamma).
+weights (xi) and competition-adjusted weights (gamma).  A market whose
+weights cannot be formed raises SingularDesignError or GammaNegativeError;
+either carries xi when the leave-one-out fits succeeded, since whether an
+equilibrium exists depends on xi alone.
 """
 
 from __future__ import annotations
@@ -28,21 +31,22 @@ __all__ = [
 COND_LIMIT = 1e12
 
 
-class SingularDesignError(Exception):
+class _WeightsError(Exception):
+    """Base of the weights errors: ``xi`` is the leave-one-out tensor when
+    those fits succeeded, else None."""
+
+    def __init__(self, message: str, xi: np.ndarray | None = None):
+        super().__init__(message)
+        self.xi = xi
+
+
+class SingularDesignError(_WeightsError):
     """Design too ill-conditioned to fit the requested basis."""
 
-    def __init__(self, message: str, xi: np.ndarray | None = None):
-        super().__init__(message)
-        self.xi = xi
 
-
-class GammaNegativeError(Exception):
+class GammaNegativeError(_WeightsError):
     """Some adjusted loss weight is unusable: competition weights push it
     below zero, or it overflows with the loss weight or a vanishing eta."""
-
-    def __init__(self, message: str, xi: np.ndarray | None = None):
-        super().__init__(message)
-        self.xi = xi
 
 
 @dataclass(frozen=True)
@@ -127,24 +131,6 @@ def _moment_matrix(dist: ValueDistribution, degree: int) -> np.ndarray:
     return mu[np.add.outer(np.arange(degree + 1), np.arange(degree + 1))]
 
 
-def _quadratic_form(W: np.ndarray, mom: np.ndarray) -> np.ndarray:
-    """Per-sample variance weights ``sum_pq W[p, i] mom[p, q] W[q, i]``, clipped at 0.
-
-    The terms are added in a fixed order, p-major, so a fit's weights do not
-    depend on how many fits share the stack; on a full design that order
-    matches ``np.einsum("pi,pq,qi->i")`` on one fit bit for bit.  A weight
-    that overflows is left inf or NaN for ``_adjusted_rows`` to report.
-    """
-    def term(p, q):
-        return (W[..., p, :] * mom[..., p, q, None]) * W[..., q, :]
-
-    n_coef = W.shape[-2]
-    with np.errstate(over="ignore", invalid="ignore"):
-        h = sum(term(p, q) for p in range(n_coef) for q in range(n_coef))
-    # quadratic form in a PSD matrix; clip float dust
-    return np.maximum(h, 0.0)
-
-
 # ---------------------------------------------------------------------------
 # market-level reduction, over rows of source locations and buyer etas
 # ---------------------------------------------------------------------------
@@ -190,7 +176,13 @@ def _fit_rows(xs: np.ndarray, buyers) -> tuple:
                     xi_errors[r] = SingularDesignError(
                         f"buyer {j}: leave-one-out design dropping source {i} is singular: {message}")
         W, loo_xi = fits[degree]
-        h = _quadratic_form(W, _moment_matrix(b.value_dist, degree))
+        mom = _moment_matrix(b.value_dist, degree)
+        # sum_pq W[p, i] mom[p, q] W[q, i], whose terms einsum adds in one order
+        # whatever the stack size, so a row's bits do not depend on it.  An
+        # overflowed weight stays inf or NaN for _adjusted_rows to report; the
+        # clip takes float dust off a quadratic form in a PSD matrix.
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = np.maximum(np.einsum("...pi,pq,...qi->...i", W, mom, W), 0.0)
         # Two-source "companion" convention: each source carries the weight
         # the fit puts on the other sample point, so at x = (0, 1) under a
         # uniform [-1, 1] buyer beta is (1/3, 4/3) where the fit gives
@@ -232,13 +224,14 @@ def _adjusted_rows(beta: np.ndarray, etas: np.ndarray, buyers) -> tuple:
 
 def weight_rows(m: MarketInstance, xs: np.ndarray, etas: np.ndarray) -> tuple:
     """Separable weights of m's buyers at source locations ``xs`` (R, N) and
-    buyer etas ``etas`` (R, M), as ``(weights, errors, xi_errors)``.
+    buyer etas ``etas`` (R, M), as ``(weights, errors)``.
 
     ``weights`` holds beta, xi and gamma with a leading row axis.
-    ``errors[r]`` is what ``compute_weights`` raises on row r, or None;
-    ``xi_errors[r]`` concerns the leave-one-out fits alone, so
-    ``weights.xi[r]`` is valid whenever it is None.  Fits are stacked over
-    rows, one per distinct degree (times the dropped sources).
+    ``errors[r]`` is what ``compute_weights`` raises on row r, or None; it
+    carries ``weights.xi[r]`` as ``xi`` when the leave-one-out fits
+    succeeded, so xi is valid wherever the error is None or its xi is not.
+    Fits are stacked over rows, one per distinct degree (times the dropped
+    sources).
     """
     beta, xi, beta_errors, xi_errors = _fit_rows(xs, m.buyers)
     gamma, gamma_errors = _adjusted_rows(beta, etas, m.buyers)
@@ -246,7 +239,7 @@ def weight_rows(m: MarketInstance, xs: np.ndarray, etas: np.ndarray) -> tuple:
     for err, x_err, row_xi in zip(errors, xi_errors, xi):
         if err is not None and x_err is None:
             err.xi = row_xi
-    return SeparableWeights(beta=beta, xi=xi, gamma=gamma), errors, xi_errors
+    return SeparableWeights(beta=beta, xi=xi, gamma=gamma), errors
 
 
 def compute_weights(m: MarketInstance) -> SeparableWeights:
@@ -259,7 +252,7 @@ def compute_weights(m: MarketInstance) -> SeparableWeights:
     leave-one-out tensor as ``xi`` when that fit succeeded, since existence
     depends on it alone.
     """
-    w, errors, _ = weight_rows(m, np.array([m.locations()], dtype=float), np.array([m.etas()], dtype=float))
+    w, errors = weight_rows(m, np.array([m.locations()], dtype=float), np.array([m.etas()], dtype=float))
     if errors[0] is not None:
         raise errors[0]
     return SeparableWeights(beta=w.beta[0], xi=w.xi[0], gamma=w.gamma[0])

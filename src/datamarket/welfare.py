@@ -2,8 +2,9 @@
 
 The social planner adds up every buyer's expected estimation loss and every
 source's effort cost.  That accounting only makes sense when payments are
-denominated in loss units for all buyers (eta identically one), which these
-functions enforce.
+denominated in loss units for all buyers (eta identically one).  Where it
+does not, or where the optimum is not finite or its loss not positive,
+welfare is undefined and these functions report UndefinedPoaError.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ from .estimators import SeparableWeights
 from .equilibrium import EquilibriumSolution, NumericFailure
 
 __all__ = [
-    "EtaNotOneError",
-    "DegenerateSourceError",
     "UndefinedPoaError",
     "WelfareReport",
     "price_of_anarchy",
@@ -26,16 +25,10 @@ __all__ = [
 ]
 
 
-class EtaNotOneError(Exception):
-    """Welfare accounting needs every buyer's payment conversion eta == 1."""
-
-
-class DegenerateSourceError(Exception):
-    """Some source carries zero aggregate loss weight; no finite optimum."""
-
-
 class UndefinedPoaError(Exception):
-    """The optimal social loss is not positive, so the ratio is meaningless."""
+    """Welfare is undefined: some buyer's payment conversion eta is not 1, some
+    source carries zero aggregate loss weight (no finite optimum), or the
+    optimal social loss is not positive (the ratio is meaningless)."""
 
 
 @dataclass(frozen=True)
@@ -52,37 +45,9 @@ class WelfareReport:
     poa: float
 
 
-def _eta_errors(etas: np.ndarray) -> list:
-    """Per row of buyer etas, the EtaNotOneError for the first eta that is not 1."""
-    errors = [None] * len(etas)
-    for r, row in enumerate(etas.tolist()):
-        for j, eta in enumerate(row):
-            if eta != 1.0:
-                errors[r] = EtaNotOneError(
-                    f"buyer {j} has eta {eta}; welfare accounting requires eta == 1")
-                break
-    return errors
-
-
 def _social_loss(efforts: np.ndarray, weights: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     """Row-wise total expected loss plus total effort."""
     return (weights * np.exp(-2.0 * alphas * efforts)).sum(axis=-1) + efforts.sum(axis=-1)
-
-
-def _optimum(weights: np.ndarray, alphas: np.ndarray) -> tuple:
-    """Row-wise optimal efforts and per row the first DegenerateSourceError.
-
-    The separable, convex loss is least where ``2 * alpha * G * exp(-2*alpha*e)
-    = 1``: the effort a source would settle at under total slope G.
-    Degenerate rows give log(0); they are reported, not used.
-    """
-    errors = [None] * len(weights)
-    positive = weights > 0.0
-    for r in np.flatnonzero(~positive.all(axis=-1)):
-        errors[r] = DegenerateSourceError(
-            f"source {int(np.argmin(positive[r]))} has zero aggregate loss weight; "
-            "the social loss has no finite minimizer")
-    return source_response(weights, alphas)[0], errors
 
 
 def welfare_rows(efforts: np.ndarray, w: SeparableWeights, alphas: np.ndarray,
@@ -95,7 +60,10 @@ def welfare_rows(efforts: np.ndarray, w: SeparableWeights, alphas: np.ndarray,
     ``price_of_anarchy`` raises on it, or None.
     """
     weights = w.gamma.sum(axis=-2)
-    efforts_opt, opt_errors = _optimum(weights, alphas)
+    # The separable, convex loss is least where 2*alpha*G*exp(-2*alpha*e) = 1:
+    # the effort a source would settle at under total slope G.  A source
+    # with G = 0 gives log(0); its row is reported below, not used.
+    efforts_opt = source_response(weights, alphas)[0]
     # rows that fail a check below may hold inf or NaN; no warning for them
     with np.errstate(all="ignore"):
         loss_eq = _social_loss(efforts, weights, alphas)
@@ -111,11 +79,18 @@ def welfare_rows(efforts: np.ndarray, w: SeparableWeights, alphas: np.ndarray,
     coupled = (floor > 1e-9 * weights).any(axis=-1)
     no_oversupply = coupled & ~(gap.max(axis=-1) > 0.0)
 
-    errors = [e or o for e, o in zip(_eta_errors(etas), opt_errors)]
-    for r, err in enumerate(errors):
-        if err is not None:
-            continue
-        if not loss_opt[r] > 0.0:
+    off_one, positive = etas != 1.0, weights > 0.0
+    errors = [None] * len(etas)
+    for r in range(len(errors)):
+        if off_one[r].any():
+            j = int(np.argmax(off_one[r]))
+            errors[r] = UndefinedPoaError(
+                f"buyer {j} has eta {float(etas[r, j])}; welfare accounting requires eta == 1")
+        elif not positive[r].all():
+            errors[r] = UndefinedPoaError(
+                f"source {int(np.argmin(positive[r]))} has zero aggregate loss weight; "
+                "the social loss has no finite minimizer")
+        elif not loss_opt[r] > 0.0:
             errors[r] = UndefinedPoaError(f"optimal social loss {loss_opt[r]:.6g} is not positive")
         elif below[r]:
             errors[r] = NumericFailure("equilibrium efforts fell below the social optimum")

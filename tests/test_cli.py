@@ -25,8 +25,6 @@ from datamarket import (
     EstimatorSpec,
     MarketInstance,
     ValueDistribution,
-    EtaNotOneError,
-    DegenerateSourceError,
     GammaNegativeError,
     NoEquilibriumError,
     NumericFailure,
@@ -41,7 +39,6 @@ from datamarket import (
     solution_from_d,
     solve_equilibrium_d,
     validate_market,
-    weight_rows,
 )
 from datamarket.cli import ConfigError, main, market_from_config
 
@@ -106,6 +103,10 @@ def test_config_errors():
         market_from_config(bad_buyer)
 
 
+def _discrete(points, weights):
+    return {"kind": "discrete", "params": {"points": points, "weights": weights}}
+
+
 @pytest.mark.parametrize("path, value", [
     (("buyers", 0, "eta"), "abc"),
     (("buyers", 0, "eta"), None),
@@ -114,17 +115,61 @@ def test_config_errors():
     (("sources", 0, "x"), 10 ** 400),
     (("buyers", 0, "delta"), [0.0, 10 ** 400]),
     (("feature_domain", 0), 10 ** 400),
-    (("buyers", 0, "value_dist"), {"kind": "discrete", "params": {"points": [None], "weights": [1.0]}}),
+    (("buyers", 0, "value_dist"), _discrete([None], [1.0])),
+    # JSON booleans and numeric strings are not numbers
+    (("sources", 0, "alpha"), True),
+    (("buyers", 0, "eta"), "1.5"),
+    (("sources", 1, "x"), "inf"),
+    (("buyers", 0, "value_dist", "params", "lo"), "-1"),
+    (("buyers", 1, "value_dist"), {"kind": "point-mass", "params": {"x0": False}}),
+    (("buyers", 0, "delta"), [False, 0.0]),
+    (("buyers", 1, "delta"), [0.0, "0"]),
+    (("feature_domain", 1), True),
+    (("buyers", 0, "value_dist"), _discrete(["0.5"], [1.0])),
+    (("buyers", 0, "value_dist"), _discrete([0.5], [True])),
 ])
 def test_config_rejects_non_numbers(tmp_path, capsys, path, value):
     doc = market_to_config(two_firm_market(0.0))
     _set_leaf(doc, path, value)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as info:
         market_from_config(doc)
+    assert re.fullmatch(r".* must be (a number, got .*|numbers)", str(info.value))
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(doc))
     assert main(["solve", str(cfg)]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err == f"error: {info.value}\n"
+
+
+def _two_firm_doc(path=None, value=None):
+    doc = market_to_config(two_firm_market(0.0))
+    if path is not None:
+        _set_leaf(doc, path, value)
+    return doc
+
+
+@pytest.mark.parametrize("doc, message", [
+    (_two_firm_doc(("sources", 0), {"x": 0.0}), "sources[0]: missing key 'alpha'"),
+    (_two_firm_doc(("buyers", 0, "value_dist"), {"params": {}}), "buyers[0]: value_dist needs a 'kind' field"),
+    (_two_firm_doc(("buyers", 1, "value_dist"), "uniform"), "buyers[1]: value_dist needs a 'kind' field"),
+    (_two_firm_doc(("buyers", 0, "value_dist", "params"), [-1.0, 1.0]),
+     "buyers[0]: value_dist params must be an object"),
+    (_two_firm_doc(("buyers", 0, "value_dist"), {"kind": "discrete", "params": {"points": [0.5]}}),
+     "buyers[0]: discrete value_dist needs 'points' and 'weights' lists"),
+    ([], "top level must be an object"),
+    (_two_firm_doc(("sources",), {}), "sources must be a list"),
+    (_two_firm_doc(("sources", 1), 1.0), "sources[1]: must be an object"),
+    (_two_firm_doc(("buyers",), None), "buyers must be a list"),
+    (_two_firm_doc(("buyers", 1), []), "buyers[1]: must be an object"),
+    (_two_firm_doc(("buyers", 0, "estimator"), {"degree": 1}), "buyers[0]: estimator needs a 'kind' field"),
+    (_two_firm_doc(("buyers", 0, "delta"), 0.0), "buyers[0]: delta must be a list"),
+], ids=["missing-key", "dist-no-kind", "dist-not-object", "params-not-object", "discrete-no-weights",
+        "top-level", "sources-not-list", "source-not-object", "buyers-not-list", "buyer-not-object",
+        "estimator-no-kind", "delta-not-list"])
+def test_config_structure_errors(tmp_path, capsys, doc, message):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["solve", str(cfg)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_config_eta_defaults_to_one():
@@ -687,6 +732,14 @@ def test_solve_json_out_matches_json_dumps(tmp_path, monkeypatch, capsys, market
     assert (b'"feasible": false' in written) == (market == "infeasible")
 
 
+def test_solve_json_out_unwritable_exits_1(tmp_path, capsys):
+    out = tmp_path / "nodir" / "solution.json"
+    assert main(["solve", os.path.join(ROOT, "configs", "two_firm.json"), "--json-out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("market: 2 sources, 2 buyers\n")
+    assert captured.err == f"error: cannot write {out}: [Errno 2] No such file or directory: '{out}'\n"
+
+
 # ---------------------------------------------------------------------------
 # check
 # ---------------------------------------------------------------------------
@@ -749,6 +802,29 @@ def test_fixed_point_iteration_does_not_use_the_solves_matrix(monkeypatch, capsy
 def test_check_bad_perturb_flag(tmp_path):
     cfg = write_config(tmp_path, two_firm_market(0.0))
     assert main(["check", str(cfg), "--perturb", "9,9,0.5"]) == 1
+
+
+def test_check_perturb_that_leaves_slopes_uncheckable_exits_1(capsys):
+    # a negative total slope on source 0 leaves its effort undefined
+    cfg = os.path.join(ROOT, "configs", "two_firm_decoupled.json")
+    assert main(["check", cfg, "--perturb", "1,1,-2.3"]) == 1
+    assert capsys.readouterr() == ("", "error: perturbed slopes are not checkable: source 0 attracts "
+                                       "total slope -1.63333; its effort is undefined\n")
+
+
+@pytest.mark.parametrize("x, code, err", [
+    (0.0, 3, "  - fixed-point iteration failed to converge despite rho < 0.99\n"),
+    # from rho 0.99 on slow convergence is expected, and fails nothing
+    (0.9, 0, ""),
+], ids=["rho-0.5", "rho-0.997"])
+def test_check_fixed_point_without_convergence(tmp_path, monkeypatch, capsys, x, code, err):
+    monkeypatch.setattr(datamarket.oracle, "NEUMANN_MAX_ITERS", 3)
+    cfg = write_config(tmp_path, two_firm_market(x))
+    assert main(["check", str(cfg)]) == code
+    captured = capsys.readouterr()
+    assert re.search(r"^fixed-point iteration: no convergence in 3 sweeps \(last step \S+\)$",
+                     captured.out, re.M)
+    assert captured.err == err
 
 
 def test_check_overflowing_slopes_exit_1(tmp_path, capsys):
@@ -1103,6 +1179,48 @@ def test_sweep_input_errors(tmp_path, capsys):
     assert capsys.readouterr().err == "error: range from -1e+308 to 1e+308 is wider than a float can hold\n"
 
 
+@pytest.mark.parametrize("spec, message", [
+    ([1.0], "sweep spec must be an object"),
+    ({"param": "sources[5].x", "range": {"from": -1.0, "to": 0.0, "steps": 3}, "base": _TWO_FIRM},
+     "sweep parameter 'sources[5].x' does not exist in the base config"),
+    ({"param": "sources[0].x", "range": {"from": -math.inf, "to": 0.0, "steps": 3}, "base": _TWO_FIRM},
+     "range bounds must be finite"),
+    ({"param": "sources[0].x", "range": {"from": -1.0, "to": math.nan, "steps": 3}, "base": _TWO_FIRM},
+     "range bounds must be finite"),
+    ({"param": "sources[0].x", "range": {"from": -1.0, "to": 0.0, "steps": 3}, "base": 5},
+     "sweep base must be a config object or a path to one"),
+    # JSON booleans and numeric strings are not numbers
+    *(({"param": "sources[0].x", "range": {"from": -1.0, "to": 0.5, "steps": 3, **bound}, "base": _TWO_FIRM},
+       "range needs numeric 'from', 'to' and integer 'steps'")
+      for bound in ({"from": True}, {"from": "-1.0"}, {"to": False}, {"to": "0.5"})),
+], ids=["spec-not-object", "missing-parameter", "infinite-bound", "nan-bound", "base-not-object",
+        "from-true", "from-string", "to-false", "to-string"])
+def test_sweep_spec_errors(tmp_path, capsys, spec, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "rows.csv"
+    assert main(["sweep", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
+def test_sweep_welfare_numeric_failure_aborts(tmp_path, monkeypatch, capsys):
+    # efforts below the social optimum break a welfare invariant: the sweep
+    # stops with the error rather than leaving the row's cells blank
+    real = datamarket.cli.solve_rows
+
+    def lowered(*args):
+        sol, errors = real(*args)
+        return dataclasses.replace(sol, efforts=sol.efforts - 0.1), errors
+
+    monkeypatch.setattr(datamarket.cli, "solve_rows", lowered)
+    out = tmp_path / "rows.csv"
+    path = write_sweep(tmp_path, _TWO_FIRM, -1.0, 0.0, 3)
+    assert main(["sweep", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", "error: equilibrium efforts fell below the social optimum\n")
+    assert not out.exists()
+
+
 def _reference_sweep_error(spec):
     """The error line of an invalid sweep, from a market built and validated
     per value: its first violation at the first value that has one."""
@@ -1186,11 +1304,10 @@ def _reference_row(m, value):
     try:
         w = compute_weights(m)
         xi = w.xi
-    except (SingularDesignError, GammaNegativeError):
+    except (SingularDesignError, GammaNegativeError) as err:
         status = "error"
-        rows, _, xi_errors = weight_rows(m, np.array([m.locations()]), np.array([m.etas()]))
-        if xi_errors[0] is None:
-            xi = rows.xi[0]
+        if err.xi is not None:
+            xi = err.xi
             rho = coupling_radius(xi)
             if rho >= RHO_EXISTENCE_THRESHOLD:
                 status = "no_equilibrium"
@@ -1215,7 +1332,7 @@ def _reference_row(m, value):
         rep = price_of_anarchy(sol, w, m)
         welfare = [_fmt(v) for v in rep.efforts_opt] + [_fmt(rep.loss_eq), _fmt(rep.loss_opt),
                                                         _fmt(rep.poa)]
-    except (EtaNotOneError, DegenerateSourceError, UndefinedPoaError):
+    except UndefinedPoaError:
         pass
     d = [_fmt(sol.d[j, i]) for i in range(n) for j in range(mm)]
     return head + d + [_fmt(v) for v in sol.efforts] + welfare + ["ok"]

@@ -414,7 +414,8 @@ def test_complete_solution_matches_the_reference_bitwise(solved_suite):
         poly = complete_solution(sol, w).c_polytope
         E, L, slack = _c_polytope_reference(sol, w)
         canonical = _canonical_c_reference(L, slack, sol.d)
-        for got, want in zip((poly.E, poly.L, poly.slack, poly.canonical), (E, L, slack, canonical)):
+        # the polytope keeps no slack: the reference's is the effort, bit for bit
+        for got, want in zip((poly.E, poly.L, sol.efforts, poly.canonical), (E, L, slack, canonical)):
             assert got.tobytes() == want.tobytes()
 
 
@@ -432,7 +433,7 @@ def test_polytope_two_firm_anchors():
     w = compute_weights(m)
     sol = complete_solution(solve_equilibrium_d(w, m), w)
     assert sol.c_polytope.E[0] == pytest.approx(1.7394598521982427, rel=1e-11)
-    assert sol.c_polytope.slack == pytest.approx(sol.efforts, rel=1e-12)
+    assert sol.c_polytope.E - sol.c_polytope.L.sum(axis=0) == pytest.approx(sol.efforts, rel=1e-12)
     assert sol.c_polytope.canonical.sum(axis=0) == pytest.approx(sol.c_polytope.E, rel=1e-12)
 
     m = two_firm_market(-1.0)
@@ -446,8 +447,8 @@ def test_polytope_two_firm_anchors():
 
 def test_polytope_slack_is_the_effort_beside_huge_floors():
     # d[0, 0] + 1e300 puts a floor of about 2.8e283 on source 0 beside an
-    # effort of 345.7: E - sum(L) cancels that effort away, and the slack is
-    # the effort itself
+    # effort of 345.7: E - sum(L) cancels that effort away, and the canonical
+    # point splits the effort itself
     m = market_from_config(json.loads((CONFIGS / "two_firm.json").read_text(encoding="utf-8")))
     w = compute_weights(m)
     d = solve_equilibrium_d(w, m).d.copy()
@@ -455,8 +456,9 @@ def test_polytope_slack_is_the_effort_beside_huge_floors():
     sol = solution_from_d(d, w, m)
     poly = sol.c_polytope
     assert poly.L[0, 0] > 1e283
-    assert poly.slack.tobytes() == sol.efforts.tobytes()
-    assert poly.slack[0] == pytest.approx(345.734, rel=1e-5)
+    assert poly.E[0] - poly.L[:, 0].sum() == 0.0
+    assert sol.efforts[0] == pytest.approx(345.734, rel=1e-5)
+    assert poly.canonical.tobytes() == (poly.L + sol.d / sol.d.sum(axis=0) * sol.efforts).tobytes()
 
 
 def test_polytope_zero_slack():
@@ -467,7 +469,7 @@ def test_polytope_zero_slack():
     sol = solve_equilibrium_d(w, m)
     assert sol.efforts == pytest.approx([0.0, 0.0], abs=1e-14)
     poly = complete_solution(sol, w).c_polytope
-    assert poly.slack == pytest.approx([0.0, 0.0], abs=1e-14)
+    assert poly.E - poly.L.sum(axis=0) == pytest.approx([0.0, 0.0], abs=1e-14)
     assert poly.canonical == pytest.approx(poly.L, abs=1e-14)
 
 

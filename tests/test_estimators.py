@@ -399,7 +399,7 @@ def test_weight_rows_equal_one_market_calls():
             xs[1, 0] = xs[1, -1]
         if n_rows > 2:
             etas[2, -1] = 5e-324  # overflows that buyer's gamma
-        w, errors, xi_errors = weight_rows(base, xs, etas)
+        w, errors = weight_rows(base, xs, etas)
         for r in range(n_rows):
             m = MarketInstance(
                 sources=tuple(DataSource(float(x), 1.0) for x in xs[r]),
@@ -409,8 +409,11 @@ def test_weight_rows_equal_one_market_calls():
                 one = compute_weights(m)
             except (SingularDesignError, GammaNegativeError) as err:
                 assert str(errors[r]) == str(err)
+                assert (errors[r].xi is None) == (err.xi is None)
+                if err.xi is not None:
+                    assert np.array_equal(errors[r].xi, err.xi)
                 continue
-            assert errors[r] is None and xi_errors[r] is None
+            assert errors[r] is None
             assert np.array_equal(w.beta[r], one.beta)
             assert np.array_equal(w.xi[r], one.xi)
             assert np.array_equal(w.gamma[r], one.gamma)
@@ -442,8 +445,11 @@ def test_singular_design_errors_match_the_loops():
             else:
                 wants.append(None)
         # compute_weights raises a full-design failure before a leave-one-out
-        # one; weight_rows' xi_errors hold the leave-one-out failure alone
-        _, _, xi_errors = weight_rows(m, np.array([m.locations()]), np.array([m.etas()]))
+        # one, and its error carries xi exactly when the leave-one-out fits
+        # succeed; _fit_rows keeps the leave-one-out failure alone
+        _, errors = weight_rows(m, np.array([m.locations()]), np.array([m.etas()]))
+        assert (errors[0] is None or errors[0].xi is not None) == (wants[1] is None)
+        *_, xi_errors = datamarket.estimators._fit_rows(np.array([m.locations()]), m.buyers)
         want = wants[0] or wants[1]
         if want is None:
             compute_weights(m)
@@ -467,7 +473,7 @@ def test_each_degree_builds_one_design(monkeypatch):
 
     monkeypatch.setattr(datamarket.estimators, "_design_matrix", recorded)
     m = _random_fit_market(np.random.default_rng(53), 6, [2, 1, 2, 3, 1])
-    _, errors, _ = weight_rows(m, np.array([m.locations()] * 3), np.array([m.etas()] * 3))
+    _, errors = weight_rows(m, np.array([m.locations()] * 3), np.array([m.etas()] * 3))
     assert built == [2, 1, 3]
     assert errors == [None] * 3
 
@@ -481,11 +487,11 @@ def test_designs_that_overflow_are_rank_deficient(degree, xs):
     # 0, with no warning and no LAPACK call on inf or NaN
     m = _one_buyer_market((-1.0, 0.0, 1.0), ValueDistribution.point_mass(0.5),
                           EstimatorSpec.polynomial(degree))
-    w, errors, xi_errors = weight_rows(m, np.array([[-1.0, 0.0, 1.0], xs]), np.array([[1.0], [1.0]]))
+    w, errors = weight_rows(m, np.array([[-1.0, 0.0, 1.0], xs]), np.array([[1.0], [1.0]]))
     assert errors[0] is None
     assert str(errors[1]) == (f"buyer 0: design at locations {list(xs)} is rank deficient "
                               f"for degree {degree} (cond inf)")
-    assert xi_errors[1] is not None  # a design keeping the far source fails too
+    assert errors[1].xi is None  # a design keeping the far source fails too
     assert np.isfinite(w.beta).all() and not w.beta[1].any()
 
 
@@ -496,8 +502,8 @@ def test_weight_errors_carry_the_leave_one_out_tensor():
                        feature_domain=(-1.0, 1.0))
     with pytest.raises(SingularDesignError) as err:
         compute_weights(m)
-    rows, _, xi_errors = weight_rows(m, np.array([m.locations()]), np.array([m.etas()]))
-    assert xi_errors[0] is None
+    rows, errors = weight_rows(m, np.array([m.locations()]), np.array([m.etas()]))
+    assert np.array_equal(errors[0].xi, rows.xi[0])
     assert np.array_equal(err.value.xi, rows.xi[0])
 
     # a singular leave-one-out design leaves nothing to carry

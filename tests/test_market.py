@@ -9,6 +9,7 @@ from datamarket import (
     EstimatorSpec,
     MarketInstance,
     ValueDistribution,
+    Violation,
     source_response,
     validate_market,
 )
@@ -201,6 +202,31 @@ def test_eta_and_distribution_violations():
     codes = _codes(m)
     assert "eta-nonpositive" in codes
     assert codes.count("value-dist-invalid") == 2
+
+
+@pytest.mark.parametrize("dist, message", [
+    (ValueDistribution("gaussian"), "unknown distribution kind 'gaussian'"),
+    (ValueDistribution.point_mass(math.inf), "point mass location inf is not finite"),
+    (ValueDistribution.point_mass(math.nan), "point mass location nan is not finite"),
+    (ValueDistribution.discrete([], []), "discrete distribution needs matching points and weights"),
+    (ValueDistribution.discrete([0.0, 0.5], [1.0]), "discrete distribution needs matching points and weights"),
+    (ValueDistribution.discrete([-math.inf, 0.5], [0.5, 0.5]), "discrete points must be finite"),
+    (ValueDistribution.discrete([0.0, 0.5], [1.5, -0.5]), "discrete weights must be nonnegative"),
+], ids=["unknown-kind", "inf-point-mass", "nan-point-mass", "empty-discrete", "mismatched-discrete",
+        "inf-point", "negative-weight"])
+def test_value_distribution_violation_messages(dist, message):
+    buyer = DataBuyer(EstimatorSpec.linear(), dist, (0.0,))
+    m = MarketInstance(sources=(DataSource(0.0, 1.0), DataSource(1.0, 1.0)), buyers=(buyer,),
+                       feature_domain=(-1.0, 1.0))
+    assert validate_market(m) == [Violation("value-dist-invalid", "buyers[0]", message)]
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_non_finite_source_location(x):
+    m = MarketInstance(sources=(DataSource(0.0, 1.0), DataSource(x, 1.0)),
+                       buyers=(DataBuyer(EstimatorSpec.linear(), ValueDistribution.uniform(-1.0, 1.0), (0.0,)),),
+                       feature_domain=(-1.0, 1.0))
+    assert validate_market(m) == [Violation("x-outside-domain", "sources[1]", f"location {x} is not finite")]
 
 
 @pytest.mark.parametrize("dist", [

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from datamarket import (
-    DegenerateSourceError,
-    EtaNotOneError,
     NumericFailure,
     SeparableWeights,
+    UndefinedPoaError,
     compute_weights,
     price_of_anarchy,
     solve_equilibrium_d,
@@ -138,8 +137,9 @@ def test_decoupled_markets_reach_the_optimum(decoupled_suite):
 def test_eta_not_one_rejected():
     m = two_firm_market(0.0, etas=(1.0, 2.0))
     w, sol = _solved(m)
-    with pytest.raises(EtaNotOneError):
+    with pytest.raises(UndefinedPoaError) as info:
         price_of_anarchy(sol, w, m)
+    assert str(info.value) == "buyer 1 has eta 2.0; welfare accounting requires eta == 1"
 
 
 def test_degenerate_source_rejected():
@@ -149,8 +149,31 @@ def test_degenerate_source_rejected():
     assert not w.gamma.any()
     # no slope solves this market; the efforts of its delta = 0 twin stand in
     _, sol = _solved(two_firm_market(0.0))
-    with pytest.raises(DegenerateSourceError):
+    with pytest.raises(UndefinedPoaError) as info:
         price_of_anarchy(sol, w, m)
+    assert str(info.value) == ("source 0 has zero aggregate loss weight; "
+                               "the social loss has no finite minimizer")
+
+
+def test_welfare_rows_name_the_first_undefined_cause():
+    # one error class, three causes, checked per row in order: an eta that
+    # is not 1, then a source with zero weight, then a non-positive optimum
+    w, sol = _solved(two_firm_market(0.0))
+    zero = compute_weights(two_firm_market(0.0, delta=1.0))
+    rows = [(w, (1.0, 1.0), (1.0, 1.0)), (w, (1.0, 2.0), (1.0, 1.0)), (zero, (1.0, 1.0), (1.0, 1.0)),
+            (zero, (3.0, 1.0), (1.0, 1.0)), (w, (1.0, 1.0), (0.01, 0.01))]
+    stacked = SeparableWeights(*(np.stack([getattr(r[0], f) for r in rows]) for f in ("beta", "xi", "gamma")))
+    _, errors = welfare_rows(np.tile(sol.efforts, (len(rows), 1)), stacked,
+                             np.array([r[2] for r in rows]), np.array([r[1] for r in rows]))
+    assert errors[0] is None
+    assert all(type(e) is UndefinedPoaError for e in errors[1:])
+    assert [str(e) for e in errors[1:]] == [
+        "buyer 1 has eta 2.0; welfare accounting requires eta == 1",
+        "source 0 has zero aggregate loss weight; the social loss has no finite minimizer",
+        "buyer 0 has eta 3.0; welfare accounting requires eta == 1",
+        # sum over sources of (1 + log(2 * alpha * G)) / (2 * alpha), G = (2/3, 8/3)
+        "optimal social loss -262.434 is not positive",
+    ]
 
 
 @pytest.mark.parametrize("shift, message", [
