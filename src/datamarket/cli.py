@@ -650,7 +650,16 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a reader that left early shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (as `| head -1` does): what is still
+        # buffered, and the flush at exit, go to devnull instead of raising
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_INPUT
     except NoEquilibriumError as err:
         print(err, file=sys.stderr)
         return EXIT_NO_EQUILIBRIUM

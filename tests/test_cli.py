@@ -1501,6 +1501,52 @@ def test_help_exits_0(capsys, argv):
     assert capsys.readouterr().out.startswith("usage: datamarket")
 
 
+class _ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone, as after ``| head -1``.  Unbuffered,
+    every write raises BrokenPipeError; buffered, writes succeed and the
+    flush raises it once.  ``fileno`` is a descriptor the test owns."""
+
+    def __init__(self, fd, buffered):
+        self._fd = fd
+        self._pending = "" if buffered else None
+
+    def writable(self):
+        return True
+
+    def write(self, text):
+        if self._pending is None:
+            raise BrokenPipeError(32, "Broken pipe")
+        self._pending += text
+        return len(text)
+
+    def flush(self):
+        if self._pending:
+            self._pending = ""
+            raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self._fd
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["write", "flush"])
+@pytest.mark.parametrize("argv", [
+    ["solve", "configs/two_firm.json"],
+    ["check", "configs/two_firm.json"],
+    ["sweep", "configs/sweep_x1.json", "--out", "/dev/stdout"],
+], ids=["solve", "check", "sweep"])
+def test_closed_stdout_exits_1_without_a_traceback(tmp_path, monkeypatch, capfd, argv, buffered):
+    monkeypatch.chdir(ROOT)
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd, buffered))
+        assert main(argv) == 1
+        # stdout's descriptor now leads to devnull, so the flush at exit cannot raise
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)
+    assert capfd.readouterr().err == ""
+
+
 def test_python_m_invocation(tmp_path):
     cfg = write_config(tmp_path, two_firm_market(0.0))
     proc = subprocess.run([sys.executable, "-m", "datamarket", "solve", str(cfg)],

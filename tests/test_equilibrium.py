@@ -98,6 +98,84 @@ def test_spectral_radius_deterministic():
     assert spectral_radius(a) == spectral_radius(a)
 
 
+def _dense_radius(a):
+    """The reference: the largest modulus of the dense eigenvalues."""
+    return np.abs(np.linalg.eigvals(a)).max(axis=-1)
+
+
+def _reduced_matrix(monkeypatch, xs, degrees):
+    """The (N*G)-sized R that coupling_radius hands to spectral_radius."""
+    seen = []
+    real = datamarket.equilibrium.spectral_radius
+    with monkeypatch.context() as patch:
+        patch.setattr(datamarket.equilibrium, "spectral_radius", lambda a: seen.append(a) or real(a))
+        coupling_radius(_loo_xi(xs, degrees))
+    return seen[0]
+
+
+def _count_eigvals(monkeypatch):
+    calls = []
+    real = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a.shape) or real(a))
+    return calls
+
+
+def test_large_radius_matches_eigvals_without_calling_it(monkeypatch):
+    # Noda's iteration on market R at or above the crossover, and on random
+    # irreducible matrices, against dense eigvals computed beforehand
+    rng = np.random.default_rng(41)
+    cases = []
+    markets = [(24, [1, 2]), (24, [2, 1, 1, 2, 2]), (30, [1, 3, 2, 3]), (32, [1, 2, 3]),
+               (40, [1, 2]), (40, [1, 2, 1, 2, 1])]
+    for n, degrees in markets * 3:
+        cases.append(_reduced_matrix(monkeypatch, np.sort(rng.uniform(-1.0, 1.0, n)), degrees))
+    for n in (40, 57, 100):
+        a = rng.uniform(0.0, 1.0, (n, n)) * (rng.uniform(size=(n, n)) < 0.3)
+        a[np.arange(n), np.roll(np.arange(n), 1)] = rng.uniform(0.1, 1.0, n)  # a cycle: irreducible
+        cases.append(a)
+    assert min(len(a) for a in cases) >= datamarket.equilibrium._NODA_MIN_SIZE
+    assert 80 in {len(a) for a in cases}
+    want = [float(_dense_radius(a)) for a in cases]
+    calls = _count_eigvals(monkeypatch)
+    for a, rho in zip(cases, want):
+        assert abs(spectral_radius(a) - rho) <= 1e-12 * rho
+    assert calls == []
+
+
+def test_reducible_large_radius_falls_back_to_eigvals(monkeypatch):
+    rng = np.random.default_rng(43)
+    n = 60
+    # block upper triangular with the larger radius in the upper block:
+    # the Perron vector vanishes on the lower block
+    triangular = rng.uniform(0.0, 1.0, (n, n))
+    triangular[n // 2:, :n // 2] = 0.0
+    triangular[n // 2:, n // 2:] *= 0.5
+    zero_row = rng.uniform(0.0, 1.0, (n, n))
+    zero_row[7] = 0.0
+    cases = [triangular, zero_row, np.zeros((n, n))]
+    want = [float(_dense_radius(a)) for a in cases]
+    calls = _count_eigvals(monkeypatch)
+    for a, rho in zip(cases, want):
+        calls.clear()
+        assert spectral_radius(a) == rho
+        assert calls == [(1, n, n)]
+
+
+def test_large_stacked_radius_equals_the_single_calls(monkeypatch):
+    rng = np.random.default_rng(47)
+    xs = np.sort(rng.uniform(-1.0, 1.0, 24))
+    market = _reduced_matrix(monkeypatch, xs, [1, 2, 1])
+    n = len(market)
+    reducible = rng.uniform(0.0, 1.0, (n, n))
+    reducible[3] = 0.0
+    stack = np.stack([market, 0.7 * market, reducible, rng.uniform(0.0, 1.0, (n, n))])
+    single = [spectral_radius(a) for a in stack]
+    assert spectral_radius(stack).tolist() == single
+    assert spectral_radius(stack.reshape(2, 2, n, n)).tolist() == [single[:2], single[2:]]
+    # a row's bits do not depend on its stackmates
+    assert spectral_radius(stack[::-1]).tolist() == single[::-1]
+
+
 # ---------------------------------------------------------------------------
 # coupling matrix assembly
 # ---------------------------------------------------------------------------
