@@ -3,8 +3,9 @@
 Nothing here reuses the linear-algebra route that produced the solution.
 Best responses are certified in closed form, because each buyer's cost of
 deviating is convex in the variances, with a small dual Newton solve where
-the closed form leaves the verdict open.  The fixed point is re-derived by
-iterating the best-response map.  The payment algebra is validated by the
+the closed form leaves the verdict open.  The solve's distance from the
+exact fixed point is bounded by an M-matrix certificate of the
+best-response map, built from xi.  The payment algebra is validated by the
 exact mean of each settled payment of the reporting protocol.  That mean
 comes from each leave-one-out fit's own pseudo-inverse, never from the
 weights of ``estimators``, and it is deterministic: no noise is drawn.  It
@@ -24,16 +25,12 @@ from .equilibrium import EquilibriumSolution
 
 __all__ = [
     "BestResponseReport",
-    "NeumannResult",
     "PaymentCheck",
     "best_response_certificate",
-    "neumann_dynamics",
+    "fixed_point_certificate",
     "payment_moments",
 ]
 
-# Fixed-point iteration: sweep budget and relative step that counts as converged.
-NEUMANN_MAX_ITERS = 10000
-NEUMANN_TOL = 1e-12
 # Dual ascent behind a best-response certificate: Newton steps, and the
 # halvings of one step before it gives up.
 _DUAL_MAX_STEPS = 50
@@ -93,7 +90,7 @@ def best_response_certificate(sol: EquilibriumSolution, k: int, w: SeparableWeig
     ``(0, 1]^N`` with ``c = gamma_k + lam @ A > 0`` give the deviation
     ``v(lam) = lam / (2 alpha c)`` and a lower bound on the least cost; at
     ``lam = 1`` the deviation is the closed form ``t = gamma_k + sum_{j != k}
-    xi[j].T @ d[j]``, the best-response map ``neumann_dynamics`` iterates.
+    xi[j].T @ d[j]``, one step of the best-response map.
     The bound and the saving are sums of nonnegative terms, so neither
     subtracts two large costs.  When ``lam = 1`` leaves the verdict open,
     or finds a saving more than ``1e-12 * (1 + |cost|)`` short of the bound,
@@ -180,43 +177,51 @@ def best_response_certificate(sol: EquilibriumSolution, k: int, w: SeparableWeig
 
 
 # ---------------------------------------------------------------------------
-# fixed-point iteration
+# fixed-point certificate
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NeumannResult:
-    converged: bool
-    d: np.ndarray
-    iters: int
-    last_step: float
+def fixed_point_certificate(sol: EquilibriumSolution, w: SeparableWeights) -> float:
+    """A proven bound on ``max|d - d*| / (1 + max|d|)``, d* the exact fixed
+    point of the best-response map, or inf when none is found.
 
-
-def neumann_dynamics(w: SeparableWeights) -> NeumannResult:
-    """Iterate the best-response map from d = gamma.
-
-    Each sweep applies ``d[k, q] <- gamma[k, q] + sum_{j != k, l != q}
-    xi[j, l, q] * d[j, l]``, at most ``NEUMANN_MAX_ITERS`` times, through an
-    operator built here from xi, never the solve's coupling matrix.
-    Convergence is declared when the successive relative change drops
-    below ``NEUMANN_TOL``; the result carries the buyer-major slope matrix
-    either way, so callers can inspect where a diverging iteration was heading.
+    The map is ``d = op @ d + gamma`` with, buyer-major, ``op[(k, q), (j, l)]
+    = xi[j, l, q]`` for ``j != k`` and ``l != q``, built here from xi, never
+    the solve's coupling matrix.  If ``xi >= 0`` and the solve of
+    ``(I - op) v = 1`` has ``v > 0`` and ``s = (I - op) v > 0``, then
+    ``I - op`` is a nonsingular M-matrix (Berman & Plemmons, ch. 6), and the
+    residual ``r = (I - op) d - gamma`` gives ``|d - d*| <= max|r| * v / min s``.
+    Each entry of r and s sums at most ``(M - 1)(N - 1) + 2`` nonzero terms,
+    so Higham's gamma of one more term (section 3.5), times their
+    magnitudes, widens |r| and shrinks s; ``1 + 2**-50`` covers the scalar
+    roundings after that.
     """
     n_buyers, n_sources = w.gamma.shape
+    n = n_buyers * n_sources
     other_buyer = ~np.eye(n_buyers, dtype=bool)[:, None, :, None]
     other_source = ~np.eye(n_sources, dtype=bool)[:, None, :]
-    # op[(k, q), (j, l)] = xi[j, l, q] for j != k and l != q, buyer-major
-    op = np.where(other_buyer & other_source, np.moveaxis(w.xi, -1, 0), 0.0)
-    op = op.reshape(n_buyers * n_sources, -1)
-    gamma = w.gamma.reshape(-1)
-    d = gamma.copy()
-    last = float("inf")
-    for it in range(1, NEUMANN_MAX_ITERS + 1):
-        d_next = op @ d + gamma
-        last = float(np.abs(d_next - d).max()) / (1.0 + float(np.abs(d_next).max()))
-        d = d_next
-        if last < NEUMANN_TOL:
-            return NeumannResult(converged=True, d=d.reshape(n_buyers, n_sources), iters=it, last_step=last)
-    return NeumannResult(converged=False, d=d.reshape(n_buyers, n_sources), iters=it, last_step=last)
+    # I - op; op's diagonal is zero, so the ones are exact
+    a = np.where(other_buyer & other_source, -np.moveaxis(w.xi, -1, 0), 0.0).reshape(n, n)
+    a.flat[::n + 1] = 1.0
+    terms = (n_buyers - 1) * (n_sources - 1) + 3
+    widen = terms * 2.0 ** -53 / (1.0 - terms * 2.0 ** -53)
+    # non-finite values fail the tests below and certify nothing
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # in units of the power of two above 1 + max|d|, exact up to
+        # underflow, so that slopes near the float limit cannot overflow
+        top = 1.0 + np.abs(sol.d).max()
+        unit = np.frexp(top)[1]
+        d, gamma = np.ldexp(sol.d.reshape(-1), -unit), np.ldexp(w.gamma.reshape(-1), -unit)
+        try:
+            v = np.linalg.solve(a, np.ones(n))
+        except np.linalg.LinAlgError:
+            return np.inf
+        r, s = a @ d - gamma, a @ v
+        magnitudes = np.abs(a, out=a)
+        r_hi = np.abs(r) + widen * (magnitudes @ np.abs(d) + np.abs(gamma))
+        s_lo = (s - widen * (magnitudes @ v)).min()
+        bound = float(r_hi.max() * v.max() / s_lo / np.ldexp(top, -unit) * (1.0 + 2.0 ** -50))
+    certified = (w.xi >= 0.0).all() and (v > 0.0).all() and s_lo > 0.0 and bound < np.inf
+    return bound if certified else np.inf
 
 
 # ---------------------------------------------------------------------------

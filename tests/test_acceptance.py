@@ -24,7 +24,7 @@ from datamarket import (
     complete_solution,
     compute_weights,
     coupling_matrix,
-    neumann_dynamics,
+    fixed_point_certificate,
     payment_moments,
     price_of_anarchy,
     solution_from_d,
@@ -34,7 +34,7 @@ from datamarket import (
 from datamarket.cli import main
 
 from conftest import market_to_config, two_firm_market
-from test_oracle import _simulated_payments
+from test_oracle import _simulated_payments, neumann_dynamics
 
 
 def _verdict(num, label, ok, detail=""):
@@ -160,12 +160,16 @@ def test_criterion_6_payments_cover_effort_exactly(solved_suite):
 def test_criterion_7_independent_numeric_paths_agree(solved_suite):
     ok = True
     for m, w, sol in solved_suite:
-        if sol.rho >= 0.99:
-            continue
-        res = neumann_dynamics(w)
+        converged, d, _ = neumann_dynamics(w)
         scale = max(1.0, np.abs(sol.d).max())
-        ok = ok and res.converged
-        ok = ok and np.abs(res.d - sol.d).max() / scale <= 1e-8
+        ok = ok and converged
+        ok = ok and np.abs(d - sol.d).max() / scale <= 1e-8
+        ok = ok and fixed_point_certificate(sol, w) <= 1e-8
+    # the certificate holds up to rho = 1 - 2.5e-7, where the iteration stalls
+    for x1 in (0.0, 0.9, 0.99, 0.999):
+        m = two_firm_market(x1)
+        w = compute_weights(m)
+        ok = ok and fixed_point_certificate(solve_equilibrium_d(w, m), w) <= 1e-8
 
     nodes, gl_weights = legendre.leggauss(64)
     rng = default_rng(41)

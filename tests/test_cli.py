@@ -790,13 +790,15 @@ def test_check_zero_slope_buyer_certifies(tmp_path, capsys):
 
 
 def test_fixed_point_iteration_does_not_use_the_solves_matrix(monkeypatch, capsys):
-    # the solve runs on half the coupling matrix; the fixed-point iteration
-    # builds its operator from xi, so it lands elsewhere and says so
+    # the solve runs on half the coupling matrix; the fixed-point certificate
+    # builds its operator from xi, so it cannot certify the solve and says so
     real = datamarket.equilibrium.coupling_matrix
     monkeypatch.setattr(datamarket.equilibrium, "coupling_matrix", lambda xi: 0.5 * real(xi))
     cfg = os.path.join(ROOT, "configs", "two_firm.json")
     assert main(["check", cfg]) == 3
-    assert "iterative and direct solutions disagree (0.468)" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "fixed point: within 0.793 of the exact solution\n" in captured.out
+    assert "  - the solve is not certified within 1e-8 of the fixed point (0.793)\n" in captured.err
 
 
 def test_check_bad_perturb_flag(tmp_path):
@@ -812,18 +814,18 @@ def test_check_perturb_that_leaves_slopes_uncheckable_exits_1(capsys):
                                        "total slope -1.63333; its effort is undefined\n")
 
 
-@pytest.mark.parametrize("x, code, err", [
-    (0.0, 3, "  - fixed-point iteration failed to converge despite rho < 0.99\n"),
-    # from rho 0.99 on slow convergence is expected, and fails nothing
-    (0.9, 0, ""),
-], ids=["rho-0.5", "rho-0.997"])
-def test_check_fixed_point_without_convergence(tmp_path, monkeypatch, capsys, x, code, err):
-    monkeypatch.setattr(datamarket.oracle, "NEUMANN_MAX_ITERS", 3)
+@pytest.mark.parametrize("x, code, bound, err", [
+    # rho = 1 - 2.5e-7: certified, where the iteration it replaced stalled
+    (0.999, 0, "4e-09", ""),
+    # rho = 1 - 2.5e-9: an equilibrium exists, but its slopes cannot be
+    # certified to 1e-8 in floating point
+    (0.9999, 3, "3.63e-07", "  - the solve is not certified within 1e-8 of the fixed point (3.63e-07)\n"),
+], ids=["rho-1-2.5e-7", "rho-1-2.5e-9"])
+def test_check_fixed_point_near_the_gate(tmp_path, capsys, x, code, bound, err):
     cfg = write_config(tmp_path, two_firm_market(x))
     assert main(["check", str(cfg)]) == code
     captured = capsys.readouterr()
-    assert re.search(r"^fixed-point iteration: no convergence in 3 sweeps \(last step \S+\)$",
-                     captured.out, re.M)
+    assert f"\nfixed point: within {bound} of the exact solution\n" in captured.out
     assert captured.err == err
 
 

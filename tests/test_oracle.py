@@ -4,6 +4,7 @@ import math
 import os
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -25,7 +26,7 @@ from datamarket import (
     complete_solution,
     compute_weights,
     coupling_radius,
-    neumann_dynamics,
+    fixed_point_certificate,
     payment_moments,
     solution_from_d,
     solve_equilibrium_d,
@@ -211,6 +212,37 @@ def test_two_firm_equilibrium_certifies():
         assert rep.argmin_d == pytest.approx(sol.d[k], rel=1e-12)
 
 
+def test_every_point_of_the_payment_polytope_is_an_equilibrium_book():
+    # the certificate does not involve the flat payments inside the polytope,
+    # so each vertex certifies both buyers, and buyer 1's cost spans
+    # eta_1 * [gamma_1 . v, gamma_1 . v + sum_i effort_i] over them
+    with open(os.path.join(ROOT, "configs", "two_firm.json"), encoding="utf-8") as fh:
+        m = market_from_config(json.load(fh))
+    w, sol = _solved(m)
+    poly = sol.c_polytope
+    costs = []
+    for takes in ((1, 1), (1, 0), (0, 1), (0, 0)):
+        # buyer 1 pays each source's whole slack, its effort, or none of it
+        share = np.array(takes) * sol.efforts
+        book = replace(sol, c_polytope=replace(poly, canonical=poly.L + np.stack(
+            [share, sol.efforts - share])))
+        reps = [best_response_certificate(book, k, w, m) for k in range(2)]
+        assert all(rep.certified for rep in reps)
+        costs.append(reps[0].cost_eq)
+    assert costs == pytest.approx([2.3175, 1.3064, 1.2251, 0.2140], abs=1e-4)
+    least = m.buyers[0].eta * float(w.gamma[0] @ sol.variances)
+    assert (costs[-1], costs[0]) == pytest.approx((least, least + sol.efforts.sum()), rel=1e-12)
+    # 1% of source 1's slack outside: buyer 1 pays below its floor there,
+    # buyer 2 above its share, and buyer 1 has a better reply
+    c = poly.canonical.copy()
+    c[0, 0] = poly.L[0, 0] - 0.01 * sol.efforts[0]
+    c[1, 0] = poly.E[0] - c[0, 0]
+    outside = replace(sol, c_polytope=replace(poly, canonical=c))
+    rep = best_response_certificate(outside, 0, w, m)
+    assert not rep.certified and rep.improvable
+    assert _grid_search(outside, 0, w, m)[1] > rep.tolerance
+
+
 def test_perturbed_point_fails_certification():
     m = two_firm_market(0.0)
     w, sol = _solved(m)
@@ -314,37 +346,117 @@ def test_convex_solve_decides_what_the_closed_form_leaves_open(monkeypatch):
     assert saving == pytest.approx(rep.improvement, rel=1e-9)
 
 # ---------------------------------------------------------------------------
-# fixed-point iteration
+# fixed-point certificate, and the iteration it replaced as the reference
 # ---------------------------------------------------------------------------
+
+def neumann_dynamics(w):
+    """Reference: iterate the best-response map from d = gamma.
+
+    Each sweep applies ``d[k, q] <- gamma[k, q] + sum_{j != k, l != q}
+    xi[j, l, q] * d[j, l]`` until the relative step drops below 1e-12, at
+    most 10,000 times.  Returns (converged, d, sweeps).
+    """
+    n_buyers, n_sources = w.gamma.shape
+    other_buyer = ~np.eye(n_buyers, dtype=bool)[:, None, :, None]
+    other_source = ~np.eye(n_sources, dtype=bool)[:, None, :]
+    op = np.where(other_buyer & other_source, np.moveaxis(w.xi, -1, 0), 0.0)
+    op = op.reshape(n_buyers * n_sources, -1)
+    gamma = w.gamma.reshape(-1)
+    d = gamma.copy()
+    for it in range(1, 10001):
+        d_next = op @ d + gamma
+        step = float(np.abs(d_next - d).max()) / (1.0 + float(np.abs(d_next).max()))
+        d = d_next
+        if step < 1e-12:
+            return True, d.reshape(n_buyers, n_sources), it
+    return False, d.reshape(n_buyers, n_sources), 10000
+
+
+def _exact_fixed_point_error(sol, w):
+    """Reference: ``max|d - d*| / (1 + max|d|)`` with d* the exact rational
+    solve of ``(I - op) d* = gamma`` from the same float xi and gamma, op
+    built entry by entry, by Gauss-Jordan elimination in fractions."""
+    n_buyers, n_sources = w.gamma.shape
+    idx = [(k, q) for k in range(n_buyers) for q in range(n_sources)]
+    n = len(idx)
+    a = [[Fraction(int(row == col)) - (Fraction(float(w.xi[j, l, q])) if j != k and l != q
+                                       else 0) for col, (j, l) in enumerate(idx)]
+         + [Fraction(float(w.gamma[k, q]))] for row, (k, q) in enumerate(idx)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if a[r][c] != 0)
+        a[c], a[p] = a[p], a[c]
+        for r in range(n):
+            if r != c and a[r][c] != 0:
+                f = a[r][c] / a[c][c]
+                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    err = max(abs(Fraction(float(sol.d[k, q])) - a[i][n] / a[i][i]) for i, (k, q) in enumerate(idx))
+    return float(err / (1 + Fraction(float(np.abs(sol.d).max()))))
+
+
+# rho of the two-firm market at x1: 0.5, 0.9972, 0.99997, 1 - 2.5e-7 and 1 - 2.5e-9
+_TWO_FIRM_LADDER = (0.0, 0.9, 0.99, 0.999, 0.9999)
+
 
 def test_neumann_decoupled_single_sweep():
     m = two_firm_market(-1.0)
     w, sol = _solved(m)
-    res = neumann_dynamics(w)
-    assert res.converged
-    assert res.iters == 1
-    assert np.array_equal(res.d, w.gamma)
+    converged, d, sweeps = neumann_dynamics(w)
+    assert converged and sweeps == 1
+    assert np.array_equal(d, w.gamma)
+    assert fixed_point_certificate(sol, w) <= 1e-15
 
 
 def test_neumann_matches_direct_solve():
     m = two_firm_market(0.0)
     w, sol = _solved(m)
-    res = neumann_dynamics(w)
-    assert res.converged
-    rel = np.abs(res.d - sol.d).max() / (1.0 + np.abs(sol.d).max())
-    assert rel <= 1e-8
+    converged, d, _ = neumann_dynamics(w)
+    assert converged
+    assert np.abs(d - sol.d).max() / (1.0 + np.abs(sol.d).max()) <= 1e-8
 
 
 def test_neumann_stalls_near_unit_radius():
     # the equilibrium exists (rho = 1 - 2.5e-9) but the iteration cannot
-    # reach it within the default sweep budget
+    # reach it within 10,000 sweeps; the certificate bounds the solve there
+    # in one linear solve, too loosely to pass check's 1e-8
     m = two_firm_market(0.9999)
-    w = compute_weights(m)
-    sol = solve_equilibrium_d(w, m)
-    assert sol.d_total.min() > 0.0
-    res = neumann_dynamics(w)
-    assert not res.converged
-    assert res.iters == 10000
+    w, sol = _solved(m)
+    assert not neumann_dynamics(w)[0]
+    bound = fixed_point_certificate(sol, w)
+    assert 1e-8 < bound < 1e-6
+    assert bound >= _exact_fixed_point_error(sol, w)
+
+
+def test_fixed_point_certificate_bounds_the_exact_error(solved_suite):
+    # on the two-firm ladder and 50 random markets the bound is at least the
+    # exact error, and tight enough to pass check below rho 1 - 1e-7
+    books = [_solved(two_firm_market(x1)) for x1 in _TWO_FIRM_LADDER]
+    books += [(w, sol) for _, w, sol in solved_suite[:50]]
+    for w, sol in books:
+        bound = fixed_point_certificate(sol, w)
+        assert bound >= _exact_fixed_point_error(sol, w)
+        assert bound <= 1e-8 or sol.rho > 1.0 - 1e-7
+
+
+def test_fixed_point_certificate_bounds_a_moved_solve():
+    # an error planted in the slopes is bounded from above, and not by much
+    m = two_firm_market(0.5)
+    w, sol = _solved(m)
+    moved = replace(sol, d=sol.d + np.array([[1e-6, 0.0], [0.0, 0.0]]))
+    bound = fixed_point_certificate(moved, w)
+    assert _exact_fixed_point_error(moved, w) <= bound <= 1e-5
+
+
+@pytest.mark.parametrize("scale, entry", [(3.0, None), (1.0, -1e-3), (1.0, np.nan)],
+                         ids=["past-the-gate", "negative-xi", "nan-xi"])
+def test_fixed_point_certificate_refuses_without_an_m_matrix(scale, entry):
+    # past the gate no positive v has (I - op) v > 0, and a negative or NaN
+    # weight leaves op outside the M-matrix theory: nothing is certified
+    m = two_firm_market(0.0)
+    w, sol = _solved(m)
+    xi = scale * w.xi
+    if entry is not None:
+        xi[1, 0, 1] = entry
+    assert fixed_point_certificate(sol, replace(w, xi=xi)) == np.inf
 
 
 # ---------------------------------------------------------------------------

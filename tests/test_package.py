@@ -14,22 +14,23 @@ PACKAGE_DIR = pathlib.Path(datamarket.__file__).parent
 # Public names deleted because no command used them, because the solve
 # and the oracles no longer share a coupling system, because the
 # vectorized source response replaced them, because complete_solution
-# builds the whole payment polytope, or because the payment means and the
-# best responses are certified in closed form rather than simulated or
-# searched, or because one error says that welfare is undefined; see
-# CHANGES.md.
+# builds the whole payment polytope, or because the payment means, the
+# best responses and the fixed point are certified in closed form rather
+# than simulated, searched or iterated, or because one error says that
+# welfare is undefined; see CHANGES.md.
 DELETED = {
     "market": ("effort_from_d_total", "variance_from_d_total"),
     "estimators": ("h_weight", "loo_weight_tensor", "loss_weight_matrix"),
     "equilibrium": ("CouplingSystem", "build_coupling_system", "c_polytope", "canonical_c"),
     "welfare": ("social_loss", "social_optimum_efforts", "EtaNotOneError", "DegenerateSourceError"),
-    "oracle": ("eval_buyer_cost", "monte_carlo_payments", "best_response_check"),
+    "oracle": ("eval_buyer_cost", "monte_carlo_payments", "best_response_check", "neumann_dynamics",
+               "NeumannResult", "NEUMANN_MAX_ITERS", "NEUMANN_TOL"),
     "cli": ("market_to_config", "MAX_CHECK_GRID"),
 }
 
 
 def test_package_exports_exactly_the_submodule_exports():
-    assert len(datamarket.__all__) == 36
+    assert len(datamarket.__all__) == 35
     union = set()
     for name in SUBMODULES:
         union.update(importlib.import_module(f"datamarket.{name}").__all__)
