@@ -10,7 +10,7 @@ versus social optimum).  Exit codes are part of the interface: 0 success,
 from __future__ import annotations
 
 import argparse
-import copy
+import functools
 import json
 import math
 import numbers
@@ -488,14 +488,13 @@ def _cmd_sweep(args) -> int:
         raise ConfigError("sweep base must be a config object or a path to one")
 
     values = np.linspace(lo, hi, steps)
-    # a market keeps no reference into its document, so one copy serves
-    # every value
-    doc = copy.deepcopy(base)
-    m, (column, valid, index) = _sweep_market(doc, param, values[0])
+    # base was loaded for this call alone and a market keeps no reference
+    # into its document, so each value is set in base itself
+    m, (column, valid, index) = _sweep_market(base, param, values[0])
     # m is valid whole, so a later value can only break the swept field;
     # validate_market reports the first value that does
     for v in values[~valid(values, m)]:
-        _sweep_market(doc, param, v)
+        _sweep_market(base, param, v)
 
     lines = [",".join(_sweep_columns(m.n_sources, m.n_buyers))]
     batch = max(1, _BATCH_ENTRIES // (m.n_sources * m.n_buyers) ** 2)
@@ -610,7 +609,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> _Parser:
+    """The command-line parser, built on the first call; parsing leaves it unchanged."""
     parser = _Parser(
         prog="datamarket",
         description="Equilibrium and welfare analysis for data markets with quadratic contracts.",
@@ -638,8 +639,11 @@ def main(argv=None) -> int:
     p_welfare = sub.add_parser("welfare", help="equilibrium welfare versus the social optimum")
     p_welfare.add_argument("config", help="market config JSON")
     p_welfare.set_defaults(handler=_cmd_welfare)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         code = args.handler(args)
         sys.stdout.flush()  # a reader that left early shows here, not at exit

@@ -1503,6 +1503,68 @@ def test_help_exits_0(capsys, argv):
     assert capsys.readouterr().out.startswith("usage: datamarket")
 
 
+def _call(capsys, argv, outputs=()):
+    """main(argv) as (exit code, stdout, stderr, bytes of each output file),
+    with a SystemExit's code as the exit code.  The output files are removed
+    first, so that each call's bytes are its own."""
+    for path in outputs:
+        path.unlink(missing_ok=True)
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, [path.read_bytes() for path in outputs]
+
+
+def test_one_parser_serves_every_call(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    solution, rows = tmp_path / "solution.json", tmp_path / "rows.csv"
+    calls = [
+        (["solve", "configs/two_firm.json", "--json-out", str(solution)], [solution]),
+        (["check", "configs/two_firm.json"], []),
+        (["check", "configs/two_firm.json", "--perturb", "1,1,0.5"], []),
+        (["sweep", "configs/sweep_x1.json", "--out", str(rows)], [rows]),
+        (["welfare", "configs/two_firm.json"], []),
+        (["check", "configs/two_firm.json", "--samples", "1000"], []),
+        (["check", "--help"], []),
+    ]
+    datamarket.cli._parser.cache_clear()
+    in_one_process = [_call(capsys, argv, outputs) for argv, outputs in calls]
+    assert datamarket.cli._parser.cache_info().misses == 1
+    assert [result[0] for result in in_one_process] == [0, 0, 3, 0, 0, 1, 0]
+    for (argv, outputs), result in zip(calls, in_one_process):
+        datamarket.cli._parser.cache_clear()
+        assert _call(capsys, argv, outputs) == result, argv
+
+
+def test_no_state_carries_between_calls(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    cfg = "configs/two_firm.json"
+    assert main(["check", cfg, "--perturb", "1,1,0.5"]) == 3
+    capsys.readouterr()
+    assert main(["check", cfg]) == 0
+    out = capsys.readouterr().out
+    assert "perturbed d[" not in out
+    assert "certification: PASS" in out
+
+    solution = tmp_path / "solution.json"
+    assert main(["solve", cfg, "--json-out", str(solution)]) == 0
+    written = solution.read_bytes(), solution.stat().st_mtime_ns
+    assert main(["solve", cfg]) == 0
+    assert (solution.read_bytes(), solution.stat().st_mtime_ns) == written
+
+    # argparse wraps the usage at the terminal width of the moment it prints
+    usage_error = ["check", cfg, "--samples", "1000"]
+    monkeypatch.delenv("COLUMNS", raising=False)
+    wide = _call(capsys, usage_error)
+    monkeypatch.setenv("COLUMNS", "40")
+    narrow = _call(capsys, usage_error)
+    assert narrow[2].count("\n") > wide[2].count("\n")
+    datamarket.cli._parser.cache_clear()
+    assert _call(capsys, usage_error) == narrow
+
+
 class _ClosedPipe(io.TextIOBase):
     """A stdout whose reader has gone, as after ``| head -1``.  Unbuffered,
     every write raises BrokenPipeError; buffered, writes succeed and the
