@@ -178,7 +178,7 @@ def _load_json(path: str) -> dict:
             return json.load(fh)
     except OSError as err:
         raise ConfigError(f"cannot read {path}: {err}") from None
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, RecursionError) as err:
         raise ConfigError(f"{path} is not valid JSON: {err}") from None
 
 

@@ -346,7 +346,7 @@ def complete_solution(sol: EquilibriumSolution, w: SeparableWeights) -> Equilibr
 def solution_from_d(d: np.ndarray, w: SeparableWeights, m: MarketInstance) -> EquilibriumSolution:
     """Rebuild all induced quantities for an arbitrary slope matrix.
 
-    Meant for diagnostics (perturbation studies, dynamics output); no
+    Meant for diagnostics (perturbation studies); no
     best-response property is assumed, but payments still follow the tight
     participation rule, so an infeasible d raises InfeasibleCError.  The
     residual is d's distance from the fixed point of the best-response map

@@ -35,9 +35,7 @@ class _WeightsError(Exception):
     """Base of the weights errors: ``xi`` is the leave-one-out tensor when
     those fits succeeded, else None."""
 
-    def __init__(self, message: str, xi: np.ndarray | None = None):
-        super().__init__(message)
-        self.xi = xi
+    xi: np.ndarray | None = None
 
 
 class SingularDesignError(_WeightsError):

@@ -21,7 +21,6 @@ from datamarket import (
     MarketInstance,
     ValueDistribution,
     best_response_certificate,
-    complete_solution,
     compute_weights,
     coupling_matrix,
     fixed_point_certificate,
@@ -34,7 +33,7 @@ from datamarket import (
 from datamarket.cli import main
 
 from conftest import market_to_config, two_firm_market
-from test_oracle import _simulated_payments, neumann_dynamics
+from test_oracle import _simulated_payments, _solved, neumann_dynamics
 
 
 def _verdict(num, label, ok, detail=""):
@@ -42,15 +41,10 @@ def _verdict(num, label, ok, detail=""):
     assert ok, f"criterion {num} ({label}) failed {detail}".rstrip()
 
 
-def _solve(m):
-    w = compute_weights(m)
-    return w, complete_solution(solve_equilibrium_d(w, m), w)
-
-
 def test_criterion_1_decoupled_market():
     t0 = time.perf_counter()
     m = two_firm_market(-1.0)
-    w, sol = _solve(m)
+    w, sol = _solved(m)
     rep = price_of_anarchy(sol, w, m)
     elapsed = time.perf_counter() - t0
 
@@ -105,7 +99,7 @@ def test_criterion_3_coupled_point_matches_exact_arithmetic():
     expected = np.array([[float(d1), float(d2)], [float(d1), float(d2)]])
 
     m = two_firm_market(0.0)
-    w, sol = _solve(m)
+    w, sol = _solved(m)
     err = np.abs(sol.d / expected - 1.0).max()
     ok = err <= 1e-9
     _verdict(3, "midpoint market matches rational solution", ok, f"(rel err {err:.2e})")
@@ -205,7 +199,7 @@ def test_criterion_8_simulated_payments_match_analytics():
     worst_exact = worst_simulated = 0.0
     for x1 in (-1.0, 0.0):
         m = two_firm_market(x1)
-        w, sol = _solve(m)
+        w, sol = _solved(m)
         pay = payment_moments(sol, m)
         worst_exact = max(worst_exact, float(np.abs(pay.z_score).max()))
         for j, i, empirical, _, std_error, _ in _simulated_payments(sol, m, 100000, seed=42):

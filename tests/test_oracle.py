@@ -2,7 +2,6 @@ import ast
 import json
 import math
 import os
-import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
@@ -154,27 +153,26 @@ def _deviation_costs(cands, sol, k, w, m):
     return costs
 
 
-def _grid_search(sol, k, w, m, radius=0.5, steps=41):
+def _grid_search(sol, k, w, m):
     """Reference: the seeded grid search over buyer k's deviations that
     certified best responses, as ``(cost_eq, improvement, argmin_d)``.
 
-    Scans each coordinate over ``steps`` points of the multiplicative box
-    between ``d * (1 - radius)`` and ``d * (1 + radius)``, plus ``steps**2``
-    seeded random joint moves inside it.  A zero slope is searched over
-    ``[0, radius * max|sol.d|]``.
+    Scans each coordinate over 41 points of the multiplicative box between
+    ``d / 2`` and ``3 d / 2``, plus 41**2 seeded random joint moves inside
+    it.  A zero slope is searched over ``[0, max|sol.d| / 2]``.
     """
     n = m.n_sources
     d_eq = np.asarray(sol.d[k], dtype=float)
-    shrunk, grown = d_eq * (1.0 - radius), d_eq * (1.0 + radius)
+    shrunk, grown = d_eq * 0.5, d_eq * 1.5
     lo, hi = np.minimum(shrunk, grown), np.maximum(shrunk, grown)
-    hi[d_eq == 0.0] = radius * float(np.abs(sol.d).max())
+    hi[d_eq == 0.0] = 0.5 * float(np.abs(sol.d).max())
     blocks = [d_eq[None, :]]
     for i in range(n):
-        block = np.repeat(d_eq[None, :], steps, axis=0)
-        block[:, i] = np.linspace(lo[i], hi[i], steps)
+        block = np.repeat(d_eq[None, :], 41, axis=0)
+        block[:, i] = np.linspace(lo[i], hi[i], 41)
         blocks.append(block)
     rng = np.random.default_rng(176522 + k)
-    blocks.append(rng.uniform(lo, hi, size=(steps * steps, n)))
+    blocks.append(rng.uniform(lo, hi, size=(41 * 41, n)))
     cands = np.vstack(blocks)
     costs = _deviation_costs(cands, sol, k, w, m)
     best = int(np.argmin(costs))
@@ -463,11 +461,6 @@ def test_fixed_point_certificate_refuses_without_an_m_matrix(scale, entry):
 # payment means, and the simulation they replaced as the reference
 # ---------------------------------------------------------------------------
 
-# Samples per block of the reference simulation: at N = 8 a block of draws
-# and its squared residuals take well under a 4 MB L2 cache.
-_MC_BLOCK = 4096
-
-
 def _loo_residual_operator_pinv(xs, degree):
     """Reference: ``I - P`` of one degree from ``np.linalg.pinv`` of each
     leave-one-out design, the route the SVD-based operator replaced."""
@@ -480,33 +473,11 @@ def _loo_residual_operator_pinv(xs, degree):
     return np.eye(n) - predict
 
 
-def _residual_moments(op, rng, n_samples):
-    """Per-row mean and spread of the squared residuals ``(op @ z)**2``.
-
-    ``z`` runs over ``n_samples`` standard normal draws of ``op.shape[1]``
-    sources, drawn ``_MC_BLOCK`` rows at a time: the generator fills in
-    order, so the blocks are the rows of one ``(n_samples, N)`` draw.  Each
-    block's count, mean and sum of squared deviations are merged into the
-    running ones by the pairwise update of Chan, Golub & LeVeque (1983), so
-    memory does not grow with ``n_samples``.
-    """
-    n_rows, n = op.shape
-    count = 0
-    mean = np.zeros(n_rows)
-    m2 = np.zeros(n_rows)
-    for start in range(0, n_samples, _MC_BLOCK):
-        size = min(_MC_BLOCK, n_samples - start)
-        r = op @ rng.standard_normal((size, n)).T
-        np.square(r, out=r)
-        block_mean = r.mean(axis=1)
-        r -= block_mean[:, None]
-        np.square(r, out=r)
-        delta = block_mean - mean
-        total = count + size
-        mean += delta * (size / total)
-        m2 += r.sum(axis=1) + delta * delta * (count * size / total)
-        count = total
-    return mean, np.sqrt(m2 / (n_samples - 1))
+def _whole_array_moments(op, draws):
+    """Reference: mean and spread of the squared residuals over one (S, N) draw."""
+    r = op @ draws.T
+    np.square(r, out=r)
+    return r.mean(axis=1), r.std(axis=1, ddof=1)
 
 
 def _simulated_payments(sol, m, n_samples, seed):
@@ -525,7 +496,7 @@ def _simulated_payments(sol, m, n_samples, seed):
     scale = float(sigmas.max())
     degrees = sorted({b.estimator.degree for b in m.buyers})
     op = np.vstack([_loo_residual_operator_pinv(xs, g) for g in degrees]) * (sigmas / scale)[None, :]
-    means, spreads = _residual_moments(op, rng, int(n_samples))
+    means, spreads = _whole_array_moments(op, rng.standard_normal((int(n_samples), xs.size)))
     moments = dict(zip(degrees, zip(means.reshape(len(degrees), -1),
                                     spreads.reshape(len(degrees), -1))))
 
@@ -739,79 +710,6 @@ def test_noise_only_payments_match_the_truth_loop(f_coeffs):
             assert std_error == pytest.approx(expected[4], rel=1e-9)
             assert abs(z - expected[5]) <= 1e-9
         assert (np.abs(payment_moments(sol, m).z_score) <= 1.0).all()
-
-
-def _whole_array_moments(op, draws):
-    """Reference: mean and spread of the squared residuals over one (S, N) draw."""
-    r = op @ draws.T
-    np.square(r, out=r)
-    return r.mean(axis=1), r.std(axis=1, ddof=1)
-
-
-def _loo_residual_moments(xs, units, draws, degree):
-    """Reference: the whole-array residual moments of one estimator degree,
-    every source's residuals over all draws at once, source-major (N, S)."""
-    return _whole_array_moments(_loo_residual_operator_pinv(xs, degree) * units[None, :], draws)
-
-
-_SAMPLE_COUNTS = [2, 3, _MC_BLOCK - 1, _MC_BLOCK, _MC_BLOCK + 1, 2 * _MC_BLOCK + 7, 100_000]
-
-
-@pytest.mark.parametrize("n_samples", _SAMPLE_COUNTS)
-def test_blocked_moments_match_the_whole_array(n_samples):
-    # the reference simulation's merged block moments agree with one pass
-    # over the whole draw, for every degree of the stacked operator
-    rng = np.random.default_rng(4242)
-    for n, degrees in _PAYMENT_CASES:
-        xs = np.sort(rng.uniform(-1.0, 1.0, n))
-        units = rng.uniform(1e-3, 1.0, n)
-        distinct = sorted(set(degrees))
-        op = np.vstack([_loo_residual_operator_pinv(xs, g) for g in distinct]) * units[None, :]
-        mean, spread = _residual_moments(op, np.random.default_rng(n), n_samples)
-        draws = np.random.default_rng(n).standard_normal((n_samples, n))
-        want = [_loo_residual_moments(xs, units, draws, g) for g in distinct]
-        np.testing.assert_allclose(mean, np.concatenate([m for m, _ in want]), rtol=1e-13, atol=0.0)
-        np.testing.assert_allclose(spread, np.concatenate([s for _, s in want]), rtol=1e-13, atol=0.0)
-
-
-@pytest.mark.parametrize("row_scale", [1e-75, 1e-150])
-def test_blocked_moments_of_a_tiny_row(row_scale):
-    # a row far below the others: at 1e-150 its squared deviations underflow
-    # to zero in both paths, and its mean still agrees
-    xs = np.array([-0.9, -0.4, 0.1, 0.5, 0.8])
-    op = np.vstack([_loo_residual_operator_pinv(xs, 1), _loo_residual_operator_pinv(xs, 3)])
-    op[2] *= row_scale
-    for n_samples in (3, 2 * _MC_BLOCK + 7):
-        got = _residual_moments(op, np.random.default_rng(17), n_samples)
-        want = _whole_array_moments(op, np.random.default_rng(17).standard_normal((n_samples, 5)))
-        for g, w_ in zip(got, want):
-            np.testing.assert_allclose(g, w_, rtol=1e-13, atol=0.0)
-    assert got[0][2] > 0.0
-
-
-def test_blocked_draws_are_the_rows_of_one_draw():
-    # numpy's Generator fills each output in order, so drawing in blocks
-    # consumes the stream exactly as one (S, N) draw does
-    n_samples, n = 2 * _MC_BLOCK + 7, 5
-    rng = np.random.default_rng(99)
-    blocks = [rng.standard_normal((min(_MC_BLOCK, n_samples - start), n))
-              for start in range(0, n_samples, _MC_BLOCK)]
-    whole = np.random.default_rng(99).standard_normal((n_samples, n))
-    assert np.array_equal(np.concatenate(blocks), whole)
-
-
-def test_payment_simulation_memory_does_not_grow_with_samples():
-    # the reference simulation runs at 100,000 rounds in the tests; a
-    # whole-array pass would hold (S, N) draws plus (N, S) squared residuals
-    # and their centered copy, about 18 MB here
-    m, w, sol = _contract_book(np.random.default_rng(8), 8, (1, 2))
-    tracemalloc.start()
-    try:
-        _simulated_payments(sol, m, n_samples=100_000, seed=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * 2**20
 
 
 def test_oracle_imports_only_the_weights_type_from_estimators():
