@@ -63,8 +63,9 @@ EXIT_CERTIFICATION = 3
 # A sweep is one curve: more points than this is a malformed spec, and an
 # unbounded count would exhaust memory before the first row.
 MAX_SWEEP_STEPS = 10_000
-# Coupling-matrix entries (8 bytes each) per batch of sweep rows computed
-# together, so a sweep of a large market stays within a few megabytes.
+# Entries of xi and of the grouped coupling matrix (8 bytes each) per batch
+# of sweep rows computed together, so a sweep of a large market stays within
+# a few megabytes.
 _BATCH_ENTRIES = 1 << 20
 
 
@@ -207,7 +208,7 @@ def _run(m: MarketInstance) -> tuple:
         w = compute_weights(m)
     except (SingularDesignError, GammaNegativeError) as err:
         if err.xi is not None:
-            rho = coupling_radius(err.xi)
+            rho = coupling_radius(coupling_matrix(err.xi), m.n_sources)
             if rho >= RHO_EXISTENCE_THRESHOLD:
                 raise NoEquilibriumError(rho) from None
         raise
@@ -413,11 +414,14 @@ def _sweep_lines(m: MarketInstance, values: np.ndarray, column: str, index: int)
     weighted = np.array([e is None for e in errors], dtype=bool)
     has_xi = np.array([e is None or e.xi is not None for e in errors], dtype=bool)
     rho = np.zeros(len(values))
-    rho[has_xi] = coupling_radius(w.xi[has_xi])
+    R = coupling_matrix(w.xi[has_xi])
+    rho[has_xi] = coupling_radius(R, n)
     past_gate = has_xi & (rho >= RHO_EXISTENCE_THRESHOLD)
 
     to_solve = weighted & ~past_gate
-    sol, solve_errors = solve_rows(coupling_matrix(w.xi[to_solve]), w.gamma[to_solve], alphas[to_solve])
+    R = R[to_solve[has_xi]]
+    sol, solve_errors = solve_rows(w.xi[to_solve], w.gamma[to_solve], alphas[to_solve], R)
+    del R  # freed before the table and its strings are built
     solved = np.array([e is None for e in solve_errors], dtype=bool)
     ok = to_solve.copy()
     ok[to_solve] = solved
@@ -497,7 +501,9 @@ def _cmd_sweep(args) -> int:
         _sweep_market(base, param, v)
 
     lines = [",".join(_sweep_columns(m.n_sources, m.n_buyers))]
-    batch = max(1, _BATCH_ENTRIES // (m.n_sources * m.n_buyers) ** 2)
+    # buyers of one degree share xi, so R is at most N * (distinct degrees) wide
+    n_groups = len({b.estimator.degree for b in m.buyers})
+    batch = max(1, _BATCH_ENTRIES // (m.n_buyers * m.n_sources ** 2 + (m.n_sources * n_groups) ** 2))
     for start in range(0, len(values), batch):
         lines += _sweep_lines(m, values[start:start + batch], column, index)
     try:

@@ -4,9 +4,13 @@ Buyer best responses give each (source, buyer) slope as its adjusted loss
 weight plus a xi-weighted combination of every other buyer's slopes on the
 other sources.  Stacking those conditions yields a Leontief-type linear
 system ``d = A d + gamma`` whose nonnegative solution exists exactly when
-the spectral radius of A stays below one.  Flat payments are pinned down
-only up to a polytope, which ``complete_solution`` builds along with one
-natural point of it.
+the spectral radius of A stays below one.  A is never built: buyers that
+share a xi block form a group, the group means of the slopes solve through
+the (N*G)-wide ``R = coupling_matrix(xi)``, whose radius is A's, and the
+deviations from them through the N-wide ``I + X_g``, at O((N*G)^3 + G*N^3)
+instead of O((N*M)^3) (README, "Equilibrium slopes").  Flat payments are
+pinned down only up to a polytope, which ``complete_solution`` builds along
+with one natural point of it.
 """
 
 from __future__ import annotations
@@ -79,24 +83,45 @@ class InfeasibleCError(Exception):
 # stacked system
 # ---------------------------------------------------------------------------
 
-def coupling_matrix(xi: np.ndarray) -> np.ndarray:
-    """Assemble the stacked coupling matrix from the leave-one-out tensor.
+def _buyer_groups(xi: np.ndarray) -> list:
+    """The buyers of each group, in the order of their first buyer: buyers
+    whose xi blocks are equal across the leading stack share a group.
 
-    The stacked index of (source q, buyer k) is ``q * M + k``: source-major,
-    buyers contiguous within each source block, as ``solve_rows`` reads it.
-    ``A[(q, k), (l, j)] = xi[j, l, q]`` for ``l != q`` and ``j != k``.  It is
-    filled in place as one C-ordered (source, buyer, source, buyer) array, so
-    the final reshape is a view and the output is the only large allocation.
-    Leading axes of ``xi`` (one tensor per market) carry over to A.
+    One dict pass over the blocks' bytes (np.unique(axis=0) would build an
+    N*N-field dtype).  An empty stack groups nothing: each buyer is its own
+    group.
+    """
+    if xi.size == 0:
+        return [[k] for k in range(xi.shape[-3])]
+    groups: dict = {}
+    for k in range(xi.shape[-3]):
+        groups.setdefault(xi[..., k, :, :].tobytes(), []).append(k)
+    return list(groups.values())
+
+
+def coupling_matrix(xi: np.ndarray) -> np.ndarray:
+    """The grouped coupling matrix R of the leave-one-out tensor.
+
+    Group g (``_buyer_groups``) has n_g buyers sharing the block xi_g.  R is
+    (N*G)-wide, source-major: the index of (source q, group g) is
+    ``q * G + g``, and ``R[(q, g), (l, h)] = (n_h - [g == h]) * xi_h[l, q]``
+    for ``l != q``.  It is A acting on slopes that are constant within each
+    group, so ``rho(R) = rho(A)`` (README, "Equilibrium slopes"); when no
+    two buyers share a block it is A itself,
+    ``A[(q, k), (l, j)] = xi[j, l, q]`` for ``l != q`` and ``j != k``.  The
+    output is the only large allocation, and leading axes of ``xi`` (one
+    tensor per market) carry over to R.
     """
     *lead, n_buyers, n_sources, _ = xi.shape
-    A = np.zeros((*lead, n_sources, n_buyers, n_sources, n_buyers))
-    other_buyer = ~np.eye(n_buyers, dtype=bool)
-    np.copyto(A, np.swapaxes(xi, -1, -3)[..., :, None, :, :],
-              where=other_buyer[None, :, None, :])
-    own = np.arange(n_sources)
-    A[..., own, :, own, :] = 0.0
-    return A.reshape(*lead, n_sources * n_buyers, n_sources * n_buyers)
+    members = _buyer_groups(xi)
+    first = [k[0] for k in members]
+    weight = np.array([len(k) for k in members]) - np.eye(len(first))  # n_h - [g == h]
+    X = np.swapaxes(xi[..., first, :, :], -1, -3)  # X[..., q, l, h] = xi_h[l, q]
+    with np.errstate(invalid="ignore", over="ignore"):  # spectral_radius rejects non-finite R
+        R = np.multiply(weight[:, None, :], X[..., :, None, :, :], order="C")
+    R[..., range(n_sources), :, range(n_sources), :] = 0.0
+    n = n_sources * len(first)
+    return R.reshape(*lead, n, n)
 
 
 def _noda_radius(a: np.ndarray) -> float:
@@ -170,25 +195,18 @@ def spectral_radius(a: np.ndarray):
     return float(rho) if a.ndim == 2 else rho
 
 
-def coupling_radius(xi: np.ndarray):
-    """Spectral radius of ``coupling_matrix(xi)``, without forming that matrix.
+def coupling_radius(R: np.ndarray, n_sources: int):
+    """Spectral radius of ``R = coupling_matrix(xi)`` on n_sources sources, which is A's.
 
-    Buyers whose xi blocks are equal across the leading stack form groups:
-    group g has n_g buyers and ``X_g[q, l] = xi_g[l, q]`` off the diagonal.
-    ``rho(A)`` is the radius of the (N*G)-sized nonnegative matrix
-    ``R[(g, q), (h, l)] = (n_h - [g == h]) * X_h[q, l]`` (README, "Equilibrium slopes").
+    It is taken on R's group-major ordering, index ``g * N + q``, a
+    similarity of R.  Dense eigvals' error on a clustered root depends on
+    the ordering: on sources (-1, 0, 1) with degrees 1 and 2 this one meets
+    the exact root 1/sqrt(2), which the source-major one misses by 1.2e-8.
     """
-    *lead, _, n_sources, _ = xi.shape
-    # a bytes-keyed dict: np.unique(axis=0) would build an N*N-field dtype
-    keys = [block.tobytes() for block in np.moveaxis(xi, -3, 0)]
-    first = {key: keys.index(key) for key in keys}
-    weight = np.array([keys.count(key) for key in first]) - np.eye(len(first))
-    X = np.moveaxis(xi[..., list(first.values()), :, :], -1, -3)  # X[..., q, h, l]
-    with np.errstate(invalid="ignore", over="ignore"):  # spectral_radius rejects non-finite R
-        R = np.multiply(weight[:, None, :, None], X[..., None, :, :, :], order="C")
-    R[..., range(n_sources), :, range(n_sources)] = 0.0
-    n = len(first) * n_sources
-    return spectral_radius(R.reshape(*lead, n, n))
+    *lead, n, _ = R.shape
+    n_groups = n // n_sources
+    grouped = R.reshape(*lead, n_sources, n_groups, n_sources, n_groups)
+    return spectral_radius(np.swapaxes(np.swapaxes(grouped, -4, -3), -2, -1).reshape(*lead, n, n))
 
 
 # ---------------------------------------------------------------------------
@@ -257,29 +275,62 @@ def _induced_quantities(d: np.ndarray, alphas: np.ndarray) -> tuple:
     return d_total, efforts, variances, errors
 
 
-def solve_rows(A: np.ndarray, gamma: np.ndarray, alphas: np.ndarray) -> tuple:
-    """Solve a stack of systems ``d = A d + gamma`` and validate each row.
+def _best_response_gap(d: np.ndarray, xi: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """Stacked slopes d (..., M, N) less the best-response map at d,
+    ``gamma[k, q] + sum_{j != k, l != q} xi[j, l, q] * d[j, l]``, applied once from xi."""
+    n_buyers, n_sources = xi.shape[-3:-1]
+    # pull[j, q]: buyer j's slopes on the sources other than q, weighted by xi[j, :, q]
+    pull = np.einsum("...jlq,...jl->...jq", np.where(np.eye(n_sources, dtype=bool), 0.0, xi), d)
+    # summed over the other buyers alone: a total less the own term can overflow
+    others = np.where(np.eye(n_buyers, dtype=bool)[:, :, None], 0.0, pull[..., None, :, :]).sum(axis=-2)
+    return d - others - gamma
 
-    ``A`` is (R, NM, NM) as ``coupling_matrix`` stacks it, ``gamma`` (R, M, N)
-    buyer-major and ``alphas`` (R, N); every row must already have passed the
-    existence gate.  Returns an EquilibriumSolution whose fields carry the
-    leading row axis, and per row the NumericFailure or ValueError that
+
+def solve_rows(xi: np.ndarray, gamma: np.ndarray, alphas: np.ndarray, R: np.ndarray) -> tuple:
+    """Solve a stack of systems ``d = A d + gamma`` without building A, and validate each row.
+
+    ``xi`` is (R, M, N, N), ``gamma`` (R, M, N) buyer-major and ``alphas``
+    (R, N); every row must already have passed the existence gate.  ``R``
+    is xi's rows of ``coupling_matrix`` of xi or of a taller stack; fewer
+    rows can merge groups, and then R is built again.  The group means
+    solve ``(I - R) m = mean(gamma)``, and each buyer's deviation from its
+    group's mean solves ``(I + X_g) e = gamma - mean``, one stacked solve
+    per group of two or more buyers, so with no shared blocks d is the
+    dense solve's bit for bit.  The residual is the full system's, from xi.
+    Returns an EquilibriumSolution whose fields carry the leading row axis,
+    and per row the NumericFailure or ValueError that
     ``solve_equilibrium_d`` raises on it, or None.
     """
     n_rows, n_buyers, n_sources = gamma.shape
-    n = n_sources * n_buyers
-    gamma_vec = np.swapaxes(gamma, -1, -2).reshape(n_rows, n)
-    # I - A built in place: the stack's only matrix-sized temporary
-    eye_minus_a = np.zeros_like(A)
-    eye_minus_a[..., np.arange(n), np.arange(n)] = 1.0
-    np.subtract(eye_minus_a, A, out=eye_minus_a)
-    dvec = np.linalg.solve(eye_minus_a, gamma_vec[..., None])[..., 0]
-
-    scale = 1.0 + np.abs(dvec).max(axis=-1, initial=0.0)
+    members = _buyer_groups(xi)
+    n_groups = len(members)
+    n = n_sources * n_groups
+    if R.shape[-1] != n:
+        R = coupling_matrix(xi)
+    group = np.empty(n_buyers, dtype=int)
+    for g, k in enumerate(members):
+        group[k] = g
+    # I - R built in place: the stack's only matrix-sized temporary
+    eye_minus_r = np.zeros_like(R)
+    eye_minus_r[..., np.arange(n), np.arange(n)] = 1.0
+    np.subtract(eye_minus_r, R, out=eye_minus_r)
     # slopes that overflowed make the residual NaN, which fails the limit
     with np.errstate(over="ignore", invalid="ignore"):
-        residual = np.abs(dvec - (A @ dvec[..., None])[..., 0] - gamma_vec).max(axis=-1) / scale
-    lowest = dvec.min(axis=-1, initial=0.0)
+        mean = np.swapaxes(gamma[:, [k[0] for k in members]], -1, -2)  # (R, N, G) source-major
+        for g, k in enumerate(members):
+            if len(k) > 1:  # each term divided first, so that a mean of finite gammas stays finite
+                mean[..., g] = (gamma[:, k] / len(k)).sum(axis=1)
+        means = np.linalg.solve(eye_minus_r, mean.reshape(n_rows, n, 1))[..., 0]
+        d = means.reshape(n_rows, n_sources, n_groups)[..., group]  # (R, N, M) source-major
+        for g, k in enumerate(members):
+            if len(k) > 1:
+                eye_plus_x = np.swapaxes(xi[:, k[0]], -1, -2).copy()
+                eye_plus_x[..., np.arange(n_sources), np.arange(n_sources)] = 1.0
+                d[..., k] += np.linalg.solve(eye_plus_x, np.swapaxes(gamma[:, k], -1, -2) - mean[..., g, None])
+        d = d.swapaxes(-1, -2)
+        scale = 1.0 + np.abs(d).max(axis=(-2, -1), initial=0.0)
+        residual = np.abs(_best_response_gap(d, xi, gamma)).max(axis=(-2, -1)) / scale
+    lowest = d.min(axis=(-2, -1), initial=0.0)
     off_limit = ~(residual <= _RESIDUAL_HARD_LIMIT)
     errors = [None] * n_rows
     for r in np.flatnonzero(off_limit | (lowest < -1e-12 * scale)):
@@ -288,10 +339,8 @@ def solve_rows(A: np.ndarray, gamma: np.ndarray, alphas: np.ndarray) -> tuple:
                 f"fixed-point residual {residual[r]:.3g} exceeds {_RESIDUAL_HARD_LIMIT:g}")
         else:
             errors[r] = NumericFailure(f"negative slope {lowest[r]:.3g} in the solved system")
-    dvec = np.maximum(dvec, 0.0)
+    d = np.maximum(d, 0.0)
 
-    # source-major stacking: (R, N, M) viewed buyer-major as (R, M, N)
-    d = dvec.reshape(n_rows, n_sources, n_buyers).swapaxes(-1, -2)
     d_total, efforts, variances, induced_errors = _induced_quantities(d, alphas)
     sol = EquilibriumSolution(d=d, d_total=d_total, efforts=efforts,
                               variances=variances, residual=residual)
@@ -299,18 +348,20 @@ def solve_rows(A: np.ndarray, gamma: np.ndarray, alphas: np.ndarray) -> tuple:
 
 
 def solve_equilibrium_d(w: SeparableWeights, m: MarketInstance) -> EquilibriumSolution:
-    """Solve the market's stacked best-response system directly and validate the result.
+    """Solve the market's stacked best-response system and validate the result.
 
-    Raises NoEquilibriumError when the spectral radius certifies the system
-    has no nonnegative solution, before the coupling matrix is built, and
+    The grouped coupling matrix is built once, for the spectral radius and
+    the solve.  Raises NoEquilibriumError when the radius certifies the
+    system has no nonnegative solution, before any solve, and
     NumericFailure when the linear algebra disagrees with the model beyond
     hard limits.
     """
-    rho = coupling_radius(w.xi)  # first, so that R is freed before A is built
+    R = coupling_matrix(w.xi)
+    rho = coupling_radius(R, m.n_sources)
     if rho >= RHO_EXISTENCE_THRESHOLD:
         raise NoEquilibriumError(rho)
     alphas = np.asarray(m.alphas(), dtype=float)
-    sol, errors = solve_rows(coupling_matrix(w.xi)[None], w.gamma[None], alphas[None])
+    sol, errors = solve_rows(w.xi[None], w.gamma[None], alphas[None], R[None])
     if errors[0] is not None:
         raise errors[0]
     return EquilibriumSolution(d=sol.d[0], d_total=sol.d_total[0], efforts=sol.efforts[0],
@@ -358,10 +409,8 @@ def solution_from_d(d: np.ndarray, w: SeparableWeights, m: MarketInstance) -> Eq
     d_total, efforts, variances, errors = _induced_quantities(d[None], alphas[None])
     if errors[0] is not None:
         raise errors[0]
-    # pull[j, q]: buyer j's slopes on the sources other than q, weighted by xi[j, :, q]
-    pull = np.einsum("jlq,jl->jq", np.where(np.eye(m.n_sources, dtype=bool), 0.0, w.xi), d)
     scale = 1.0 + float(np.abs(d).max(initial=0.0))
-    residual = float(np.abs(d - (pull.sum(axis=0) - pull) - w.gamma).max()) / scale
+    residual = float(np.abs(_best_response_gap(d, w.xi, w.gamma)).max()) / scale
     sol = EquilibriumSolution(d=d, d_total=d_total[0], efforts=efforts[0],
                               variances=variances[0], residual=residual)
     return complete_solution(sol, w)

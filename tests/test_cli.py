@@ -32,6 +32,7 @@ from datamarket import (
     UndefinedPoaError,
     complete_solution,
     compute_weights,
+    coupling_matrix,
     coupling_radius,
     payment_moments,
     best_response_certificate,
@@ -516,13 +517,15 @@ def test_slopes_that_overflow_are_rejected_without_a_warning(tmp_path, capsys):
     pytest.param("welfare", 1, 0.0, 0, 1, id="welfare-1"),
     pytest.param("check", 1, 0.0, 0, 1, id="check-1"),
     pytest.param("sweep", 3, 0.0, 0, 1, id="sweep-3"),
-    # past the gate with weights that fit: the exit comes before any A
-    pytest.param("solve", 1, 1.0 - 5e-5, 2, 0, id="solve-past_gate"),
-    pytest.param("welfare", 1, 1.0 - 5e-5, 2, 0, id="welfare-past_gate"),
-    pytest.param("check", 1, 1.0 - 5e-5, 2, 0, id="check-past_gate"),
+    # past the gate with weights that fit: the radius needs the one build,
+    # and the exit comes before any solve
+    pytest.param("solve", 1, 1.0 - 5e-5, 2, 1, id="solve-past_gate"),
+    pytest.param("welfare", 1, 1.0 - 5e-5, 2, 1, id="welfare-past_gate"),
+    pytest.param("check", 1, 1.0 - 5e-5, 2, 1, id="check-past_gate"),
 ])
 def test_coupling_matrix_built_once_per_market(tmp_path, monkeypatch, command, markets, x1, code, built):
-    # a sweep builds one stack for all of its markets
+    # the radius and the solve share one build; a sweep builds one stack for
+    # all of its markets
     calls = []
     real = datamarket.equilibrium.coupling_matrix
 
@@ -790,11 +793,16 @@ def test_check_zero_slope_buyer_certifies(tmp_path, capsys):
 
 
 def test_fixed_point_iteration_does_not_use_the_solves_matrix(monkeypatch, capsys):
-    # the solve runs on half the coupling matrix; the fixed-point certificate
-    # builds its operator from xi, so it cannot certify the solve and says so
+    # the solve runs on half the coupling matrix: its own residual, taken
+    # from xi, rejects it
     real = datamarket.equilibrium.coupling_matrix
     monkeypatch.setattr(datamarket.equilibrium, "coupling_matrix", lambda xi: 0.5 * real(xi))
     cfg = os.path.join(ROOT, "configs", "two_firm.json")
+    assert main(["check", cfg]) == 1
+    assert re.fullmatch(r"error: fixed-point residual \S+ exceeds 1e-08\n", capsys.readouterr().err)
+    # with that residual blinded, the fixed-point certificate builds its
+    # operator from xi, so it cannot certify the solve and says so
+    monkeypatch.setattr(datamarket.equilibrium, "_best_response_gap", lambda d, xi, gamma: 0.0 * d)
     assert main(["check", cfg]) == 3
     captured = capsys.readouterr()
     assert "fixed point: within 0.793 of the exact solution\n" in captured.out
@@ -1310,11 +1318,11 @@ def _reference_row(m, value):
         status = "error"
         if err.xi is not None:
             xi = err.xi
-            rho = coupling_radius(xi)
+            rho = coupling_radius(coupling_matrix(xi), n)
             if rho >= RHO_EXISTENCE_THRESHOLD:
                 status = "no_equilibrium"
     if w is not None:
-        rho = coupling_radius(xi)
+        rho = coupling_radius(coupling_matrix(xi), n)
         try:
             sol = solve_equilibrium_d(w, m)
         except NoEquilibriumError:

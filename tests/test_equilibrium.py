@@ -6,6 +6,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import datamarket.equilibrium
 from datamarket import (
@@ -103,13 +105,18 @@ def _dense_radius(a):
     return np.abs(np.linalg.eigvals(a)).max(axis=-1)
 
 
+def _radius(xi):
+    """coupling_radius of xi's grouped coupling matrix."""
+    return coupling_radius(coupling_matrix(xi), xi.shape[-1])
+
+
 def _reduced_matrix(monkeypatch, xs, degrees):
-    """The (N*G)-sized R that coupling_radius hands to spectral_radius."""
+    """The (N*G)-sized matrix that coupling_radius hands to spectral_radius."""
     seen = []
     real = datamarket.equilibrium.spectral_radius
     with monkeypatch.context() as patch:
         patch.setattr(datamarket.equilibrium, "spectral_radius", lambda a: seen.append(a) or real(a))
-        coupling_radius(_loo_xi(xs, degrees))
+        _radius(_loo_xi(xs, degrees))
     return seen[0]
 
 
@@ -180,6 +187,49 @@ def test_large_stacked_radius_equals_the_single_calls(monkeypatch):
 # coupling matrix assembly
 # ---------------------------------------------------------------------------
 
+def _dense_coupling_matrix(xi):
+    """Reference: the dense (N*M)-wide A as the solve built it before it ran
+    on the grouped R.  ``A[(q, k), (l, j)] = xi[j, l, q]`` for ``l != q`` and
+    ``j != k``, source-major; leading axes of ``xi`` carry over to A."""
+    *lead, n_buyers, n_sources, _ = xi.shape
+    A = np.zeros((*lead, n_sources, n_buyers, n_sources, n_buyers))
+    other_buyer = ~np.eye(n_buyers, dtype=bool)
+    np.copyto(A, np.swapaxes(xi, -1, -3)[..., :, None, :, :],
+              where=other_buyer[None, :, None, :])
+    own = np.arange(n_sources)
+    A[..., own, :, own, :] = 0.0
+    return A.reshape(*lead, n_sources * n_buyers, n_sources * n_buyers)
+
+
+def _solve_rows_dense(A, gamma, alphas):
+    """Reference: solve_rows as it ran on the dense A, with one LU solve of
+    ``I - A`` per row and the residual taken from A."""
+    n_rows, n_buyers, n_sources = gamma.shape
+    n = n_sources * n_buyers
+    gamma_vec = np.swapaxes(gamma, -1, -2).reshape(n_rows, n)
+    eye_minus_a = np.zeros_like(A)
+    eye_minus_a[..., np.arange(n), np.arange(n)] = 1.0
+    np.subtract(eye_minus_a, A, out=eye_minus_a)
+    dvec = np.linalg.solve(eye_minus_a, gamma_vec[..., None])[..., 0]
+    scale = 1.0 + np.abs(dvec).max(axis=-1, initial=0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = np.abs(dvec - (A @ dvec[..., None])[..., 0] - gamma_vec).max(axis=-1) / scale
+    lowest = dvec.min(axis=-1, initial=0.0)
+    limit = datamarket.equilibrium._RESIDUAL_HARD_LIMIT
+    off_limit = ~(residual <= limit)
+    errors = [None] * n_rows
+    for r in np.flatnonzero(off_limit | (lowest < -1e-12 * scale)):
+        if off_limit[r]:
+            errors[r] = NumericFailure(f"fixed-point residual {residual[r]:.3g} exceeds {limit:g}")
+        else:
+            errors[r] = NumericFailure(f"negative slope {lowest[r]:.3g} in the solved system")
+    d = np.maximum(dvec, 0.0).reshape(n_rows, n_sources, n_buyers).swapaxes(-1, -2)
+    d_total, efforts, variances, induced_errors = datamarket.equilibrium._induced_quantities(d, alphas)
+    sol = datamarket.equilibrium.EquilibriumSolution(
+        d=d, d_total=d_total, efforts=efforts, variances=variances, residual=residual)
+    return sol, [e or i for e, i in zip(errors, induced_errors)]
+
+
 def _coupling_matrix_loops(xi):
     n_buyers, n_sources, _ = xi.shape
     A = np.zeros((n_sources * n_buyers, n_sources * n_buyers))
@@ -199,10 +249,12 @@ def _coupling_matrix_loops(xi):
 @pytest.mark.parametrize("n_buyers", [1, 2, 3, 5])
 @pytest.mark.parametrize("n_sources", [2, 3, 6])
 def test_coupling_matrix_matches_loop_assembly(n_buyers, n_sources):
+    # no two buyers share a xi block: every buyer is its own group, and R is A
     rng = np.random.default_rng(100 * n_buyers + n_sources)
     xi = rng.uniform(0.0, 2.0, (n_buyers, n_sources, n_sources))
     A = coupling_matrix(xi)
     assert np.array_equal(A, _coupling_matrix_loops(xi))
+    assert np.array_equal(_dense_coupling_matrix(xi), A)
     assert A.flags.c_contiguous
     assert A.nbytes == (n_sources * n_buyers) ** 2 * 8
     if n_buyers == 1:
@@ -255,16 +307,16 @@ def test_coupling_radius_matches_the_dense_radius(monkeypatch):
         if not rows:
             continue
         xi = np.stack(rows)
-        dense = [real(coupling_matrix(x)) for x in xi]
+        dense = [real(_dense_coupling_matrix(x)) for x in xi]
         shapes.clear()
-        got = coupling_radius(xi)
+        got = _radius(xi)
         assert got.shape == (len(rows),)
         # one stacked eigenvalue problem of size N*G
         assert shapes == [(len(rows), n * len(set(degrees)), n * len(set(degrees)))]
         for x, want, rho in zip(xi, dense, got.tolist()):
-            assert coupling_radius(x) == rho
+            assert _radius(x) == rho
             assert abs(rho - want) <= 1e-7 * want
-            if _perron_condition(coupling_matrix(x)) <= 1e4:
+            if _perron_condition(_dense_coupling_matrix(x)) <= 1e4:
                 assert abs(rho - want) <= 1e-12 * want
                 checked += 1
     assert checked >= 200
@@ -272,9 +324,9 @@ def test_coupling_radius_matches_the_dense_radius(monkeypatch):
     # grouping all rows share
     xs = np.array([-1.0, -0.2, 0.4, 1.0])
     mixed = np.stack([_loo_xi(xs, [1, 1, 2]), _loo_xi(xs, [1, 2, 2])])
-    want = [real(coupling_matrix(x)) for x in mixed]
-    assert coupling_radius(mixed) == pytest.approx(want, rel=1e-12)
-    assert coupling_radius(np.zeros((0, 3, 4, 4))).shape == (0,)
+    want = [real(_dense_coupling_matrix(x)) for x in mixed]
+    assert _radius(mixed) == pytest.approx(want, rel=1e-12)
+    assert _radius(np.zeros((0, 3, 4, 4))).shape == (0,)
 
 
 def test_coupling_radius_single_degree_identity():
@@ -284,9 +336,9 @@ def test_coupling_radius_single_degree_identity():
         xi = np.broadcast_to(rng.uniform(0.0, 1.0, (4, 4)), (mm, 4, 4))
         X = xi[0].T.copy()
         np.fill_diagonal(X, 0.0)
-        assert coupling_radius(xi) == pytest.approx((mm - 1) * spectral_radius(X), rel=1e-12)
+        assert _radius(xi) == pytest.approx((mm - 1) * spectral_radius(X), rel=1e-12)
         if mm == 1:
-            assert coupling_radius(xi) == 0.0
+            assert _radius(xi) == 0.0
 
 
 def test_coupling_radius_rejects_bad_xi():
@@ -295,16 +347,17 @@ def test_coupling_radius_rejects_bad_xi():
         broken = xi.copy()
         broken[1, 0, 2] = bad
         with pytest.raises(ValueError, match="spectral_radius expects"):
-            coupling_radius(broken)
+            _radius(broken)
 
 
 def test_coupling_radius_exact_on_a_clustered_root():
     # sources at (-1, 0, 1) with degrees 1 and 2: the exact radius is
     # 1/sqrt(2), and A has a clustered root that dense eigvals of A misses
-    # by about 1.2e-8
+    # by about 1.2e-8; R is A here, as the two buyers share no block
     xi = _loo_xi([-1.0, 0.0, 1.0], [1, 2])
-    assert coupling_radius(xi) == pytest.approx(math.sqrt(0.5), rel=1e-14)
-    assert spectral_radius(coupling_matrix(xi)) == pytest.approx(math.sqrt(0.5), rel=1e-7)
+    assert _radius(xi) == pytest.approx(math.sqrt(0.5), rel=1e-14)
+    assert np.array_equal(coupling_matrix(xi), _dense_coupling_matrix(xi))
+    assert spectral_radius(_dense_coupling_matrix(xi)) == pytest.approx(math.sqrt(0.5), rel=1e-7)
 
 
 def test_coupling_structure_two_firm():
@@ -316,33 +369,125 @@ def test_coupling_structure_two_firm():
     expected[1, 2] = 1.0
     expected[2, 1] = 0.25    # (source 1, buyer 0) <- (source 0, buyer 1)
     expected[3, 0] = 0.25
-    assert coupling_matrix(w.xi) == pytest.approx(expected, abs=1e-15)
+    assert _dense_coupling_matrix(w.xi) == pytest.approx(expected, abs=1e-15)
+    # the two buyers share their block: one group of two, so R is X itself
+    assert coupling_matrix(w.xi) == pytest.approx(np.array([[0.0, 1.0], [0.25, 0.0]]), abs=1e-15)
     assert w.gamma == pytest.approx(np.array([[1 / 3, 4 / 3], [1 / 3, 4 / 3]]), rel=1e-12)
     assert solve_equilibrium_d(w, m).rho == pytest.approx(0.5, rel=1e-11)
 
 
 def test_stacking_roundtrip():
-    # solve_rows reads A in coupling_matrix's source-major stacking: with A
-    # zero the slopes are gamma, and one entry at ((q, k), (l, j)) adds
-    # a * gamma[j, l] to d[k, q] alone
+    # with xi zero the slopes are gamma; one entry xi[j, l, q] = a adds
+    # a * gamma[j, l] to d[k, q] for every other buyer k, and to nothing else
     rng = np.random.default_rng(5)
-    n_buyers, n_sources = 2, 3
+    n_buyers, n_sources = 3, 3
     gamma = rng.uniform(0.5, 1.5, (1, n_buyers, n_sources))
     alphas = np.ones((1, n_sources))
-    sol, _ = solve_rows(np.zeros((1, 6, 6)), gamma, alphas)
+    xi = np.zeros((1, n_buyers, n_sources, n_sources))
+    sol, _ = solve_rows(xi, gamma, alphas, coupling_matrix(xi))
     assert np.array_equal(sol.d, gamma)
-    for (k, q), (j, l) in (((0, 1), (1, 2)), ((1, 0), (0, 2)), ((1, 2), (0, 0))):
-        A = np.zeros((1, 6, 6))
-        A[0, q * n_buyers + k, l * n_buyers + j] = 0.5
-        sol, _ = solve_rows(A, gamma, alphas)
+    for j, l, q in ((1, 2, 1), (0, 2, 0), (0, 0, 2)):
+        xi = np.zeros((1, n_buyers, n_sources, n_sources))
+        xi[0, j, l, q] = 0.5
+        sol, _ = solve_rows(xi, gamma, alphas, coupling_matrix(xi))
         want = gamma[0].copy()
-        want[k, q] += 0.5 * gamma[0, j, l]
+        want[np.arange(n_buyers) != j, q] += 0.5 * gamma[0, j, l]
         assert sol.d[0] == pytest.approx(want, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
 # solving
 # ---------------------------------------------------------------------------
+
+def _stacked_xi(rng, n, degrees, n_rows):
+    """xi of n_rows random markets on n sources, stacked; a row whose coupling
+    is past the gate is scaled below it, which keeps its shared blocks."""
+    rows = []
+    while len(rows) < n_rows:
+        try:
+            xi = _loo_xi(np.sort(rng.uniform(-1.0, 1.0, n)), degrees)
+        except SingularDesignError:
+            continue
+        rho = _radius(xi)
+        rows.append(xi * (0.9 / rho) if rho > 0.9 else xi)
+    return np.stack(rows)
+
+
+def _solve_both(rng, xi):
+    """solve_rows and the dense reference on xi, with random gamma and alphas."""
+    gamma = rng.uniform(0.1, 1.0, xi.shape[:-1])
+    alphas = rng.uniform(0.5, 2.0, (len(xi), xi.shape[-1]))
+    got = solve_rows(xi, gamma, alphas, coupling_matrix(xi))
+    return got, _solve_rows_dense(_dense_coupling_matrix(xi), gamma, alphas)
+
+
+def _max_rel_err(got, want):
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
+
+def test_solve_rows_without_shared_blocks_is_the_dense_solve_bit_for_bit():
+    rng = np.random.default_rng(53)
+    for n, degrees in ((3, [1, 2]), (5, [2, 1, 3]), (6, [3, 1]), (8, [1, 2, 3]), (4, [1])):
+        xi = _stacked_xi(rng, n, degrees, 3)
+        assert len(datamarket.equilibrium._buyer_groups(xi)) == len(degrees)
+        (sol, errors), (want, want_errors) = _solve_both(rng, xi)
+        assert errors == want_errors == [None] * 3
+        for field in ("d", "d_total", "efforts", "variances"):
+            assert getattr(sol, field).tobytes() == getattr(want, field).tobytes()
+        assert (sol.residual <= 1e-14).all()
+
+
+def test_solve_rows_with_shared_blocks_matches_the_dense_solve():
+    rng = np.random.default_rng(59)
+    for n, degrees in ((3, [1, 1]), (5, [1, 1, 2]), (6, [2, 1, 2, 2]), (7, [3, 1, 3, 1, 3]),
+                       (8, [1, 1, 1, 1])):
+        xi = _stacked_xi(rng, n, degrees, 4)
+        (sol, errors), (want, want_errors) = _solve_both(rng, xi)
+        assert errors == want_errors == [None] * 4
+        assert coupling_matrix(xi).shape[-1] == n * len(set(degrees))
+        assert _max_rel_err(sol.d, want.d) <= 1e-12
+        # a row solved alone groups its buyers the same way and gets the same slopes
+        (one, _), _ = _solve_both(np.random.default_rng(1), xi[:1])
+        (first, _), _ = _solve_both(np.random.default_rng(1), xi)
+        assert one.d[0].tobytes() == first.d[0].tobytes()
+    # rows of a stack's R: buyers 0 and 1 share their block in row 0 alone,
+    # so row 0 by itself has one group fewer and solve_rows builds its R again
+    xi = rng.uniform(0.0, 0.3, (2, 3, 4, 4))
+    xi[0, 1] = xi[0, 0]
+    gamma, alphas = rng.uniform(0.1, 1.0, (1, 3, 4)), np.ones((1, 4))
+    sol, errors = solve_rows(xi[:1], gamma, alphas, coupling_matrix(xi)[:1])
+    want, want_errors = _solve_rows_dense(_dense_coupling_matrix(xi[:1]), gamma, alphas)
+    assert coupling_matrix(xi).shape[-1] == 12 and coupling_matrix(xi[:1]).shape[-1] == 8
+    assert errors == want_errors == [None]
+    assert _max_rel_err(sol.d, want.d) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 8), degrees=st.lists(st.integers(1, 3), min_size=1, max_size=5),
+       rows=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_grouped_solve_matches_the_dense_solve(n, degrees, rows, seed):
+    rng = np.random.default_rng(seed)
+    xi = _stacked_xi(rng, n, [min(g, n - 1) for g in degrees], rows)
+    (sol, errors), (want, want_errors) = _solve_both(rng, xi)
+    assert [str(e) for e in errors] == [str(e) for e in want_errors]
+    assert _max_rel_err(sol.d, want.d) <= 1e-12
+    assert (sol.residual <= 1e-14).all()
+
+
+def test_many_buyers_solve_through_the_grouped_matrix():
+    # 20 sources and 30 buyers of degrees 1 and 2: R is 40 wide where A is 600
+    n, mm = 20, 30
+    xi = _loo_xi(np.linspace(-0.95, 0.95, n), [1 + k % 2 for k in range(mm)])
+    R = coupling_matrix(xi)
+    assert R.shape == (2 * n, 2 * n)
+    A = _dense_coupling_matrix(xi)
+    rho = coupling_radius(R, n)
+    assert abs(rho - float(_dense_radius(A))) <= 1e-12 * rho
+    # thirty buyers couple far past the gate; scaled below it, xi keeps its two blocks
+    (sol, errors), (want, want_errors) = _solve_both(np.random.default_rng(61), xi[None] * (0.5 / rho))
+    assert errors == want_errors == [None]
+    assert _max_rel_err(sol.d, want.d) <= 1e-12
+
 
 def test_two_firm_coupled_solution():
     m = two_firm_market(0.0)
@@ -370,7 +515,7 @@ def test_no_equilibrium_near_unit_radius():
     # over the existence threshold while designs remain well conditioned
     m = two_firm_market(1.0 - 5e-5)
     w = compute_weights(m)
-    rho = coupling_radius(w.xi)
+    rho = _radius(w.xi)
     assert rho >= RHO_EXISTENCE_THRESHOLD
     with pytest.raises(NoEquilibriumError) as err:
         solve_equilibrium_d(w, m)
@@ -382,35 +527,41 @@ def _weights(xi, gamma):
     return SeparableWeights(beta=np.zeros_like(gamma), xi=xi, gamma=gamma)
 
 
+def _solve_one(w, alphas):
+    """solve_rows on the one market of w, gate or no gate."""
+    return solve_rows(w.xi[None], w.gamma[None], alphas[None], coupling_matrix(w.xi)[None])
+
+
 def test_solve_rows_reports_negative_slopes():
+    # every cross weight 2 couples two buyers over two sources at rho = 2:
     # past the gate, the solve of d = A d + gamma turns negative
-    past_gate = np.array([[[0.0, 2.0], [2.0, 0.0]]])
-    _, errors = solve_rows(past_gate, np.ones((1, 1, 2)), np.ones((1, 2)))
+    past_gate = _weights(np.full((2, 2, 2), 2.0), np.ones((2, 2)))
+    _, errors = _solve_one(past_gate, np.ones(2))
     assert isinstance(errors[0], NumericFailure)
     assert str(errors[0]) == "negative slope -1 in the solved system"
-    # every cross weight 2 couples two buyers over two sources at rho = 2
     m = two_firm_market(0.0)
     with pytest.raises(NoEquilibriumError, match="spectral radius 2 "):
-        solve_equilibrium_d(_weights(np.full((2, 2, 2), 2.0), np.ones((2, 2))), m)
+        solve_equilibrium_d(past_gate, m)
 
     # below the gate, a negative gamma entry (compute_weights clips them,
     # hand-built weights need not) carries through to the slopes
     w = _weights(np.zeros((2, 2, 2)), np.array([[1.0, -1.0], [1.0, 1.0]]))
-    _, errors = solve_rows(coupling_matrix(w.xi)[None], w.gamma[None], np.ones((1, 2)))
+    _, errors = _solve_one(w, np.ones(2))
     assert str(errors[0]) == "negative slope -1 in the solved system"
     with pytest.raises(NumericFailure, match=r"^negative slope -1 in the solved system$"):
         solve_equilibrium_d(w, m)
 
 
 def test_solve_rows_reports_residual_above_limit(monkeypatch):
-    # Wilkinson's growth matrix: with I - A = W the partially pivoted LU
-    # factors grow as 2^(n-1), so the solve misses d = A d + gamma by far
-    # (A has entries of both signs and rho near 14: no market builds it)
+    # Wilkinson's growth matrix, on the dense reference: with I - A = W the
+    # partially pivoted LU factors grow as 2^(n-1), so the solve misses
+    # d = A d + gamma by far (A has entries of both signs and rho near 14:
+    # no xi builds it)
     n = 50
     W = np.eye(n) - np.tril(np.ones((n, n)), -1)
     W[:, -1] = 1.0
-    sol, errors = solve_rows((np.eye(n) - W)[None], np.linspace(0.5, 1.5, n)[None, None, :],
-                             np.ones((1, n)))
+    sol, errors = _solve_rows_dense((np.eye(n) - W)[None], np.linspace(0.5, 1.5, n)[None, None, :],
+                                    np.ones((1, n)))
     assert sol.residual[0] > 1e-8
     assert isinstance(errors[0], NumericFailure)
     assert re.fullmatch(r"fixed-point residual \S+ exceeds 1e-08", str(errors[0]))
@@ -421,7 +572,7 @@ def test_solve_rows_reports_residual_above_limit(monkeypatch):
     monkeypatch.setattr(datamarket.equilibrium, "_RESIDUAL_HARD_LIMIT", 0.0)
     m = two_firm_market(0.0)
     w = compute_weights(m)
-    sol, errors = solve_rows(coupling_matrix(w.xi)[None], w.gamma[None], np.array([m.alphas()]))
+    sol, errors = _solve_one(w, np.array(m.alphas()))
     assert sol.residual[0] > 0.0
     message = f"fixed-point residual {sol.residual[0]:.3g} exceeds 0"
     assert str(errors[0]) == message
@@ -442,7 +593,7 @@ def test_fixed_point_residual(solved_suite):
     # coupling matrix's
     rng = np.random.default_rng(13)
     for m, w, sol in solved_suite:
-        A, gamma_vec = coupling_matrix(w.xi), w.gamma.T.reshape(-1)  # source-major
+        A, gamma_vec = _dense_coupling_matrix(w.xi), w.gamma.T.reshape(-1)  # source-major
         dvec = sol.d.T.reshape(-1)
         res = np.abs(dvec - A @ dvec - gamma_vec).max()
         assert res <= 1e-10 * (1.0 + np.abs(dvec).max())

@@ -24,6 +24,7 @@ from datamarket import (
     best_response_certificate,
     complete_solution,
     compute_weights,
+    coupling_matrix,
     coupling_radius,
     fixed_point_certificate,
     payment_moments,
@@ -591,7 +592,7 @@ def test_exact_means_lie_in_the_simulated_band():
                 w = compute_weights(m)
             except GammaNegativeError:
                 continue
-            if coupling_radius(w.xi) < 0.99:
+            if coupling_radius(coupling_matrix(w.xi), m.n_sources) < 0.99:
                 break
         d_total = solve_equilibrium_d(w, m).d_total
         markets.append(replace(m, sources=tuple(DataSource(float(x), float(1.0 / t))
