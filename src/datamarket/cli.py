@@ -10,12 +10,14 @@ versus social optimum).  Exit codes are part of the interface: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
 import numbers
 import os
 import re
+import stat
 import sys
 
 import numpy as np
@@ -396,17 +398,32 @@ def _sweep_columns(n: int, mm: int) -> list:
     return cols
 
 
-def _sweep_lines(m: MarketInstance, values: np.ndarray, column: str, index: int) -> list:
-    """CSV lines of a batch of sweep rows, computed together.
+def _row_template(mask) -> str:
+    """The %-template of a sweep row that has the cells where mask is true.
+
+    ``template % (*cells, status)`` is the row's CSV line with its newline:
+    ``%.12g`` formats a present cell and ``%.0s`` leaves an absent one an
+    empty field, so one ``%`` takes every cell of the row.
+    """
+    return ",".join(["%.12g" if keep else "%.0s" for keep in mask]) + ",%s\n"
+
+
+def _sweep_lines(fh, m: MarketInstance, values: np.ndarray, column: str, index: int) -> None:
+    """Write the CSV lines of a batch of sweep rows, computed together, to fh.
 
     Row r is market m with entry ``index`` of its ``column`` (``_SWEEPABLE``)
     set to values[r].  It equals what ``_run`` gives on that market: the
     same stages run once over the rows, and a row that stops early gets a
     status instead of raising.  A NumericFailure from the welfare checks
-    still aborts.
+    still aborts, before any line of the batch is written.  Lines are
+    formatted and written one at a time, so the batch's numbers are all it
+    holds.
     """
     n, mm = m.n_sources, m.n_buyers
-    xs, alphas, etas = (np.tile(np.array(getattr(m, name)(), dtype=float), (len(values), 1))
+    # np.repeat and transpose, not np.tile and np.moveaxis: those two leave a
+    # few tuples in the interpreter's free lists per call, which pile up over
+    # a sweep of many small batches
+    xs, alphas, etas = (np.repeat(np.array([getattr(m, name)()], dtype=float), len(values), axis=0)
                         for name in ("locations", "alphas", "etas"))
     {"locations": xs, "alphas": alphas, "etas": etas}[column][:, index] = values
 
@@ -421,7 +438,7 @@ def _sweep_lines(m: MarketInstance, values: np.ndarray, column: str, index: int)
     to_solve = weighted & ~past_gate
     R = R[to_solve[has_xi]]
     sol, solve_errors = solve_rows(w.xi[to_solve], w.gamma[to_solve], alphas[to_solve], R)
-    del R  # freed before the table and its strings are built
+    del R  # freed before the table is built
     solved = np.array([e is None for e in solve_errors], dtype=bool)
     ok = to_solve.copy()
     ok[to_solve] = solved
@@ -439,27 +456,39 @@ def _sweep_lines(m: MarketInstance, values: np.ndarray, column: str, index: int)
         # (rows that have the cells, the cells of those rows), in CSV order
         (np.ones(len(values), dtype=bool), values[:, None]),
         (weighted, np.swapaxes(w.gamma[weighted], -1, -2).reshape(-1, n * mm)),
-        (has_xi, np.moveaxis(w.xi[has_xi], 1, -1)[:, off_diag].reshape(-1, n * (n - 1) * mm)),
+        (has_xi, w.xi[has_xi].transpose(0, 2, 3, 1)[:, off_diag].reshape(-1, n * (n - 1) * mm)),
         (has_xi, rho[has_xi, None]),
         (ok, np.swapaxes(sol.d[solved], -1, -2).reshape(-1, n * mm)),
         (ok, sol.efforts[solved]),
         (has_welfare, np.column_stack([rep.efforts_opt, rep.loss_eq, rep.loss_opt, rep.poa])
          [has_welfare[ok]]),
     ]
-    width = sum(cells.shape[1] for _, cells in columns)
-    table = np.zeros((len(values), width))
-    filled = np.zeros((len(values), width), dtype=bool)
+    widths = [cells.shape[1] for _, cells in columns]
+    table = np.zeros((len(values), sum(widths)))
     start = 0
-    for present, cells in columns:
-        stop = start + cells.shape[1]
-        table[present, start:stop] = cells
-        filled[present, start:stop] = True
-        start = stop
+    for (present, cells), width in zip(columns, widths):
+        table[present, start:start + width] = cells
+        start += width
 
-    status = np.where(ok, "ok", np.where(past_gate, "no_equilibrium", "error")).tolist()
-    return [",".join([f"{v:.12g}" if keep else "" for v, keep in zip(row.tolist(), mask.tolist())]
-                     + [s])
-            for row, mask, s in zip(table, filled, status)]
+    # a row's kind is the groups of cells it has and whether it is past the
+    # gate, one bit each: a batch has only a few kinds (ok, no_equilibrium,
+    # each kind of error), and each formats with one template
+    flags = np.column_stack([present for present, _ in columns] + [past_gate])
+    kinds = {}
+    for r, kind in enumerate((flags @ (1 << np.arange(flags.shape[1]))).tolist()):
+        if kind not in kinds:
+            kinds[kind] = (_row_template(np.repeat(flags[r, :-1], widths).tolist()),
+                           "ok" if ok[r] else "no_equilibrium" if past_gate[r] else "error")
+        template, status = kinds[kind]
+        fh.write(template % (*table[r].tolist(), status))
+
+
+def _open_out(path: str) -> tuple:
+    """path opened for writing the CSV, and whether this call created it."""
+    try:
+        return open(path, "x", encoding="utf-8", newline=""), True
+    except FileExistsError:
+        return open(path, "w", encoding="utf-8", newline=""), False
 
 
 def _cmd_sweep(args) -> int:
@@ -500,17 +529,31 @@ def _cmd_sweep(args) -> int:
     for v in values[~valid(values, m)]:
         _sweep_market(base, param, v)
 
-    lines = [",".join(_sweep_columns(m.n_sources, m.n_buyers))]
     # buyers of one degree share xi, so R is at most N * (distinct degrees) wide
     n_groups = len({b.estimator.degree for b in m.buyers})
     batch = max(1, _BATCH_ENTRIES // (m.n_buyers * m.n_sources ** 2 + (m.n_sources * n_groups) ** 2))
-    for start in range(0, len(values), batch):
-        lines += _sweep_lines(m, values[start:start + batch], column, index)
     try:
-        with open(args.out, "wb") as fh:
-            fh.write(("\n".join(lines) + "\n").encode("utf-8"))
+        fh, created = _open_out(args.out)
     except OSError as err:
         raise ConfigError(f"cannot write {args.out}: {err}") from None
+    regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+    try:
+        with fh:
+            fh.write(",".join(_sweep_columns(m.n_sources, m.n_buyers)) + "\n")
+            for start in range(0, len(values), batch):
+                _sweep_lines(fh, m, values[start:start + batch], column, index)
+    except BaseException as err:
+        # an aborted sweep leaves no rows: the file it created is removed and
+        # a regular file it overwrote is emptied (a device or a pipe, such
+        # as /dev/stdout, is left as it is)
+        with contextlib.suppress(OSError):
+            if created:
+                os.remove(args.out)
+            elif regular:
+                os.truncate(args.out, 0)
+        if isinstance(err, OSError):
+            raise ConfigError(f"cannot write {args.out}: {err}") from None
+        raise
     print(f"wrote {len(values)} rows to {args.out}")
     return EXIT_OK
 

@@ -1,6 +1,7 @@
 import copy
 import csv
 import dataclasses
+import gc
 import io
 import json
 import math
@@ -8,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -1231,6 +1233,65 @@ def test_sweep_welfare_numeric_failure_aborts(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("existed", [False, True], ids=["new", "existing"])
+@pytest.mark.parametrize("failure", ["numeric", "write"])
+def test_aborted_sweep_leaves_no_rows(tmp_path, monkeypatch, capsys, existed, failure):
+    # the first batch is written before the second fails: a file the sweep
+    # created is removed, and one it overwrote is left empty
+    monkeypatch.setattr(datamarket.cli, "_BATCH_ENTRIES", 64)
+    real_lines, real_solve = datamarket.cli._sweep_lines, datamarket.cli.solve_rows
+    batches = []
+
+    def lowered(*args):
+        sol, errors = real_solve(*args)
+        return dataclasses.replace(sol, efforts=sol.efforts - 0.1), errors
+
+    def second_fails(fh, *args):
+        batches.append(fh.tell())
+        if len(batches) == 2:
+            if failure == "write":
+                raise OSError(28, "No space left on device")
+            monkeypatch.setattr(datamarket.cli, "solve_rows", lowered)
+        real_lines(fh, *args)
+
+    monkeypatch.setattr(datamarket.cli, "_sweep_lines", second_fails)
+    out = tmp_path / "rows.csv"
+    if existed:
+        out.write_text("rows of an earlier sweep\n")
+    path = write_sweep(tmp_path, _TWO_FIRM, -1.0, 0.0, 12)
+    assert main(["sweep", str(path), "--out", str(out)]) == 1
+    assert len(batches) == 2 and batches[1] > batches[0] > 0
+    message = {"numeric": "equilibrium efforts fell below the social optimum",
+               "write": f"cannot write {out}: [Errno 28] No space left on device"}[failure]
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert out.exists() == existed
+    if existed:
+        assert out.read_bytes() == b""
+
+
+def test_sweep_unwritable_out_exits_1_before_any_fit(tmp_path, monkeypatch, capsys):
+    def no_fit(*args):
+        raise AssertionError("a row was computed for an output that cannot be written")
+
+    monkeypatch.setattr(datamarket.cli, "weight_rows", no_fit)
+    out = tmp_path / "nodir" / "rows.csv"
+    path = write_sweep(tmp_path, _TWO_FIRM, -1.0, 0.0, 3)
+    assert main(["sweep", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: cannot write {out}: [Errno 2] No such file or directory: '{out}'\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_sweep_to_a_full_device_exits_1_and_leaves_it(tmp_path, capsys):
+    # the rows reach the device when the file is closed, which fails; a
+    # device is neither removed nor truncated
+    path = write_sweep(tmp_path, _TWO_FIRM, -1.0, 0.0, 3)
+    assert main(["sweep", str(path), "--out", "/dev/full"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: cannot write /dev/full: [Errno 28] No space left on device\n")
+    assert os.path.exists("/dev/full")
+
+
 def _reference_sweep_error(spec):
     """The error line of an invalid sweep, from a market built and validated
     per value: its first violation at the first value that has one."""
@@ -1436,6 +1497,51 @@ def test_stacked_sweep_matches_the_per_row_pipeline(tmp_path, monkeypatch, batch
         statuses.append({line.rsplit(",", 1)[1] for line in out.read_text().splitlines()[1:]})
     assert set().union(*statuses) == {"ok", "no_equilibrium", "error"}
     assert statuses[-2] == {"error"} and statuses[-1] == {"no_equilibrium"}
+
+
+def test_sweep_heap_holds_one_batch_not_the_file(tmp_path, monkeypatch, capsys):
+    # rows go to the file as each batch is formatted, so ten times the rows,
+    # in batches of five, leave the heap's peak where it was: only the swept
+    # values, 8 bytes a step, are held for the whole sweep
+    monkeypatch.setattr(datamarket.cli, "_BATCH_ENTRIES", 64)
+    base = os.path.join(ROOT, "configs", "two_firm.json")
+
+    def peak(steps):
+        spec = write_sweep(tmp_path, base, -1.0, 0.999, steps, name=f"s{steps}.json")
+        gc.collect()
+        tracemalloc.reset_peak()
+        assert main(["sweep", str(spec), "--out", str(tmp_path / "rows.csv")]) == 0
+        return tracemalloc.get_traced_memory()[1]
+
+    tracemalloc.start()
+    try:
+        peak(200)  # warm-up
+        small, large = peak(200), peak(2000)
+    finally:
+        tracemalloc.stop()
+    assert large - 8 * (2000 - 200) <= 1.25 * small, (small, large)
+
+
+def _joined_row(cells, mask, status):
+    """A sweep line as it was built before the %-templates: one f-string a cell."""
+    return ",".join([f"{v:.12g}" if keep else "" for v, keep in zip(cells, mask)] + [status]) + "\n"
+
+
+_EDGE_FLOATS = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+                2.2250738585072014e-308, 1e308, -1e308, 1e-308, -1e-308,
+                1.7976931348623157e308, 0.1 + 0.2, 123456789012.5, 1e16]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.floats() | st.sampled_from(_EDGE_FLOATS), st.booleans()),
+                min_size=1, max_size=40),
+       st.sampled_from(["ok", "no_equilibrium", "error"]))
+@example([(v, True) for v in _EDGE_FLOATS] + [(v, False) for v in _EDGE_FLOATS], "ok")
+def test_row_template_matches_the_per_cell_join(cells_mask, status):
+    cells = [v for v, _ in cells_mask]
+    mask = [keep for _, keep in cells_mask]
+    line = datamarket.cli._row_template(mask) % (*cells, status)
+    assert line.encode() == _joined_row(cells, mask, status).encode()
 
 
 def test_sweep_steps_are_bounded(tmp_path):
