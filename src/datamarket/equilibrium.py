@@ -6,11 +6,11 @@ other sources.  Stacking those conditions yields a Leontief-type linear
 system ``d = A d + gamma`` whose nonnegative solution exists exactly when
 the spectral radius of A stays below one.  A is never built: buyers that
 share a xi block form a group, the group means of the slopes solve through
-the (N*G)-wide ``R = coupling_matrix(xi)``, whose radius is A's, and the
-deviations from them through the N-wide ``I + X_g``, at O((N*G)^3 + G*N^3)
-instead of O((N*M)^3) (README, "Equilibrium slopes").  Flat payments are
-pinned down only up to a polytope, which ``complete_solution`` builds along
-with one natural point of it.
+the (N*G)-wide, group-major ``R = coupling_matrix(xi)``, whose radius is
+A's, and the deviations from them through the N-wide ``I + X_g``, at
+O((N*G)^3 + G*N^3) instead of O((N*M)^3) (README, "Equilibrium slopes").
+Flat payments are pinned down only up to a polytope, which
+``complete_solution`` builds along with one natural point of it.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ __all__ = [
     "EquilibriumSolution",
     "spectral_radius",
     "coupling_matrix",
-    "coupling_radius",
     "solve_equilibrium_d",
     "solve_rows",
     "complete_solution",
@@ -103,12 +102,12 @@ def coupling_matrix(xi: np.ndarray) -> np.ndarray:
     """The grouped coupling matrix R of the leave-one-out tensor.
 
     Group g (``_buyer_groups``) has n_g buyers sharing the block xi_g.  R is
-    (N*G)-wide, source-major: the index of (source q, group g) is
-    ``q * G + g``, and ``R[(q, g), (l, h)] = (n_h - [g == h]) * xi_h[l, q]``
+    (N*G)-wide, group-major: the index of (group g, source q) is
+    ``g * N + q``, and ``R[(g, q), (h, l)] = (n_h - [g == h]) * xi_h[l, q]``
     for ``l != q``.  It is A acting on slopes that are constant within each
     group, so ``rho(R) = rho(A)`` (README, "Equilibrium slopes"); when no
-    two buyers share a block it is A itself,
-    ``A[(q, k), (l, j)] = xi[j, l, q]`` for ``l != q`` and ``j != k``.  The
+    two buyers share a block it is A itself, buyer-major like d,
+    ``A[(k, q), (j, l)] = xi[j, l, q]`` for ``l != q`` and ``j != k``.  The
     output is the only large allocation, and leading axes of ``xi`` (one
     tensor per market) carry over to R.
     """
@@ -116,10 +115,10 @@ def coupling_matrix(xi: np.ndarray) -> np.ndarray:
     members = _buyer_groups(xi)
     first = [k[0] for k in members]
     weight = np.array([len(k) for k in members]) - np.eye(len(first))  # n_h - [g == h]
-    X = np.swapaxes(xi[..., first, :, :], -1, -3)  # X[..., q, l, h] = xi_h[l, q]
+    X = np.swapaxes(np.swapaxes(xi[..., first, :, :], -1, -2), -3, -2)  # X[..., q, h, l] = xi_h[l, q]
     with np.errstate(invalid="ignore", over="ignore"):  # spectral_radius rejects non-finite R
-        R = np.multiply(weight[:, None, :], X[..., :, None, :, :], order="C")
-    R[..., range(n_sources), :, range(n_sources), :] = 0.0
+        R = np.multiply(weight[:, None, :, None], X[..., None, :, :, :], order="C")
+    R[..., range(n_sources), :, range(n_sources)] = 0.0
     n = n_sources * len(first)
     return R.reshape(*lead, n, n)
 
@@ -193,20 +192,6 @@ def spectral_radius(a: np.ndarray):
                 rho[dense] = np.abs(np.linalg.eigvals(mats[dense])).max(axis=-1)
             rho = rho.reshape(a.shape[:-2])
     return float(rho) if a.ndim == 2 else rho
-
-
-def coupling_radius(R: np.ndarray, n_sources: int):
-    """Spectral radius of ``R = coupling_matrix(xi)`` on n_sources sources, which is A's.
-
-    It is taken on R's group-major ordering, index ``g * N + q``, a
-    similarity of R.  Dense eigvals' error on a clustered root depends on
-    the ordering: on sources (-1, 0, 1) with degrees 1 and 2 this one meets
-    the exact root 1/sqrt(2), which the source-major one misses by 1.2e-8.
-    """
-    *lead, n, _ = R.shape
-    n_groups = n // n_sources
-    grouped = R.reshape(*lead, n_sources, n_groups, n_sources, n_groups)
-    return spectral_radius(np.swapaxes(np.swapaxes(grouped, -4, -3), -2, -1).reshape(*lead, n, n))
 
 
 # ---------------------------------------------------------------------------
@@ -310,10 +295,12 @@ def solve_rows(xi: np.ndarray, gamma: np.ndarray, alphas: np.ndarray, R: np.ndar
     group = np.empty(n_buyers, dtype=int)
     for g, k in enumerate(members):
         group[k] = g
-    # I - R built in place: the stack's only matrix-sized temporary
+    # I - R, source-major (index q * G + g), built in place: the stack's only matrix-sized temporary
     eye_minus_r = np.zeros_like(R)
     eye_minus_r[..., np.arange(n), np.arange(n)] = 1.0
-    np.subtract(eye_minus_r, R, out=eye_minus_r)
+    by_source = eye_minus_r.reshape(n_rows, n_sources, n_groups, n_sources, n_groups)
+    np.subtract(by_source, R.reshape(n_rows, n_groups, n_sources, n_groups, n_sources).transpose(0, 2, 1, 4, 3),
+                out=by_source)
     # slopes that overflowed make the residual NaN, which fails the limit
     with np.errstate(over="ignore", invalid="ignore"):
         mean = np.swapaxes(gamma[:, [k[0] for k in members]], -1, -2)  # (R, N, G) source-major
@@ -357,7 +344,7 @@ def solve_equilibrium_d(w: SeparableWeights, m: MarketInstance) -> EquilibriumSo
     hard limits.
     """
     R = coupling_matrix(w.xi)
-    rho = coupling_radius(R, m.n_sources)
+    rho = spectral_radius(R)
     if rho >= RHO_EXISTENCE_THRESHOLD:
         raise NoEquilibriumError(rho)
     alphas = np.asarray(m.alphas(), dtype=float)

@@ -35,12 +35,12 @@ from datamarket import (
     complete_solution,
     compute_weights,
     coupling_matrix,
-    coupling_radius,
     payment_moments,
     best_response_certificate,
     price_of_anarchy,
     solution_from_d,
     solve_equilibrium_d,
+    spectral_radius,
     validate_market,
 )
 from datamarket.cli import ConfigError, main, market_from_config
@@ -65,6 +65,16 @@ NEG_GAMMA_DOC = {
          "delta": [NEG_GAMMA_DELTA, 0.0]},
     ],
     "feature_domain": [-1.0, 1.5],
+}
+
+# Sources at -1, 0 and 1 and buyers of degrees 1 and 2: two groups, and a
+# clustered Perron root 1/sqrt(2) that eigvals meets on the group-major R
+CLUSTERED_DOC = {
+    "sources": [{"x": x, "alpha": 1.0} for x in (-1.0, 0.0, 1.0)],
+    "buyers": [{"estimator": {"kind": "polynomial-regression", "degree": d},
+                "value_dist": {"kind": "uniform", "params": {"lo": -1.0, "hi": 1.0}},
+                "delta": [0.0, 0.0]} for d in (1, 2)],
+    "feature_domain": [-1.0, 1.0],
 }
 
 
@@ -360,6 +370,38 @@ def test_negative_gamma_past_the_gate_has_no_equilibrium(tmp_path, capsys, monke
     rows = list(csv.DictReader(out.open()))
     assert [r["status"] for r in rows] == ["no_equilibrium"] * 2
     assert all(r["gamma_1_1"] == "" and float(r["rho"]) == pytest.approx(2.0) for r in rows)
+
+
+def test_rho_is_read_on_the_coupling_matrix_as_built(tmp_path, monkeypatch):
+    # spectral_radius receives the very array coupling_matrix returned, not
+    # a reordered copy: in a solve, in the existence check ahead of a
+    # weights error, and in a sweep batch of several rows
+    built, received = [], []
+    real_build = datamarket.equilibrium.coupling_matrix
+    real_radius = datamarket.equilibrium.spectral_radius
+
+    def build(xi):
+        built.append(real_build(xi))
+        return built[-1]
+
+    def radius(a):
+        received.append(a)
+        return real_radius(a)
+
+    for module in (datamarket.equilibrium, datamarket.cli):
+        monkeypatch.setattr(module, "coupling_matrix", build)
+        monkeypatch.setattr(module, "spectral_radius", radius)
+    clustered, neg = tmp_path / "clustered.json", tmp_path / "neg_gamma.json"
+    clustered.write_text(json.dumps(CLUSTERED_DOC))
+    neg.write_text(json.dumps(NEG_GAMMA_DOC))
+    spec = write_sweep(tmp_path, CLUSTERED_DOC, -0.5, 0.5, 5, param="sources[1].x")
+    for argv, code in ((["solve", str(clustered)], 0), (["solve", str(neg)], 2),
+                       (["sweep", str(spec), "--out", str(tmp_path / "out.csv")], 0)):
+        built.clear()
+        received.clear()
+        assert main(argv) == code
+        assert len(received) == 1 and received[0] is built[0]
+    assert received[0].shape == (5, 6, 6)
 
 
 # Two linear buyers over sources at 0.3, 0.3 and 0.9: the full design fits,
@@ -1379,11 +1421,11 @@ def _reference_row(m, value):
         status = "error"
         if err.xi is not None:
             xi = err.xi
-            rho = coupling_radius(coupling_matrix(xi), n)
+            rho = spectral_radius(coupling_matrix(xi))
             if rho >= RHO_EXISTENCE_THRESHOLD:
                 status = "no_equilibrium"
     if w is not None:
-        rho = coupling_radius(coupling_matrix(xi), n)
+        rho = spectral_radius(coupling_matrix(xi))
         try:
             sol = solve_equilibrium_d(w, m)
         except NoEquilibriumError:

@@ -25,7 +25,6 @@ from datamarket import (
     complete_solution,
     compute_weights,
     coupling_matrix,
-    coupling_radius,
     solution_from_d,
     solve_equilibrium_d,
     solve_rows,
@@ -106,18 +105,8 @@ def _dense_radius(a):
 
 
 def _radius(xi):
-    """coupling_radius of xi's grouped coupling matrix."""
-    return coupling_radius(coupling_matrix(xi), xi.shape[-1])
-
-
-def _reduced_matrix(monkeypatch, xs, degrees):
-    """The (N*G)-sized matrix that coupling_radius hands to spectral_radius."""
-    seen = []
-    real = datamarket.equilibrium.spectral_radius
-    with monkeypatch.context() as patch:
-        patch.setattr(datamarket.equilibrium, "spectral_radius", lambda a: seen.append(a) or real(a))
-        _radius(_loo_xi(xs, degrees))
-    return seen[0]
+    """Spectral radius of xi's grouped coupling matrix."""
+    return spectral_radius(coupling_matrix(xi))
 
 
 def _count_eigvals(monkeypatch):
@@ -135,7 +124,7 @@ def test_large_radius_matches_eigvals_without_calling_it(monkeypatch):
     markets = [(24, [1, 2]), (24, [2, 1, 1, 2, 2]), (30, [1, 3, 2, 3]), (32, [1, 2, 3]),
                (40, [1, 2]), (40, [1, 2, 1, 2, 1])]
     for n, degrees in markets * 3:
-        cases.append(_reduced_matrix(monkeypatch, np.sort(rng.uniform(-1.0, 1.0, n)), degrees))
+        cases.append(coupling_matrix(_loo_xi(np.sort(rng.uniform(-1.0, 1.0, n)), degrees)))
     for n in (40, 57, 100):
         a = rng.uniform(0.0, 1.0, (n, n)) * (rng.uniform(size=(n, n)) < 0.3)
         a[np.arange(n), np.roll(np.arange(n), 1)] = rng.uniform(0.1, 1.0, n)  # a cycle: irreducible
@@ -168,10 +157,10 @@ def test_reducible_large_radius_falls_back_to_eigvals(monkeypatch):
         assert calls == [(1, n, n)]
 
 
-def test_large_stacked_radius_equals_the_single_calls(monkeypatch):
+def test_large_stacked_radius_equals_the_single_calls():
     rng = np.random.default_rng(47)
     xs = np.sort(rng.uniform(-1.0, 1.0, 24))
-    market = _reduced_matrix(monkeypatch, xs, [1, 2, 1])
+    market = coupling_matrix(_loo_xi(xs, [1, 2, 1]))
     n = len(market)
     reducible = rng.uniform(0.0, 1.0, (n, n))
     reducible[3] = 0.0
@@ -230,6 +219,15 @@ def _solve_rows_dense(A, gamma, alphas):
     return sol, [e or i for e, i in zip(errors, induced_errors)]
 
 
+def _group_major(A, n_sources):
+    """A source-major (N*G)-wide matrix, index ``q * G + g``, reordered
+    group-major, index ``g * N + q``; leading axes carry over."""
+    *lead, n, _ = A.shape
+    n_groups = n // n_sources
+    grouped = A.reshape(*lead, n_sources, n_groups, n_sources, n_groups)
+    return np.swapaxes(np.swapaxes(grouped, -4, -3), -2, -1).reshape(*lead, n, n)
+
+
 def _coupling_matrix_loops(xi):
     n_buyers, n_sources, _ = xi.shape
     A = np.zeros((n_sources * n_buyers, n_sources * n_buyers))
@@ -249,12 +247,13 @@ def _coupling_matrix_loops(xi):
 @pytest.mark.parametrize("n_buyers", [1, 2, 3, 5])
 @pytest.mark.parametrize("n_sources", [2, 3, 6])
 def test_coupling_matrix_matches_loop_assembly(n_buyers, n_sources):
-    # no two buyers share a xi block: every buyer is its own group, and R is A
+    # no two buyers share a xi block: every buyer is its own group, and R is
+    # A, buyer-major
     rng = np.random.default_rng(100 * n_buyers + n_sources)
     xi = rng.uniform(0.0, 2.0, (n_buyers, n_sources, n_sources))
     A = coupling_matrix(xi)
-    assert np.array_equal(A, _coupling_matrix_loops(xi))
-    assert np.array_equal(_dense_coupling_matrix(xi), A)
+    assert np.array_equal(A, _group_major(_coupling_matrix_loops(xi), n_sources))
+    assert np.array_equal(_group_major(_dense_coupling_matrix(xi), n_sources), A)
     assert A.flags.c_contiguous
     assert A.nbytes == (n_sources * n_buyers) ** 2 * 8
     if n_buyers == 1:
@@ -262,7 +261,7 @@ def test_coupling_matrix_matches_loop_assembly(n_buyers, n_sources):
     # a leading axis stacks one matrix per tensor
     stacked = coupling_matrix(np.stack([xi, 2.0 * xi, xi[:, ::-1, ::-1]]))
     for got, x in zip(stacked, (xi, 2.0 * xi, xi[:, ::-1, ::-1])):
-        assert np.array_equal(got, _coupling_matrix_loops(x))
+        assert np.array_equal(got, _group_major(_coupling_matrix_loops(x), n_sources))
     assert coupling_matrix(np.empty((0,) + xi.shape)).shape == (0,) + A.shape
 
 
@@ -282,17 +281,9 @@ def _perron_condition(a):
     return 1.0 / abs(np.vdot(left[:, np.argmax(left_vals.real)], right[:, np.argmax(vals.real)]))
 
 
-def test_coupling_radius_matches_the_dense_radius(monkeypatch):
+def test_coupling_radius_matches_the_dense_radius():
     # rho from the (N*G)-sized reduced matrix against eigvals of the full A
     rng = np.random.default_rng(29)
-    shapes = []
-    real = datamarket.equilibrium.spectral_radius
-
-    def recorded(a):
-        shapes.append(a.shape)
-        return real(a)
-
-    monkeypatch.setattr(datamarket.equilibrium, "spectral_radius", recorded)
     checked = 0
     for trial in range(150):
         n, mm = int(rng.integers(2, 9)), int(rng.integers(1, 6))
@@ -307,12 +298,12 @@ def test_coupling_radius_matches_the_dense_radius(monkeypatch):
         if not rows:
             continue
         xi = np.stack(rows)
-        dense = [real(_dense_coupling_matrix(x)) for x in xi]
-        shapes.clear()
-        got = _radius(xi)
-        assert got.shape == (len(rows),)
+        dense = [spectral_radius(_dense_coupling_matrix(x)) for x in xi]
+        R = coupling_matrix(xi)
         # one stacked eigenvalue problem of size N*G
-        assert shapes == [(len(rows), n * len(set(degrees)), n * len(set(degrees)))]
+        assert R.shape == (len(rows), n * len(set(degrees)), n * len(set(degrees)))
+        got = spectral_radius(R)
+        assert got.shape == (len(rows),)
         for x, want, rho in zip(xi, dense, got.tolist()):
             assert _radius(x) == rho
             assert abs(rho - want) <= 1e-7 * want
@@ -324,7 +315,7 @@ def test_coupling_radius_matches_the_dense_radius(monkeypatch):
     # grouping all rows share
     xs = np.array([-1.0, -0.2, 0.4, 1.0])
     mixed = np.stack([_loo_xi(xs, [1, 1, 2]), _loo_xi(xs, [1, 2, 2])])
-    want = [real(_dense_coupling_matrix(x)) for x in mixed]
+    want = [spectral_radius(_dense_coupling_matrix(x)) for x in mixed]
     assert _radius(mixed) == pytest.approx(want, rel=1e-12)
     assert _radius(np.zeros((0, 3, 4, 4))).shape == (0,)
 
@@ -352,11 +343,12 @@ def test_coupling_radius_rejects_bad_xi():
 
 def test_coupling_radius_exact_on_a_clustered_root():
     # sources at (-1, 0, 1) with degrees 1 and 2: the exact radius is
-    # 1/sqrt(2), and A has a clustered root that dense eigvals of A misses
-    # by about 1.2e-8; R is A here, as the two buyers share no block
+    # 1/sqrt(2), and A has a clustered root that dense eigvals of
+    # source-major A misses by about 1.2e-8; R is buyer-major A here, as the
+    # two buyers share no block
     xi = _loo_xi([-1.0, 0.0, 1.0], [1, 2])
     assert _radius(xi) == pytest.approx(math.sqrt(0.5), rel=1e-14)
-    assert np.array_equal(coupling_matrix(xi), _dense_coupling_matrix(xi))
+    assert np.array_equal(coupling_matrix(xi), _group_major(_dense_coupling_matrix(xi), 3))
     assert spectral_radius(_dense_coupling_matrix(xi)) == pytest.approx(math.sqrt(0.5), rel=1e-7)
 
 
@@ -481,7 +473,7 @@ def test_many_buyers_solve_through_the_grouped_matrix():
     R = coupling_matrix(xi)
     assert R.shape == (2 * n, 2 * n)
     A = _dense_coupling_matrix(xi)
-    rho = coupling_radius(R, n)
+    rho = spectral_radius(R)
     assert abs(rho - float(_dense_radius(A))) <= 1e-12 * rho
     # thirty buyers couple far past the gate; scaled below it, xi keeps its two blocks
     (sol, errors), (want, want_errors) = _solve_both(np.random.default_rng(61), xi[None] * (0.5 / rho))

@@ -15,7 +15,7 @@ from datamarket import (
     ValueDistribution,
     compute_weights,
     coupling_matrix,
-    coupling_radius,
+    spectral_radius,
     weight_rows,
 )
 
@@ -180,7 +180,7 @@ def test_loo_weights_exact_near_decoupling():
         for j in range(2):
             assert abs(xi[j, 0, 1] / float(xi_01) - 1.0) <= 1e-6
             assert abs(xi[j, 1, 0] / float(xi_10) - 1.0) <= 1e-6
-        assert abs(coupling_radius(coupling_matrix(xi), 2) / float(xi_01 * xi_10) ** 0.5 - 1.0) <= 1e-6
+        assert abs(spectral_radius(coupling_matrix(xi)) / float(xi_01 * xi_10) ** 0.5 - 1.0) <= 1e-6
 
 
 def test_loo_far_end_weights_vanish_exactly():

@@ -25,12 +25,12 @@ from datamarket import (
     complete_solution,
     compute_weights,
     coupling_matrix,
-    coupling_radius,
     fixed_point_certificate,
     payment_moments,
     solution_from_d,
     solve_equilibrium_d,
     source_response,
+    spectral_radius,
 )
 
 from conftest import two_firm_market
@@ -592,7 +592,7 @@ def test_exact_means_lie_in_the_simulated_band():
                 w = compute_weights(m)
             except GammaNegativeError:
                 continue
-            if coupling_radius(coupling_matrix(w.xi), m.n_sources) < 0.99:
+            if spectral_radius(coupling_matrix(w.xi)) < 0.99:
                 break
         d_total = solve_equilibrium_d(w, m).d_total
         markets.append(replace(m, sources=tuple(DataSource(float(x), float(1.0 / t))
