@@ -82,20 +82,19 @@ class InfeasibleCError(Exception):
 # stacked system
 # ---------------------------------------------------------------------------
 
-def _buyer_groups(xi: np.ndarray) -> list:
-    """The buyers of each group, in the order of their first buyer: buyers
-    whose xi blocks are equal across the leading stack share a group.
+def _buyer_groups(xi: np.ndarray) -> tuple:
+    """The buyers of each group, in the order of their first buyer, and each
+    buyer's group: buyers whose xi blocks are equal across the leading stack
+    share a group.
 
     One dict pass over the blocks' bytes (np.unique(axis=0) would build an
     N*N-field dtype).  An empty stack groups nothing: each buyer is its own
     group.
     """
-    if xi.size == 0:
-        return [[k] for k in range(xi.shape[-3])]
-    groups: dict = {}
-    for k in range(xi.shape[-3]):
-        groups.setdefault(xi[..., k, :, :].tobytes(), []).append(k)
-    return list(groups.values())
+    keys: dict = {}
+    group = [keys.setdefault(xi[..., k, :, :].tobytes() if xi.size else k, len(keys))
+             for k in range(xi.shape[-3])]
+    return [[k for k, g in enumerate(group) if g == h] for h in range(len(keys))], np.array(group, dtype=int)
 
 
 def coupling_matrix(xi: np.ndarray) -> np.ndarray:
@@ -112,7 +111,7 @@ def coupling_matrix(xi: np.ndarray) -> np.ndarray:
     tensor per market) carry over to R.
     """
     *lead, n_buyers, n_sources, _ = xi.shape
-    members = _buyer_groups(xi)
+    members = _buyer_groups(xi)[0]
     first = [k[0] for k in members]
     weight = np.array([len(k) for k in members]) - np.eye(len(first))  # n_h - [g == h]
     X = np.swapaxes(np.swapaxes(xi[..., first, :, :], -1, -2), -3, -2)  # X[..., q, h, l] = xi_h[l, q]
@@ -286,15 +285,12 @@ def solve_rows(xi: np.ndarray, gamma: np.ndarray, alphas: np.ndarray, R: np.ndar
     and per row the NumericFailure or ValueError that
     ``solve_equilibrium_d`` raises on it, or None.
     """
-    n_rows, n_buyers, n_sources = gamma.shape
-    members = _buyer_groups(xi)
+    n_rows, _, n_sources = gamma.shape
+    members, group = _buyer_groups(xi)
     n_groups = len(members)
     n = n_sources * n_groups
     if R.shape[-1] != n:
         R = coupling_matrix(xi)
-    group = np.empty(n_buyers, dtype=int)
-    for g, k in enumerate(members):
-        group[k] = g
     # I - R, source-major (index q * G + g), built in place: the stack's only matrix-sized temporary
     eye_minus_r = np.zeros_like(R)
     eye_minus_r[..., np.arange(n), np.arange(n)] = 1.0

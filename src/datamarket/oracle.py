@@ -1,13 +1,14 @@
 """Independent checks of a solved market.
 
-Nothing here reuses the linear-algebra route that produced the solution.
+Nothing here trusts the linear-algebra route that produced the solution.
 Best responses are certified in closed form, because each buyer's cost of
 deviating is convex in the variances, with a small dual Newton solve where
 the closed form leaves the verdict open.  The solve's distance from the
 exact fixed point is bounded by an M-matrix certificate of the
-best-response map, built from xi.  The payment algebra is validated by the
-exact mean of each settled payment of the reporting protocol.  That mean
-comes from each leave-one-out fit's own pseudo-inverse, never from the
+best-response map, sound for any positive v: v comes from the grouped R,
+the residual and ``(I - op) v`` from xi.  The payment algebra is validated
+by the exact mean of each settled payment of the reporting protocol.  That
+mean comes from each leave-one-out fit's own pseudo-inverse, never from the
 weights of ``estimators``, and it is deterministic: no noise is drawn.  It
 must match the polytope's floors to a relative tolerance that grows with
 the squared condition number of the buyer's designs.
@@ -21,7 +22,7 @@ import numpy as np
 
 from .market import MarketInstance
 from .estimators import SeparableWeights
-from .equilibrium import EquilibriumSolution
+from .equilibrium import EquilibriumSolution, _buyer_groups, coupling_matrix
 
 __all__ = [
     "BestResponseReport",
@@ -185,23 +186,22 @@ def fixed_point_certificate(sol: EquilibriumSolution, w: SeparableWeights) -> fl
     point of the best-response map, or inf when none is found.
 
     The map is ``d = op @ d + gamma`` with, buyer-major, ``op[(k, q), (j, l)]
-    = xi[j, l, q]`` for ``j != k`` and ``l != q``, built here from xi, never
-    the solve's coupling matrix.  If ``xi >= 0`` and the solve of
-    ``(I - op) v = 1`` has ``v > 0`` and ``s = (I - op) v > 0``, then
-    ``I - op`` is a nonsingular M-matrix (Berman & Plemmons, ch. 6), and the
-    residual ``r = (I - op) d - gamma`` gives ``|d - d*| <= max|r| * v / min s``.
+    = xi[j, l, q]`` for ``j != k`` and ``l != q``.  If ``xi >= 0``, ``v > 0``
+    and ``s = (I - op) v > 0``, ``I - op`` is a nonsingular M-matrix (Berman
+    & Plemmons, ch. 6), and ``r = (I - op) d - gamma`` gives ``|d - d*| <=
+    max|r| * v / min s`` for any such v.  v lifts ``(I - R) y = 1`` on the
+    grouped R to each buyer's group, the exact solve of ``(I - op) v = 1``;
+    r and s, which alone decide the bound, are applied from xi.
     Each entry of r and s sums at most ``(M - 1)(N - 1) + 2`` nonzero terms,
     so Higham's gamma of one more term (section 3.5), times their
     magnitudes, widens |r| and shrinks s; ``1 + 2**-50`` covers the scalar
     roundings after that.
     """
     n_buyers, n_sources = w.gamma.shape
-    n = n_buyers * n_sources
-    other_buyer = ~np.eye(n_buyers, dtype=bool)[:, None, :, None]
-    other_source = ~np.eye(n_sources, dtype=bool)[:, None, :]
-    # I - op; op's diagonal is zero, so the ones are exact
-    a = np.where(other_buyer & other_source, -np.moveaxis(w.xi, -1, 0), 0.0).reshape(n, n)
-    a.flat[::n + 1] = 1.0
+    group = _buyer_groups(w.xi)[1]
+    # I - R; R's diagonal is zero, so the ones are exact
+    a = np.negative(coupling_matrix(w.xi))
+    a.flat[::len(a) + 1] = 1.0
     terms = (n_buyers - 1) * (n_sources - 1) + 3
     widen = terms * 2.0 ** -53 / (1.0 - terms * 2.0 ** -53)
     # non-finite values fail the tests below and certify nothing
@@ -210,15 +210,19 @@ def fixed_point_certificate(sol: EquilibriumSolution, w: SeparableWeights) -> fl
         # underflow, so that slopes near the float limit cannot overflow
         top = 1.0 + np.abs(sol.d).max()
         unit = np.frexp(top)[1]
-        d, gamma = np.ldexp(sol.d.reshape(-1), -unit), np.ldexp(w.gamma.reshape(-1), -unit)
+        d, gamma = np.ldexp(sol.d, -unit), np.ldexp(w.gamma, -unit)
         try:
-            v = np.linalg.solve(a, np.ones(n))
+            v = np.linalg.solve(a, np.ones(len(a))).reshape(-1, n_sources)[group]
         except np.linalg.LinAlgError:
             return np.inf
-        r, s = a @ d - gamma, a @ v
-        magnitudes = np.abs(a, out=a)
-        r_hi = np.abs(r) + widen * (magnitudes @ np.abs(d) + np.abs(gamma))
-        s_lo = (s - widen * (magnitudes @ v)).min()
+        # op @ (d, |d|, v); pull[t, j, q] weighs buyer j's other sources by xi[j, :, q]
+        pull = np.einsum("jlq,tjl->tjq", np.where(np.eye(n_sources, dtype=bool), 0.0, w.xi),
+                         np.stack([d, np.abs(d), v]))
+        # summed over the other buyers alone: a total less the own term can overflow
+        op_d, op_abs_d, op_v = np.where(np.eye(n_buyers, dtype=bool)[:, :, None], 0.0, pull[:, None]).sum(axis=-2)
+        r, s = d - op_d - gamma, v - op_v
+        r_hi = np.abs(r) + widen * (np.abs(d) + op_abs_d + np.abs(gamma))
+        s_lo = (s - widen * (v + op_v)).min()
         bound = float(r_hi.max() * v.max() / s_lo / np.ldexp(top, -unit) * (1.0 + 2.0 ** -50))
     certified = (w.xi >= 0.0).all() and (v > 0.0).all() and s_lo > 0.0 and bound < np.inf
     return bound if certified else np.inf

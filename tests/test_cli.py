@@ -559,7 +559,8 @@ def test_slopes_that_overflow_are_rejected_without_a_warning(tmp_path, capsys):
 @pytest.mark.parametrize("command, markets, x1, code, built", [
     pytest.param("solve", 1, 0.0, 0, 1, id="solve-1"),
     pytest.param("welfare", 1, 0.0, 0, 1, id="welfare-1"),
-    pytest.param("check", 1, 0.0, 0, 1, id="check-1"),
+    # the fixed-point certificate takes its v from a build of its own
+    pytest.param("check", 1, 0.0, 0, 2, id="check-1"),
     pytest.param("sweep", 3, 0.0, 0, 1, id="sweep-3"),
     # past the gate with weights that fit: the radius needs the one build,
     # and the exit comes before any solve
@@ -569,7 +570,7 @@ def test_slopes_that_overflow_are_rejected_without_a_warning(tmp_path, capsys):
 ])
 def test_coupling_matrix_built_once_per_market(tmp_path, monkeypatch, command, markets, x1, code, built):
     # the radius and the solve share one build; a sweep builds one stack for
-    # all of its markets
+    # all of its markets; check builds once more for its certificate
     calls = []
     real = datamarket.equilibrium.coupling_matrix
 
@@ -579,6 +580,7 @@ def test_coupling_matrix_built_once_per_market(tmp_path, monkeypatch, command, m
 
     monkeypatch.setattr(datamarket.equilibrium, "coupling_matrix", counted)
     monkeypatch.setattr(datamarket.cli, "coupling_matrix", counted)
+    monkeypatch.setattr(datamarket.oracle, "coupling_matrix", counted)
     cfg = str(write_config(tmp_path, two_firm_market(x1)))
     spec = str(write_sweep(tmp_path, market_to_config(two_firm_market(0.0)), -1.0, 0.0, markets))
     argv = {

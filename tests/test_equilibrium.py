@@ -281,7 +281,7 @@ def _perron_condition(a):
     return 1.0 / abs(np.vdot(left[:, np.argmax(left_vals.real)], right[:, np.argmax(vals.real)]))
 
 
-def test_coupling_radius_matches_the_dense_radius():
+def test_grouped_radius_matches_the_dense_radius():
     # rho from the (N*G)-sized reduced matrix against eigvals of the full A
     rng = np.random.default_rng(29)
     checked = 0
@@ -320,7 +320,7 @@ def test_coupling_radius_matches_the_dense_radius():
     assert _radius(np.zeros((0, 3, 4, 4))).shape == (0,)
 
 
-def test_coupling_radius_single_degree_identity():
+def test_grouped_radius_single_degree_identity():
     # one group of M buyers: R = (M - 1) X, so rho = (M - 1) * rho(X)
     rng = np.random.default_rng(31)
     for mm in (1, 2, 3, 5):
@@ -332,7 +332,7 @@ def test_coupling_radius_single_degree_identity():
             assert _radius(xi) == 0.0
 
 
-def test_coupling_radius_rejects_bad_xi():
+def test_grouped_radius_rejects_bad_xi():
     xi = np.full((2, 3, 3), 0.2)
     for bad in (-0.1, np.nan, np.inf):
         broken = xi.copy()
@@ -341,7 +341,7 @@ def test_coupling_radius_rejects_bad_xi():
             _radius(broken)
 
 
-def test_coupling_radius_exact_on_a_clustered_root():
+def test_grouped_radius_exact_on_a_clustered_root():
     # sources at (-1, 0, 1) with degrees 1 and 2: the exact radius is
     # 1/sqrt(2), and A has a clustered root that dense eigvals of
     # source-major A misses by about 1.2e-8; R is buyer-major A here, as the
@@ -421,7 +421,7 @@ def test_solve_rows_without_shared_blocks_is_the_dense_solve_bit_for_bit():
     rng = np.random.default_rng(53)
     for n, degrees in ((3, [1, 2]), (5, [2, 1, 3]), (6, [3, 1]), (8, [1, 2, 3]), (4, [1])):
         xi = _stacked_xi(rng, n, degrees, 3)
-        assert len(datamarket.equilibrium._buyer_groups(xi)) == len(degrees)
+        assert len(datamarket.equilibrium._buyer_groups(xi)[0]) == len(degrees)
         (sol, errors), (want, want_errors) = _solve_both(rng, xi)
         assert errors == want_errors == [None] * 3
         for field in ("d", "d_total", "efforts", "variances"):

@@ -2,6 +2,7 @@ import ast
 import json
 import math
 import os
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
@@ -20,6 +21,7 @@ from datamarket import (
     GammaNegativeError,
     InfeasibleCError,
     MarketInstance,
+    NoEquilibriumError,
     ValueDistribution,
     best_response_certificate,
     complete_solution,
@@ -34,6 +36,7 @@ from datamarket import (
 )
 
 from conftest import two_firm_market
+from test_equilibrium import _dense_coupling_matrix, _solve_rows_dense
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -456,6 +459,121 @@ def test_fixed_point_certificate_refuses_without_an_m_matrix(scale, entry):
     if entry is not None:
         xi[1, 0, 1] = entry
     assert fixed_point_certificate(sol, replace(w, xi=xi)) == np.inf
+
+
+def _dense_fixed_point_certificate(sol, w):
+    """Reference: the certificate as it ran on the dense (N*M)-wide operator,
+    with v from an LU solve of ``(I - op) v = 1`` and r, s and their
+    magnitudes from products with ``I - op``."""
+    n_buyers, n_sources = w.gamma.shape
+    n = n_buyers * n_sources
+    other_buyer = ~np.eye(n_buyers, dtype=bool)[:, None, :, None]
+    other_source = ~np.eye(n_sources, dtype=bool)[:, None, :]
+    a = np.where(other_buyer & other_source, -np.moveaxis(w.xi, -1, 0), 0.0).reshape(n, n)
+    a.flat[::n + 1] = 1.0
+    terms = (n_buyers - 1) * (n_sources - 1) + 3
+    widen = terms * 2.0 ** -53 / (1.0 - terms * 2.0 ** -53)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        top = 1.0 + np.abs(sol.d).max()
+        unit = np.frexp(top)[1]
+        d, gamma = np.ldexp(sol.d.reshape(-1), -unit), np.ldexp(w.gamma.reshape(-1), -unit)
+        try:
+            v = np.linalg.solve(a, np.ones(n))
+        except np.linalg.LinAlgError:
+            return np.inf
+        r, s = a @ d - gamma, a @ v
+        magnitudes = np.abs(a, out=a)
+        r_hi = np.abs(r) + widen * (magnitudes @ np.abs(d) + np.abs(gamma))
+        s_lo = (s - widen * (magnitudes @ v)).min()
+        bound = float(r_hi.max() * v.max() / s_lo / np.ldexp(top, -unit) * (1.0 + 2.0 ** -50))
+    certified = (w.xi >= 0.0).all() and (v > 0.0).all() and s_lo > 0.0 and bound < np.inf
+    return bound if certified else np.inf
+
+
+def _shared_block_markets(count, seed):
+    """Solved markets of 10-12 spread sources and three buyers of degrees 1
+    and 2, so that two buyers at least share their xi block."""
+    rng = np.random.default_rng(seed)
+    dist = ValueDistribution.uniform(-1.0, 1.0)
+    out = []
+    while len(out) < count:
+        n = int(rng.integers(10, 13))
+        xs = ((np.arange(n) + rng.uniform(0.2, 0.8, n)) / n) * 2.0 - 1.0
+        buyers = tuple(DataBuyer(EstimatorSpec("polynomial-regression", int(degree)), dist, (0.0,) * 3, 1.0)
+                       for degree in rng.integers(1, 3, 3))
+        m = MarketInstance(sources=tuple(DataSource(float(x), 1.0) for x in xs), buyers=buyers,
+                           feature_domain=(-1.0, 1.0))
+        w = compute_weights(m)
+        try:
+            out.append((w, solve_equilibrium_d(w, m)))
+        except NoEquilibriumError:
+            continue
+    return out
+
+
+def test_fixed_point_certificate_matches_the_dense_reference(solved_suite):
+    # on the suite, on markets with shared blocks and on the two-firm pair
+    # near the gate, each solve and each solve moved by 1e-6: the same
+    # verdict at 1e-8 as the dense certificate, and the same bound wherever
+    # it is above rounding
+    books = [(w, sol) for _, w, sol in solved_suite] + _shared_block_markets(40, 43)
+    books += [_solved(two_firm_market(x1)) for x1 in (0.999, 0.9999)]
+    for w, sol in books:
+        for d in (sol.d, sol.d + 1e-6):
+            got, want = fixed_point_certificate(replace(sol, d=d), w), \
+                _dense_fixed_point_certificate(replace(sol, d=d), w)
+            assert (got <= 1e-8) == (want <= 1e-8)
+            if max(got, want) > 1e-10:
+                assert got == pytest.approx(want, rel=1e-6)
+    assert [f"{fixed_point_certificate(sol, w):.3g}" for w, sol in books[-2:]] == ["4e-09", "3.63e-07"]
+    assert [f"{_dense_fixed_point_certificate(sol, w):.3g}" for w, sol in books[-2:]] == ["4e-09", "3.63e-07"]
+
+
+@pytest.mark.parametrize("change", ["half", "one_entry_doubled"])
+def test_fixed_point_certificate_is_sound_for_any_v(monkeypatch, change):
+    # v from a wrong grouped matrix still bounds the exact error, or
+    # certifies nothing: r and s come from xi
+    real = coupling_matrix
+
+    def wrong(xi):
+        R = real(xi)
+        if change == "half":
+            return 0.5 * R
+        R.flat[np.argmax(R)] *= 2.0
+        return R
+
+    monkeypatch.setattr(datamarket.oracle, "coupling_matrix", wrong)
+    books = [_solved(two_firm_market(0.5))] + _shared_block_markets(3, 47)
+    certified = 0
+    for w, sol in books:
+        exact = _solve_rows_dense(_dense_coupling_matrix(w.xi[None]), w.gamma[None],
+                                  np.ones((1, w.gamma.shape[1])))[0].d[0]
+        for d in (sol.d, sol.d + np.eye(*sol.d.shape) * 1e-6):
+            bound = fixed_point_certificate(replace(sol, d=d), w)
+            assert bound == np.inf or bound >= np.abs(d - exact).max() / (1.0 + np.abs(d).max())
+            certified += bound < np.inf
+    assert certified >= 4
+
+
+def test_fixed_point_certificate_memory_on_a_wide_market():
+    # 100 sources and 24 buyers of degrees 1 and 2: the dense operator
+    # would be 2400 wide (46 MB), the grouped R is 200 wide
+    n, mm = 100, 24
+    dist = ValueDistribution.uniform(-1.0, 1.0)
+    buyers = tuple(DataBuyer(EstimatorSpec("polynomial-regression", 1 + k % 2), dist, (0.0,) * mm, 1.0)
+                   for k in range(mm))
+    m = MarketInstance(sources=tuple(DataSource(-1.0 + (2 * i + 1) / n, 1.0) for i in range(n)),
+                       buyers=buyers, feature_domain=(-1.0, 1.0))
+    w = compute_weights(m)
+    sol = solve_equilibrium_d(w, m)
+    tracemalloc.start()
+    try:
+        bound = fixed_point_certificate(sol, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bound <= 1e-12
+    assert peak < 8e6
 
 
 # ---------------------------------------------------------------------------
