@@ -259,15 +259,15 @@ def _induced_quantities(d: np.ndarray, alphas: np.ndarray) -> tuple:
     return d_total, efforts, variances, errors
 
 
-def _best_response_gap(d: np.ndarray, xi: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """Stacked slopes d (..., M, N) less the best-response map at d,
-    ``gamma[k, q] + sum_{j != k, l != q} xi[j, l, q] * d[j, l]``, applied once from xi."""
+def _apply_op(xi: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``A x`` for stacked x (..., M, N), applied from xi without building A:
+    ``(A x)[k, q] = sum_{j != k, l != q} xi[j, l, q] * x[j, l]``, the
+    best-response map being ``d = A d + gamma``.  Leading axes broadcast."""
     n_buyers, n_sources = xi.shape[-3:-1]
-    # pull[j, q]: buyer j's slopes on the sources other than q, weighted by xi[j, :, q]
-    pull = np.einsum("...jlq,...jl->...jq", np.where(np.eye(n_sources, dtype=bool), 0.0, xi), d)
+    # pull[j, q]: buyer j's x on the sources other than q, weighted by xi[j, :, q]
+    pull = np.einsum("...jlq,...jl->...jq", np.where(np.eye(n_sources, dtype=bool), 0.0, xi), x)
     # summed over the other buyers alone: a total less the own term can overflow
-    others = np.where(np.eye(n_buyers, dtype=bool)[:, :, None], 0.0, pull[..., None, :, :]).sum(axis=-2)
-    return d - others - gamma
+    return np.where(np.eye(n_buyers, dtype=bool)[:, :, None], 0.0, pull[..., None, :, :]).sum(axis=-2)
 
 
 def solve_rows(xi: np.ndarray, gamma: np.ndarray, alphas: np.ndarray, R: np.ndarray) -> tuple:
@@ -312,7 +312,7 @@ def solve_rows(xi: np.ndarray, gamma: np.ndarray, alphas: np.ndarray, R: np.ndar
                 d[..., k] += np.linalg.solve(eye_plus_x, np.swapaxes(gamma[:, k], -1, -2) - mean[..., g, None])
         d = d.swapaxes(-1, -2)
         scale = 1.0 + np.abs(d).max(axis=(-2, -1), initial=0.0)
-        residual = np.abs(_best_response_gap(d, xi, gamma)).max(axis=(-2, -1)) / scale
+        residual = np.abs(d - _apply_op(xi, d) - gamma).max(axis=(-2, -1)) / scale
     lowest = d.min(axis=(-2, -1), initial=0.0)
     off_limit = ~(residual <= _RESIDUAL_HARD_LIMIT)
     errors = [None] * n_rows
@@ -383,9 +383,8 @@ def solution_from_d(d: np.ndarray, w: SeparableWeights, m: MarketInstance) -> Eq
     Meant for diagnostics (perturbation studies); no
     best-response property is assumed, but payments still follow the tight
     participation rule, so an infeasible d raises InfeasibleCError.  The
-    residual is d's distance from the fixed point of the best-response map
-    ``d[k, q] = gamma[k, q] + sum_{j != k, l != q} xi[j, l, q] * d[j, l]``,
-    applied once from xi.
+    residual is ``max|d - A d - gamma| / (1 + max|d|)``, d's distance from
+    the fixed point of the best-response map, with A applied from xi.
     """
     d = np.asarray(d, dtype=float)
     alphas = np.asarray(m.alphas(), dtype=float)
@@ -393,7 +392,7 @@ def solution_from_d(d: np.ndarray, w: SeparableWeights, m: MarketInstance) -> Eq
     if errors[0] is not None:
         raise errors[0]
     scale = 1.0 + float(np.abs(d).max(initial=0.0))
-    residual = float(np.abs(_best_response_gap(d, w.xi, w.gamma)).max()) / scale
+    residual = float(np.abs(d - _apply_op(w.xi, d) - w.gamma).max()) / scale
     sol = EquilibriumSolution(d=d, d_total=d_total[0], efforts=efforts[0],
                               variances=variances[0], residual=residual)
     return complete_solution(sol, w)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .market import MarketInstance
 from .estimators import SeparableWeights
-from .equilibrium import EquilibriumSolution, _buyer_groups, coupling_matrix
+from .equilibrium import EquilibriumSolution, _apply_op, _buyer_groups, coupling_matrix
 
 __all__ = [
     "BestResponseReport",
@@ -185,17 +185,16 @@ def fixed_point_certificate(sol: EquilibriumSolution, w: SeparableWeights) -> fl
     """A proven bound on ``max|d - d*| / (1 + max|d|)``, d* the exact fixed
     point of the best-response map, or inf when none is found.
 
-    The map is ``d = op @ d + gamma`` with, buyer-major, ``op[(k, q), (j, l)]
-    = xi[j, l, q]`` for ``j != k`` and ``l != q``.  If ``xi >= 0``, ``v > 0``
-    and ``s = (I - op) v > 0``, ``I - op`` is a nonsingular M-matrix (Berman
-    & Plemmons, ch. 6), and ``r = (I - op) d - gamma`` gives ``|d - d*| <=
-    max|r| * v / min s`` for any such v.  v lifts ``(I - R) y = 1`` on the
-    grouped R to each buyer's group, the exact solve of ``(I - op) v = 1``;
-    r and s, which alone decide the bound, are applied from xi.
-    Each entry of r and s sums at most ``(M - 1)(N - 1) + 2`` nonzero terms,
-    so Higham's gamma of one more term (section 3.5), times their
-    magnitudes, widens |r| and shrinks s; ``1 + 2**-50`` covers the scalar
-    roundings after that.
+    The map is ``d = op @ d + gamma``, op the A that ``_apply_op`` applies
+    from xi.  If ``xi >= 0``, ``v > 0`` and ``s = (I - op) v > 0``, ``I -
+    op`` is a nonsingular M-matrix (Berman & Plemmons, ch. 6), and ``r = (I
+    - op) d - gamma`` gives ``|d - d*| <= max|r| * v / min s`` for any such
+    v.  v lifts ``(I - R) y = 1`` on the grouped R to each buyer's group,
+    the exact solve of ``(I - op) v = 1``; r and s, which alone decide the
+    bound, are applied from xi.  Each entry of r and s sums at most ``(M -
+    1)(N - 1) + 2`` nonzero terms, so Higham's gamma of one more term
+    (section 3.5), times their magnitudes, widens |r| and shrinks s; ``1 +
+    2**-50`` covers the scalar roundings after that.
     """
     n_buyers, n_sources = w.gamma.shape
     group = _buyer_groups(w.xi)[1]
@@ -215,11 +214,7 @@ def fixed_point_certificate(sol: EquilibriumSolution, w: SeparableWeights) -> fl
             v = np.linalg.solve(a, np.ones(len(a))).reshape(-1, n_sources)[group]
         except np.linalg.LinAlgError:
             return np.inf
-        # op @ (d, |d|, v); pull[t, j, q] weighs buyer j's other sources by xi[j, :, q]
-        pull = np.einsum("jlq,tjl->tjq", np.where(np.eye(n_sources, dtype=bool), 0.0, w.xi),
-                         np.stack([d, np.abs(d), v]))
-        # summed over the other buyers alone: a total less the own term can overflow
-        op_d, op_abs_d, op_v = np.where(np.eye(n_buyers, dtype=bool)[:, :, None], 0.0, pull[:, None]).sum(axis=-2)
+        op_d, op_abs_d, op_v = _apply_op(w.xi, np.stack([d, np.abs(d), v]))
         r, s = d - op_d - gamma, v - op_v
         r_hi = np.abs(r) + widen * (np.abs(d) + op_abs_d + np.abs(gamma))
         s_lo = (s - widen * (v + op_v)).min()
@@ -238,7 +233,7 @@ class PaymentCheck:
 
     ``exact_mean`` and ``analytic_mean`` are (M, N); ``tolerance`` holds each
     buyer's relative tolerance and ``z_score`` the signed gap
-    ``exact_mean - analytic_mean`` in units of ``tolerance * |L|``.
+    ``exact_mean - analytic_mean`` in the units ``payment_moments`` states.
     """
 
     exact_mean: np.ndarray
@@ -281,23 +276,31 @@ def payment_moments(sol: EquilibriumSolution, m: MarketInstance) -> PaymentCheck
     with the analytic one, the canonical payment less the acceptability
     floor ``L``, at the relative tolerance ``1e-10 + 64 * kappa**2 * 2**-53``:
     ``L`` comes from normal equations, whose rounding grows with the square
-    of the largest condition number kappa among the buyer's designs.
-    ``sol`` must carry its payment polytope (``complete_solution`` or
-    ``solution_from_d``).
+    of the largest condition number kappa among the buyer's designs.  Read
+    as ``(8 kappa)**2 * 2**-53``, it allows each entry of op an error of
+    ``8 kappa 2**-53 * max_l |op[i, l]|``; an entry that is exactly zero, as
+    where xi is zero, adds up to ``tolerance * 2**-53 * max_l op[i, l]**2``
+    per unit of variance to ``E[r_i**2]``, which dwarfs L where a variance
+    nearly vanishes.  So the gap's unit is ``tolerance * (|L| + |d| *
+    2**-53 * max_l op[i, l]**2 * sum(variances))``.  ``sol`` must carry its
+    payment polytope (``complete_solution`` or ``solution_from_d``).
     """
     xs = np.asarray(m.locations(), dtype=float)
     degrees = np.array([b.estimator.degree for b in m.buyers])
     poly = sol.c_polytope
     mean_square = np.empty(poly.L.shape)
+    rounding = np.empty(poly.L.shape)
     tolerance = np.empty(len(degrees))
     for g in set(degrees.tolist()):
         op, kappa = _loo_residual_operator(xs, g)
-        mean_square[degrees == g] = (op * op) @ sol.variances
+        square = op * op
+        mean_square[degrees == g] = square @ sol.variances
+        rounding[degrees == g] = 2.0 ** -53 * square.max(axis=1) * sol.variances.sum()
         tolerance[degrees == g] = 1e-10 + 64.0 * kappa * kappa * 2.0 ** -53
     penalty = sol.d * mean_square
     gap = poly.L - penalty
     # a zero floor (a zero slope) is matched exactly or not at all
     with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.where(gap == 0.0, 0.0, gap / np.abs(poly.L) / tolerance[:, None])
+        z = np.where(gap == 0.0, 0.0, gap / (np.abs(poly.L) + np.abs(sol.d) * rounding) / tolerance[:, None])
     return PaymentCheck(exact_mean=poly.canonical - penalty, analytic_mean=poly.canonical - poly.L,
                         tolerance=tolerance, z_score=z)

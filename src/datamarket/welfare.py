@@ -15,7 +15,7 @@ import numpy as np
 
 from .market import MarketInstance, source_response
 from .estimators import SeparableWeights
-from .equilibrium import EquilibriumSolution, NumericFailure
+from .equilibrium import EquilibriumSolution, NumericFailure, _apply_op
 
 __all__ = [
     "UndefinedPoaError",
@@ -71,10 +71,7 @@ def welfare_rows(efforts: np.ndarray, w: SeparableWeights, alphas: np.ndarray,
         gap = efforts - efforts_opt
         below = ~(gap.min(axis=-1) > -1e-9 * (1.0 + np.abs(efforts_opt).max(axis=-1)))
         poa = loss_eq / loss_opt
-        n_buyers, n = w.gamma.shape[-2:]
-        off_diag = w.xi.copy()
-        off_diag[..., np.arange(n), np.arange(n)] = 0.0
-        floor = (n_buyers - 1) * (off_diag * w.gamma[..., None]).sum(axis=(-3, -2))
+        floor = _apply_op(w.xi, w.gamma).sum(axis=-2)
 
     coupled = (floor > 1e-9 * weights).any(axis=-1)
     no_oversupply = coupled & ~(gap.max(axis=-1) > 0.0)
@@ -105,12 +102,12 @@ def price_of_anarchy(sol: EquilibriumSolution, w: SeparableWeights,
     """Compare equilibrium welfare against the social optimum.
 
     Equilibrium slopes weakly exceed the adjusted loss weights, so effort is
-    weakly over-supplied everywhere.  As A >= 0, source q's total slope is
-    at least its aggregate adjusted weight G[q] plus ``floor[q] = (M - 1) *
-    sum_{j, l != q} xi[j, l, q] * gamma[j, l]``; where some floor[q] exceeds
-    1e-9 * G[q], the over-supply is strict beyond rounding and the ratio
-    exceeds one.  Both facts are checked rather than trusted: a breach
-    raises NumericFailure.
+    weakly over-supplied everywhere.  As A >= 0, ``d = A d + gamma >= gamma
+    + A gamma``, so source q's total slope is at least its aggregate
+    adjusted weight G[q] plus ``floor[q] = sum_k (A gamma)[k, q]``; where
+    some floor[q] exceeds 1e-9 * G[q], the over-supply is strict beyond
+    rounding and the ratio exceeds one.  Both facts are checked rather than
+    trusted: a breach raises NumericFailure.
     """
     stacked = SeparableWeights(beta=w.beta[None], xi=w.xi[None], gamma=w.gamma[None])
     rep, errors = welfare_rows(np.asarray(sol.efforts, dtype=float)[None], stacked,

@@ -846,9 +846,9 @@ def test_fixed_point_iteration_does_not_use_the_solves_matrix(monkeypatch, capsy
     cfg = os.path.join(ROOT, "configs", "two_firm.json")
     assert main(["check", cfg]) == 1
     assert re.fullmatch(r"error: fixed-point residual \S+ exceeds 1e-08\n", capsys.readouterr().err)
-    # with that residual blinded, the fixed-point certificate builds its
+    # with the residual limit lifted, the fixed-point certificate builds its
     # operator from xi, so it cannot certify the solve and says so
-    monkeypatch.setattr(datamarket.equilibrium, "_best_response_gap", lambda d, xi, gamma: 0.0 * d)
+    monkeypatch.setattr(datamarket.equilibrium, "_RESIDUAL_HARD_LIMIT", np.inf)
     assert main(["check", cfg]) == 3
     captured = capsys.readouterr()
     assert "fixed point: within 0.793 of the exact solution\n" in captured.out
@@ -1097,6 +1097,28 @@ def test_check_ill_conditioned_market_passes(tmp_path, capsys):
         gaps.append(abs(float(empirical) - float(analytic)) / floor)
         assert abs(float(z)) <= 1.0
     assert 1e-7 < max(gaps) <= tolerance
+
+
+@pytest.mark.parametrize("alpha", [1e22, 1e30, 1e300])
+def test_check_passes_a_decoupled_market_with_a_vanishing_variance(tmp_path, capsys, alpha):
+    # xi[j, 0, 1] is exactly 0, but the computed op[0, 1] is about 1.6e-16:
+    # its square times source 2's variance dwarfs source 1's floor, which
+    # the huge alpha shrinks toward zero
+    with open(os.path.join(ROOT, "configs", "two_firm_decoupled.json")) as f:
+        doc = json.load(f)
+    doc["sources"][0]["alpha"] = alpha
+    cfg = tmp_path / "decoupled.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["check", str(cfg)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    zs = [float(z) for z in re.findall(r"^payment buyer \d source \d: .* z (\S+)$", captured.out, re.M)]
+    assert len(zs) == 4 and max(map(abs, zs)) <= 0.01
+    m = market_from_config(doc)
+    w = compute_weights(m)
+    sol = complete_solution(solve_equilibrium_d(w, m), w)
+    assert (w.xi[:, 0, 1] == 0.0).all()
+    assert np.abs(payment_moments(sol, m).z_score).max() < 1e-4
 
 
 # ---------------------------------------------------------------------------

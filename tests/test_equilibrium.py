@@ -244,6 +244,32 @@ def _coupling_matrix_loops(xi):
     return A
 
 
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)], ids=["one", "stack", "grid"])
+def test_apply_op_is_the_dense_coupling_matrix(lead):
+    rng = np.random.default_rng(len(lead))
+    n_buyers, n_sources = 3, 4
+    xi = rng.uniform(0.0, 2.0, (*lead, n_buyers, n_sources, n_sources))
+    x = rng.uniform(-1.0, 1.0, (*lead, n_buyers, n_sources))
+    got = datamarket.equilibrium._apply_op(xi, x)
+    # the dense A is source-major: index q * M + k
+    dense = _dense_coupling_matrix(xi) @ np.swapaxes(x, -1, -2).reshape(*lead, -1, 1)
+    want = np.swapaxes(dense.reshape(*lead, n_sources, n_buyers), -1, -2)
+    assert got.shape == x.shape
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
+    # an unstacked xi applies to every slice of a stacked x
+    stacked = datamarket.equilibrium._apply_op(xi[(0,) * len(lead)], x)
+    np.testing.assert_array_equal(stacked[(0,) * len(lead)], got[(0,) * len(lead)])
+
+
+def test_apply_op_never_forms_the_total_over_buyers_or_sources():
+    # every entry of A x is one term, 1 * 1e308; a total less the own term
+    # would be inf - 1e308
+    xi, x = np.ones((2, 2, 2)), np.full((2, 2), 1e308)
+    with np.errstate(all="raise"):
+        got = datamarket.equilibrium._apply_op(xi, x)
+    assert got.tolist() == [[1e308, 1e308], [1e308, 1e308]]
+
+
 @pytest.mark.parametrize("n_buyers", [1, 2, 3, 5])
 @pytest.mark.parametrize("n_sources", [2, 3, 6])
 def test_coupling_matrix_matches_loop_assembly(n_buyers, n_sources):
