@@ -413,7 +413,9 @@ def _sweep_lines(fh, m: MarketInstance, values: np.ndarray, column: str, index: 
     Row r is market m with entry ``index`` of its ``column`` (``_SWEEPABLE``)
     set to values[r].  It equals what ``_run`` gives on that market: the
     same stages run once over the rows, and a row that stops early gets a
-    status instead of raising.  A NumericFailure from the welfare checks
+    status instead of raising.  ``solve_rows`` gates every row that has xi,
+    so a weights error past the gate reads no_equilibrium, as ``_run``
+    raises it.  A NumericFailure from the welfare checks
     still aborts, before any line of the batch is written.  Lines are
     formatted and written one at a time, so the batch's numbers are all it
     holds.
@@ -429,18 +431,12 @@ def _sweep_lines(fh, m: MarketInstance, values: np.ndarray, column: str, index: 
     w, errors = weight_rows(m, xs, etas)
     weighted = np.array([e is None for e in errors], dtype=bool)
     has_xi = np.array([e is None or e.xi is not None for e in errors], dtype=bool)
-    rho = np.zeros(len(values))
-    R = coupling_matrix(w.xi[has_xi])
-    rho[has_xi] = spectral_radius(R)
-    past_gate = has_xi & (rho >= RHO_EXISTENCE_THRESHOLD)
-
-    to_solve = weighted & ~past_gate
-    R = R[to_solve[has_xi]]
-    sol, solve_errors = solve_rows(w.xi[to_solve], w.gamma[to_solve], alphas[to_solve], R)
-    del R  # freed before the table is built
-    solved = np.array([e is None for e in solve_errors], dtype=bool)
-    ok = to_solve.copy()
-    ok[to_solve] = solved
+    sol, solve_errors = solve_rows(w.xi[has_xi], w.gamma[has_xi], alphas[has_xi])
+    past_gate, ok = np.zeros((2, len(values)), dtype=bool)
+    past_gate[has_xi] = [isinstance(e, NoEquilibriumError) for e in solve_errors]
+    ok[has_xi] = [e is None for e in solve_errors]
+    ok &= weighted
+    solved = ok[has_xi]
 
     rows_w = SeparableWeights(beta=w.beta[ok], xi=w.xi[ok], gamma=w.gamma[ok])
     rep, welfare_errors = welfare_rows(sol.efforts[solved], rows_w, alphas[ok], etas[ok])
@@ -456,7 +452,7 @@ def _sweep_lines(fh, m: MarketInstance, values: np.ndarray, column: str, index: 
         (np.ones(len(values), dtype=bool), values[:, None]),
         (weighted, np.swapaxes(w.gamma[weighted], -1, -2).reshape(-1, n * mm)),
         (has_xi, w.xi[has_xi].transpose(0, 2, 3, 1)[:, off_diag].reshape(-1, n * (n - 1) * mm)),
-        (has_xi, rho[has_xi, None]),
+        (has_xi, sol.rho[:, None]),
         (ok, np.swapaxes(sol.d[solved], -1, -2).reshape(-1, n * mm)),
         (ok, sol.efforts[solved]),
         (has_welfare, np.column_stack([rep.efforts_opt, rep.loss_eq, rep.loss_opt, rep.poa])

@@ -222,11 +222,10 @@ class EquilibriumSolution:
     """Equilibrium slopes and everything they induce.
 
     d is (M, N) buyer-major; d_total, efforts and variances are per source.
-    ``solve_equilibrium_d`` sets rho, the coupling's spectral radius.  The
-    payment polytope is attached by ``complete_solution`` (or
-    ``solution_from_d``).  It stays None straight out of ``solve_rows``,
-    which returns one for a stack of systems, with a leading row axis on
-    every field.
+    ``solve_rows`` sets rho, the coupling's spectral radius, and returns one
+    for a stack of systems, with a leading row axis on every field;
+    ``solution_from_d`` leaves rho None.  The payment polytope is attached
+    by ``complete_solution`` (or ``solution_from_d``).
     """
 
     d: np.ndarray
@@ -270,33 +269,37 @@ def _apply_op(xi: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.where(np.eye(n_buyers, dtype=bool)[:, :, None], 0.0, pull[..., None, :, :]).sum(axis=-2)
 
 
-def solve_rows(xi: np.ndarray, gamma: np.ndarray, alphas: np.ndarray, R: np.ndarray) -> tuple:
-    """Solve a stack of systems ``d = A d + gamma`` without building A, and validate each row.
+def solve_rows(xi: np.ndarray, gamma: np.ndarray, alphas: np.ndarray) -> tuple:
+    """Gate and solve a stack of systems ``d = A d + gamma`` without building A, and validate each row.
 
     ``xi`` is (R, M, N, N), ``gamma`` (R, M, N) buyer-major and ``alphas``
-    (R, N); every row must already have passed the existence gate.  ``R``
-    is xi's rows of ``coupling_matrix`` of xi or of a taller stack; fewer
-    rows can merge groups, and then R is built again.  The group means
-    solve ``(I - R) m = mean(gamma)``, and each buyer's deviation from its
-    group's mean solves ``(I + X_g) e = gamma - mean``, one stacked solve
-    per group of two or more buyers, so with no shared blocks d is the
-    dense solve's bit for bit.  The residual is the full system's, from xi.
-    Returns an EquilibriumSolution whose fields carry the leading row axis,
-    and per row the NumericFailure or ValueError that
-    ``solve_equilibrium_d`` raises on it, or None.
+    (R, N).  ``R = coupling_matrix(xi)`` is built once for the stack; a row
+    whose radius is at or past ``RHO_EXISTENCE_THRESHOLD`` is not solved.
+    The group means solve ``(I - R) m = mean(gamma)``, and each buyer's
+    deviation from its group's mean solves ``(I + X_g) e = gamma - mean``,
+    one stacked solve per group of two or more buyers, so with no shared
+    blocks d is the dense solve's bit for bit.  The residual is the full
+    system's, from xi.  Returns an EquilibriumSolution whose fields,
+    rho among them, carry the leading row axis, and per row the error
+    ``solve_equilibrium_d`` raises on it, or None: the first that applies
+    of NoEquilibriumError, NumericFailure and ValueError.
     """
     n_rows, _, n_sources = gamma.shape
     members, group = _buyer_groups(xi)
     n_groups = len(members)
     n = n_sources * n_groups
-    if R.shape[-1] != n:
-        R = coupling_matrix(xi)
+    R = coupling_matrix(xi)
+    rho = spectral_radius(R)
     # I - R, source-major (index q * G + g), built in place: the stack's only matrix-sized temporary
     eye_minus_r = np.zeros_like(R)
     eye_minus_r[..., np.arange(n), np.arange(n)] = 1.0
     by_source = eye_minus_r.reshape(n_rows, n_sources, n_groups, n_sources, n_groups)
     np.subtract(by_source, R.reshape(n_rows, n_groups, n_sources, n_groups, n_sources).transpose(0, 2, 1, 4, 3),
                 out=by_source)
+    # a row past the gate is not solved: its I - R, and its I + X_g below, are
+    # the identity, so that no singular matrix reaches the stacked solves
+    past = rho >= RHO_EXISTENCE_THRESHOLD
+    eye_minus_r[past] = np.eye(n)
     # slopes that overflowed make the residual NaN, which fails the limit
     with np.errstate(over="ignore", invalid="ignore"):
         mean = np.swapaxes(gamma[:, [k[0] for k in members]], -1, -2)  # (R, N, G) source-major
@@ -308,6 +311,7 @@ def solve_rows(xi: np.ndarray, gamma: np.ndarray, alphas: np.ndarray, R: np.ndar
         for g, k in enumerate(members):
             if len(k) > 1:
                 eye_plus_x = np.swapaxes(xi[:, k[0]], -1, -2).copy()
+                eye_plus_x[past] = 0.0
                 eye_plus_x[..., np.arange(n_sources), np.arange(n_sources)] = 1.0
                 d[..., k] += np.linalg.solve(eye_plus_x, np.swapaxes(gamma[:, k], -1, -2) - mean[..., g, None])
         d = d.swapaxes(-1, -2)
@@ -316,8 +320,10 @@ def solve_rows(xi: np.ndarray, gamma: np.ndarray, alphas: np.ndarray, R: np.ndar
     lowest = d.min(axis=(-2, -1), initial=0.0)
     off_limit = ~(residual <= _RESIDUAL_HARD_LIMIT)
     errors = [None] * n_rows
-    for r in np.flatnonzero(off_limit | (lowest < -1e-12 * scale)):
-        if off_limit[r]:
+    for r in np.flatnonzero(past | off_limit | (lowest < -1e-12 * scale)):
+        if past[r]:
+            errors[r] = NoEquilibriumError(float(rho[r]))
+        elif off_limit[r]:
             errors[r] = NumericFailure(
                 f"fixed-point residual {residual[r]:.3g} exceeds {_RESIDUAL_HARD_LIMIT:g}")
         else:
@@ -326,29 +332,25 @@ def solve_rows(xi: np.ndarray, gamma: np.ndarray, alphas: np.ndarray, R: np.ndar
 
     d_total, efforts, variances, induced_errors = _induced_quantities(d, alphas)
     sol = EquilibriumSolution(d=d, d_total=d_total, efforts=efforts,
-                              variances=variances, residual=residual)
+                              variances=variances, residual=residual, rho=rho)
     return sol, [e or i for e, i in zip(errors, induced_errors)]
 
 
 def solve_equilibrium_d(w: SeparableWeights, m: MarketInstance) -> EquilibriumSolution:
     """Solve the market's stacked best-response system and validate the result.
 
-    The grouped coupling matrix is built once, for the spectral radius and
-    the solve.  Raises NoEquilibriumError when the radius certifies the
-    system has no nonnegative solution, before any solve, and
+    ``solve_rows`` on the one market: raises NoEquilibriumError when the
+    spectral radius certifies the system has no nonnegative solution, and
     NumericFailure when the linear algebra disagrees with the model beyond
     hard limits.
     """
-    R = coupling_matrix(w.xi)
-    rho = spectral_radius(R)
-    if rho >= RHO_EXISTENCE_THRESHOLD:
-        raise NoEquilibriumError(rho)
     alphas = np.asarray(m.alphas(), dtype=float)
-    sol, errors = solve_rows(w.xi[None], w.gamma[None], alphas[None], R[None])
+    sol, errors = solve_rows(w.xi[None], w.gamma[None], alphas[None])
     if errors[0] is not None:
         raise errors[0]
     return EquilibriumSolution(d=sol.d[0], d_total=sol.d_total[0], efforts=sol.efforts[0],
-                               variances=sol.variances[0], residual=float(sol.residual[0]), rho=rho)
+                               variances=sol.variances[0], residual=float(sol.residual[0]),
+                               rho=float(sol.rho[0]))
 
 
 def complete_solution(sol: EquilibriumSolution, w: SeparableWeights) -> EquilibriumSolution:

@@ -561,9 +561,12 @@ def test_slopes_that_overflow_are_rejected_without_a_warning(tmp_path, capsys):
     pytest.param("welfare", 1, 0.0, 0, 1, id="welfare-1"),
     # the fixed-point certificate takes its v from a build of its own
     pytest.param("check", 1, 0.0, 0, 2, id="check-1"),
-    pytest.param("sweep", 3, 0.0, 0, 1, id="sweep-3"),
-    # past the gate with weights that fit: the radius needs the one build,
-    # and the exit comes before any solve
+    pytest.param("sweep", 3, (-1.0, 0.0), 0, 1, id="sweep-3"),
+    # a solved row, a weighted row past the gate, and coincident sources (a
+    # weights error with xi, past the gate): one batch, one build
+    pytest.param("sweep", 3, (0.9999, 1.0), 0, 1, id="sweep-past_gate"),
+    # past the gate with weights that fit: the radius and the solve that
+    # reports the gate share the one build
     pytest.param("solve", 1, 1.0 - 5e-5, 2, 1, id="solve-past_gate"),
     pytest.param("welfare", 1, 1.0 - 5e-5, 2, 1, id="welfare-past_gate"),
     pytest.param("check", 1, 1.0 - 5e-5, 2, 1, id="check-past_gate"),
@@ -581,14 +584,11 @@ def test_coupling_matrix_built_once_per_market(tmp_path, monkeypatch, command, m
     monkeypatch.setattr(datamarket.equilibrium, "coupling_matrix", counted)
     monkeypatch.setattr(datamarket.cli, "coupling_matrix", counted)
     monkeypatch.setattr(datamarket.oracle, "coupling_matrix", counted)
-    cfg = str(write_config(tmp_path, two_firm_market(x1)))
-    spec = str(write_sweep(tmp_path, market_to_config(two_firm_market(0.0)), -1.0, 0.0, markets))
-    argv = {
-        "solve": ["solve", cfg],
-        "welfare": ["welfare", cfg],
-        "check": ["check", cfg],
-        "sweep": ["sweep", spec, "--out", str(tmp_path / "rows.csv")],
-    }[command]
+    if command == "sweep":  # x1 is the swept range of sources[0].x
+        spec = str(write_sweep(tmp_path, market_to_config(two_firm_market(0.0)), *x1, markets))
+        argv = ["sweep", spec, "--out", str(tmp_path / "rows.csv")]
+    else:
+        argv = [command, str(write_config(tmp_path, two_firm_market(x1)))]
     assert main(argv) == code
     assert len(calls) == built
 

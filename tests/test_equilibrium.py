@@ -148,7 +148,15 @@ def test_reducible_large_radius_falls_back_to_eigvals(monkeypatch):
     triangular[n // 2:, n // 2:] *= 0.5
     zero_row = rng.uniform(0.0, 1.0, (n, n))
     zero_row[7] = 0.0
-    cases = [triangular, zero_row, np.zeros((n, n))]
+    # row 0 holds only its diagonal, the largest row sum: Noda's first
+    # shift, I - a, has a zero row, singular whatever the rounding
+    isolated = rng.uniform(0.0, 1.0, (n, n)) / n
+    isolated[0] = 0.0
+    isolated[0, 0] = 1.0
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(np.eye(n) - isolated, np.ones(n))
+    assert math.isnan(datamarket.equilibrium._noda_radius(isolated))
+    cases = [triangular, zero_row, np.zeros((n, n)), isolated]
     want = [float(_dense_radius(a)) for a in cases]
     calls = _count_eigvals(monkeypatch)
     for a, rho in zip(cases, want):
@@ -402,12 +410,12 @@ def test_stacking_roundtrip():
     gamma = rng.uniform(0.5, 1.5, (1, n_buyers, n_sources))
     alphas = np.ones((1, n_sources))
     xi = np.zeros((1, n_buyers, n_sources, n_sources))
-    sol, _ = solve_rows(xi, gamma, alphas, coupling_matrix(xi))
+    sol, _ = solve_rows(xi, gamma, alphas)
     assert np.array_equal(sol.d, gamma)
     for j, l, q in ((1, 2, 1), (0, 2, 0), (0, 0, 2)):
         xi = np.zeros((1, n_buyers, n_sources, n_sources))
         xi[0, j, l, q] = 0.5
-        sol, _ = solve_rows(xi, gamma, alphas, coupling_matrix(xi))
+        sol, _ = solve_rows(xi, gamma, alphas)
         want = gamma[0].copy()
         want[np.arange(n_buyers) != j, q] += 0.5 * gamma[0, j, l]
         assert sol.d[0] == pytest.approx(want, rel=1e-15)
@@ -435,7 +443,7 @@ def _solve_both(rng, xi):
     """solve_rows and the dense reference on xi, with random gamma and alphas."""
     gamma = rng.uniform(0.1, 1.0, xi.shape[:-1])
     alphas = rng.uniform(0.5, 2.0, (len(xi), xi.shape[-1]))
-    got = solve_rows(xi, gamma, alphas, coupling_matrix(xi))
+    got = solve_rows(xi, gamma, alphas)
     return got, _solve_rows_dense(_dense_coupling_matrix(xi), gamma, alphas)
 
 
@@ -468,12 +476,12 @@ def test_solve_rows_with_shared_blocks_matches_the_dense_solve():
         (one, _), _ = _solve_both(np.random.default_rng(1), xi[:1])
         (first, _), _ = _solve_both(np.random.default_rng(1), xi)
         assert one.d[0].tobytes() == first.d[0].tobytes()
-    # rows of a stack's R: buyers 0 and 1 share their block in row 0 alone,
-    # so row 0 by itself has one group fewer and solve_rows builds its R again
+    # buyers 0 and 1 share their block in row 0 alone, so row 0 solved by
+    # itself groups them, with one group fewer than the stack
     xi = rng.uniform(0.0, 0.3, (2, 3, 4, 4))
     xi[0, 1] = xi[0, 0]
     gamma, alphas = rng.uniform(0.1, 1.0, (1, 3, 4)), np.ones((1, 4))
-    sol, errors = solve_rows(xi[:1], gamma, alphas, coupling_matrix(xi)[:1])
+    sol, errors = solve_rows(xi[:1], gamma, alphas)
     want, want_errors = _solve_rows_dense(_dense_coupling_matrix(xi[:1]), gamma, alphas)
     assert coupling_matrix(xi).shape[-1] == 12 and coupling_matrix(xi[:1]).shape[-1] == 8
     assert errors == want_errors == [None]
@@ -546,17 +554,16 @@ def _weights(xi, gamma):
 
 
 def _solve_one(w, alphas):
-    """solve_rows on the one market of w, gate or no gate."""
-    return solve_rows(w.xi[None], w.gamma[None], alphas[None], coupling_matrix(w.xi)[None])
+    """solve_rows on the one market of w."""
+    return solve_rows(w.xi[None], w.gamma[None], alphas[None])
 
 
 def test_solve_rows_reports_negative_slopes():
-    # every cross weight 2 couples two buyers over two sources at rho = 2:
-    # past the gate, the solve of d = A d + gamma turns negative
+    # every cross weight 2 couples two buyers over two sources at rho = 2,
+    # where d = A d + gamma would solve negative: the gate reports it first
     past_gate = _weights(np.full((2, 2, 2), 2.0), np.ones((2, 2)))
     _, errors = _solve_one(past_gate, np.ones(2))
-    assert isinstance(errors[0], NumericFailure)
-    assert str(errors[0]) == "negative slope -1 in the solved system"
+    assert isinstance(errors[0], NoEquilibriumError)
     m = two_firm_market(0.0)
     with pytest.raises(NoEquilibriumError, match="spectral radius 2 "):
         solve_equilibrium_d(past_gate, m)
@@ -568,6 +575,44 @@ def test_solve_rows_reports_negative_slopes():
     assert str(errors[0]) == "negative slope -1 in the solved system"
     with pytest.raises(NumericFailure, match=r"^negative slope -1 in the solved system$"):
         solve_equilibrium_d(w, m)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_solve_rows_gates_each_row_of_a_stack():
+    # one stack: a market's xi scaled below the gate, the same scaled past
+    # it, and the one below with a NaN and with an inf gamma entry.  Buyers
+    # 0 and 1 share their block, so the deviations take an I + X_g solve.
+    buyers = tuple(DataBuyer(EstimatorSpec("polynomial-regression", d), ValueDistribution.uniform(-1.0, 1.0),
+                             (0.0,) * 3, 1.0) for d in (1, 1, 2))
+    m = MarketInstance(sources=tuple(DataSource(x, 1.0) for x in (-0.8, 0.1, 0.9)), buyers=buyers,
+                       feature_domain=(-1.0, 1.0))
+    w = compute_weights(m)
+    below, past = (w.xi * (scale / _radius(w.xi)) for scale in (0.5, 1.5))
+    nan_gamma, inf_gamma = w.gamma.copy(), w.gamma.copy()
+    nan_gamma[0, 1], inf_gamma[2, 0] = np.nan, np.inf
+    xi = np.stack([below, past, below, below])
+    gamma = np.stack([w.gamma, w.gamma, nan_gamma, inf_gamma])
+    alphas = np.tile(m.alphas(), (4, 1))
+    sol, errors = solve_rows(xi, gamma, alphas)
+    assert sol.rho.tobytes() == spectral_radius(coupling_matrix(xi)).tobytes()
+
+    with pytest.raises(NoEquilibriumError) as err:
+        solve_equilibrium_d(_weights(past, w.gamma), m)
+    assert isinstance(errors[1], NoEquilibriumError)
+    assert (str(errors[1]), errors[1].rho) == (str(err.value), err.value.rho)
+    # a row below the gate is solved as it is alone, whatever its stackmates
+    assert errors[0] is None
+    assert [str(e) for e in errors[2:]] == ["fixed-point residual nan exceeds 1e-08"] * 2
+    # (the d of the NaN and inf rows holds NaNs of both signs, and which one
+    # a sum over buyers keeps depends on numpy's loop: NaN efforts compare
+    # as NaN)
+    for r in (0, 2, 3):
+        one, one_errors = solve_rows(xi[r:r + 1], gamma[r:r + 1], alphas[r:r + 1])
+        assert [str(e) for e in one_errors] == [str(errors[r])]
+        assert one.d[0].tobytes() == sol.d[r].tobytes()
+        assert one.residual[0].tobytes() == sol.residual[r].tobytes()
+        got, want = (np.where(np.isnan(e), np.nan, e) for e in (sol.efforts[r], one.efforts[0]))
+        assert got.tobytes() == want.tobytes()
 
 
 def test_solve_rows_reports_residual_above_limit(monkeypatch):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -14,7 +15,9 @@ from datamarket import (
     validate_market,
 )
 
-from conftest import two_firm_market
+from datamarket.cli import main
+
+from conftest import market_to_config, two_firm_market
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +248,7 @@ def test_overflowing_moments_rejected(dist):
     assert _codes(m) == ["value-dist-invalid"]
 
 
-def test_estimator_violations():
+def test_estimator_violations(tmp_path, capsys):
     dist = ValueDistribution.uniform(-1.0, 1.0)
     buyers = (
         DataBuyer(EstimatorSpec("linear-regression", 2), dist, (0.0, 0.0)),
@@ -259,6 +262,21 @@ def test_estimator_violations():
     codes = _codes(m)
     assert "degree-invalid" in codes
     assert "estimator-kind-unknown" in codes
+    for degree in (0, -1):
+        bad = DataBuyer(EstimatorSpec("polynomial-regression", degree), dist, (0.0, 0.0))
+        m = MarketInstance(sources=m.sources, buyers=(bad, buyers[0]), feature_domain=(-1.0, 1.0))
+        assert validate_market(m) == [
+            Violation("degree-invalid", "buyers[0]", f"degree must be a positive integer, got {degree}"),
+            Violation("degree-invalid", "buyers[1]", "linear-regression means degree 1"),
+        ]
+    # the command line reports it as invalid input
+    cfg = tmp_path / "degree_0.json"
+    doc = market_to_config(two_firm_market(0.0))
+    doc["buyers"][0]["estimator"]["degree"] = 0
+    cfg.write_text(json.dumps(doc))
+    assert main(["solve", str(cfg)]) == 1
+    assert capsys.readouterr() == (
+        "", "error: invalid market:\n  [degree-invalid] buyers[0]: degree must be a positive integer, got 0\n")
 
 
 def test_empty_market_and_bad_domain():
