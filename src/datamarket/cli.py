@@ -407,18 +407,17 @@ def _row_template(mask) -> str:
     return ",".join(["%.12g" if keep else "%.0s" for keep in mask]) + ",%s\n"
 
 
-def _sweep_lines(fh, m: MarketInstance, values: np.ndarray, column: str, index: int) -> None:
-    """Write the CSV lines of a batch of sweep rows, computed together, to fh.
+def _sweep_table(m: MarketInstance, values: np.ndarray, column: str, index: int) -> tuple:
+    """A batch of sweep rows, computed together, as ``(table, widths, flags)``.
 
     Row r is market m with entry ``index`` of its ``column`` (``_SWEEPABLE``)
     set to values[r].  It equals what ``_run`` gives on that market: the
     same stages run once over the rows, and a row that stops early gets a
     status instead of raising.  ``solve_rows`` gates every row that has xi,
     so a weights error past the gate reads no_equilibrium, as ``_run``
-    raises it.  A NumericFailure from the welfare checks
-    still aborts, before any line of the batch is written.  Lines are
-    formatted and written one at a time, so the batch's numbers are all it
-    holds.
+    raises it.  A NumericFailure from the welfare checks still aborts.
+    ``table[r]`` holds row r's cells in CSV order, in groups of ``widths``;
+    ``flags[r]`` marks its groups, then whether it is ok and past the gate.
     """
     n, mm = m.n_sources, m.n_buyers
     # np.repeat and transpose, not np.tile and np.moveaxis: those two leave a
@@ -464,16 +463,20 @@ def _sweep_lines(fh, m: MarketInstance, values: np.ndarray, column: str, index: 
     for (present, cells), width in zip(columns, widths):
         table[present, start:start + width] = cells
         start += width
+    return table, widths, np.column_stack([present for present, _ in columns] + [ok, past_gate])
 
-    # a row's kind is the groups of cells it has and whether it is past the
-    # gate, one bit each: a batch has only a few kinds (ok, no_equilibrium,
-    # each kind of error), and each formats with one template
-    flags = np.column_stack([present for present, _ in columns] + [past_gate])
+
+def _sweep_lines(fh, m: MarketInstance, values: np.ndarray, column: str, index: int) -> None:
+    """Write a batch of sweep rows to fh, holding only their table while the lines are written."""
+    table, widths, flags = _sweep_table(m, values, column, index)
+    # a row's kind is its flags, one bit each: a batch has only a few kinds
+    # (ok, no_equilibrium, each kind of error), each with one template
     kinds = {}
     for r, kind in enumerate((flags @ (1 << np.arange(flags.shape[1]))).tolist()):
         if kind not in kinds:
-            kinds[kind] = (_row_template(np.repeat(flags[r, :-1], widths).tolist()),
-                           "ok" if ok[r] else "no_equilibrium" if past_gate[r] else "error")
+            *present, ok, past_gate = flags[r].tolist()
+            kinds[kind] = (_row_template(np.repeat(present, widths).tolist()),
+                           "ok" if ok else "no_equilibrium" if past_gate else "error")
         template, status = kinds[kind]
         fh.write(template % (*table[r].tolist(), status))
 
@@ -604,8 +607,9 @@ def _cmd_check(args) -> int:
 
     pay = payment_moments(sol, m)
     for (j, i), z in np.ndenumerate(pay.z_score):
+        z_text = f"{z:+.2f}".replace("-0.00", "+0.00")  # a z that rounds to zero has no sign
         print(f"payment buyer {j + 1} source {i + 1}: empirical {_fmt(pay.exact_mean[j, i])} "
-              f"analytic {_fmt(pay.analytic_mean[j, i])} z {z:+.2f}")
+              f"analytic {_fmt(pay.analytic_mean[j, i])} z {z_text}")
     # np.max propagates NaN, and a NaN z-score must fail
     worst = float(np.max(np.abs(pay.z_score), initial=0.0))
     if not worst <= 1.0:

@@ -8,7 +8,8 @@ the spectral radius of A stays below one.  A is never built: buyers that
 share a xi block form a group, the group means of the slopes solve through
 the (N*G)-wide, group-major ``R = coupling_matrix(xi)``, whose radius is
 A's, and the deviations from them through the N-wide ``I + X_g``, at
-O((N*G)^3 + G*N^3) instead of O((N*M)^3) (README, "Equilibrium slopes").
+O((N*G)^3 + G*N^3) instead of O((N*M)^3) (README, "Equilibrium slopes");
+the same factorization gives the fixed-point certificate's ``(I - R)^-1 1``.
 Flat payments are pinned down only up to a polytope, which
 ``complete_solution`` builds along with one natural point of it.
 """
@@ -222,10 +223,10 @@ class EquilibriumSolution:
     """Equilibrium slopes and everything they induce.
 
     d is (M, N) buyer-major; d_total, efforts and variances are per source.
-    ``solve_rows`` sets rho, the coupling's spectral radius, and returns one
-    for a stack of systems, with a leading row axis on every field;
-    ``solution_from_d`` leaves rho None.  The payment polytope is attached
-    by ``complete_solution`` (or ``solution_from_d``).
+    ``solve_rows`` sets rho, the coupling's spectral radius, and y, the
+    certificate's ``(I - R)^-1 1`` lifted to buyers like d, with a leading
+    row axis on every field for a stack; ``solution_from_d`` leaves both None
+    and attaches the payment polytope, as ``complete_solution`` does.
     """
 
     d: np.ndarray
@@ -234,6 +235,7 @@ class EquilibriumSolution:
     variances: np.ndarray
     residual: float
     rho: float | None = None
+    y: np.ndarray | None = None
     c_polytope: CPolytope | None = None
 
 
@@ -275,46 +277,42 @@ def solve_rows(xi: np.ndarray, gamma: np.ndarray, alphas: np.ndarray) -> tuple:
     ``xi`` is (R, M, N, N), ``gamma`` (R, M, N) buyer-major and ``alphas``
     (R, N).  ``R = coupling_matrix(xi)`` is built once for the stack; a row
     whose radius is at or past ``RHO_EXISTENCE_THRESHOLD`` is not solved.
-    The group means solve ``(I - R) m = mean(gamma)``, and each buyer's
-    deviation from its group's mean solves ``(I + X_g) e = gamma - mean``,
-    one stacked solve per group of two or more buyers, so with no shared
-    blocks d is the dense solve's bit for bit.  The residual is the full
-    system's, from xi.  Returns an EquilibriumSolution whose fields,
-    rho among them, carry the leading row axis, and per row the error
-    ``solve_equilibrium_d`` raises on it, or None: the first that applies
-    of NoEquilibriumError, NumericFailure and ValueError.
+    ``I - R`` is factored once, group-major like R, for the group means
+    ``(I - R) m = mean(gamma)`` and the certificate's ``y = (I - R)^-1 1``;
+    each buyer's deviation from its group's mean solves ``(I + X_g) e =
+    gamma - mean``, one stacked solve per group of two or more buyers.  The
+    residual is the full system's, from xi.  Returns an EquilibriumSolution
+    whose fields, rho and y among them, carry the leading row axis, and per
+    row the error ``solve_equilibrium_d`` raises on it, or None: the first
+    that applies of NoEquilibriumError, NumericFailure and ValueError.
     """
     n_rows, _, n_sources = gamma.shape
     members, group = _buyer_groups(xi)
-    n_groups = len(members)
-    n = n_sources * n_groups
+    n = n_sources * len(members)
     R = coupling_matrix(xi)
     rho = spectral_radius(R)
-    # I - R, source-major (index q * G + g), built in place: the stack's only matrix-sized temporary
-    eye_minus_r = np.zeros_like(R)
+    eye_minus_r = np.negative(R, out=R)  # I - R in R's place: R's diagonal is zero, so the ones are exact
     eye_minus_r[..., np.arange(n), np.arange(n)] = 1.0
-    by_source = eye_minus_r.reshape(n_rows, n_sources, n_groups, n_sources, n_groups)
-    np.subtract(by_source, R.reshape(n_rows, n_groups, n_sources, n_groups, n_sources).transpose(0, 2, 1, 4, 3),
-                out=by_source)
     # a row past the gate is not solved: its I - R, and its I + X_g below, are
     # the identity, so that no singular matrix reaches the stacked solves
     past = rho >= RHO_EXISTENCE_THRESHOLD
     eye_minus_r[past] = np.eye(n)
     # slopes that overflowed make the residual NaN, which fails the limit
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = np.swapaxes(gamma[:, [k[0] for k in members]], -1, -2)  # (R, N, G) source-major
+        rhs = np.ones((n_rows, len(members), n_sources, 2))  # [mean(gamma), 1], index g * N + q
+        mean = rhs[..., 0]
+        mean[...] = gamma[:, [k[0] for k in members]]
         for g, k in enumerate(members):
             if len(k) > 1:  # each term divided first, so that a mean of finite gammas stays finite
-                mean[..., g] = (gamma[:, k] / len(k)).sum(axis=1)
-        means = np.linalg.solve(eye_minus_r, mean.reshape(n_rows, n, 1))[..., 0]
-        d = means.reshape(n_rows, n_sources, n_groups)[..., group]  # (R, N, M) source-major
+                mean[:, g] = (gamma[:, k] / len(k)).sum(axis=1)
+        solved = np.linalg.solve(eye_minus_r, rhs.reshape(n_rows, n, 2)).reshape(rhs.shape)
+        d, y = solved[..., 0][:, group], solved[..., 1][:, group]  # (R, M, N) buyer-major
         for g, k in enumerate(members):
             if len(k) > 1:
                 eye_plus_x = np.swapaxes(xi[:, k[0]], -1, -2).copy()
                 eye_plus_x[past] = 0.0
                 eye_plus_x[..., np.arange(n_sources), np.arange(n_sources)] = 1.0
-                d[..., k] += np.linalg.solve(eye_plus_x, np.swapaxes(gamma[:, k], -1, -2) - mean[..., g, None])
-        d = d.swapaxes(-1, -2)
+                d[:, k] += np.linalg.solve(eye_plus_x, np.swapaxes(gamma[:, k] - mean[:, g, None], -1, -2)).swapaxes(-1, -2)
         scale = 1.0 + np.abs(d).max(axis=(-2, -1), initial=0.0)
         residual = np.abs(d - _apply_op(xi, d) - gamma).max(axis=(-2, -1)) / scale
     lowest = d.min(axis=(-2, -1), initial=0.0)
@@ -332,7 +330,7 @@ def solve_rows(xi: np.ndarray, gamma: np.ndarray, alphas: np.ndarray) -> tuple:
 
     d_total, efforts, variances, induced_errors = _induced_quantities(d, alphas)
     sol = EquilibriumSolution(d=d, d_total=d_total, efforts=efforts,
-                              variances=variances, residual=residual, rho=rho)
+                              variances=variances, residual=residual, rho=rho, y=y)
     return sol, [e or i for e, i in zip(errors, induced_errors)]
 
 
@@ -350,7 +348,7 @@ def solve_equilibrium_d(w: SeparableWeights, m: MarketInstance) -> EquilibriumSo
         raise errors[0]
     return EquilibriumSolution(d=sol.d[0], d_total=sol.d_total[0], efforts=sol.efforts[0],
                                variances=sol.variances[0], residual=float(sol.residual[0]),
-                               rho=float(sol.rho[0]))
+                               rho=float(sol.rho[0]), y=sol.y[0])
 
 
 def complete_solution(sol: EquilibriumSolution, w: SeparableWeights) -> EquilibriumSolution:

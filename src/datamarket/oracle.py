@@ -5,8 +5,8 @@ Best responses are certified in closed form, because each buyer's cost of
 deviating is convex in the variances, with a small dual Newton solve where
 the closed form leaves the verdict open.  The solve's distance from the
 exact fixed point is bounded by an M-matrix certificate of the
-best-response map, sound for any positive v: v comes from the grouped R,
-the residual and ``(I - op) v`` from xi.  The payment algebra is validated
+best-response map, sound for any positive v: v is the solve's y; the
+residual and ``(I - op) v`` come from xi.  The payment algebra is validated
 by the exact mean of each settled payment of the reporting protocol.  That
 mean comes from each leave-one-out fit's own pseudo-inverse, never from the
 weights of ``estimators``, and it is deterministic: no noise is drawn.  It
@@ -22,7 +22,7 @@ import numpy as np
 
 from .market import MarketInstance
 from .estimators import SeparableWeights
-from .equilibrium import EquilibriumSolution, _apply_op, _buyer_groups, coupling_matrix
+from .equilibrium import EquilibriumSolution, _apply_op
 
 __all__ = [
     "BestResponseReport",
@@ -158,7 +158,8 @@ def best_response_certificate(sol: EquilibriumSolution, k: int, w: SeparableWeig
         for _ in range(_DUAL_MAX_HALVINGS):
             trial = np.minimum(lam + step, 1.0)
             nxt = bracket(trial) if (trial > 0.0).all() else None
-            if nxt is not None and nxt[0] < bound:
+            # every dual point gives a bound, so a step that leaves it flat to rounding is taken
+            if nxt is not None and nxt[0] < bound * (1.0 + 2.0 ** -50):
                 lam, state = trial, nxt
                 break
             step = 0.5 * step
@@ -189,20 +190,19 @@ def fixed_point_certificate(sol: EquilibriumSolution, w: SeparableWeights) -> fl
     from xi.  If ``xi >= 0``, ``v > 0`` and ``s = (I - op) v > 0``, ``I -
     op`` is a nonsingular M-matrix (Berman & Plemmons, ch. 6), and ``r = (I
     - op) d - gamma`` gives ``|d - d*| <= max|r| * v / min s`` for any such
-    v.  v lifts ``(I - R) y = 1`` on the grouped R to each buyer's group,
-    the exact solve of ``(I - op) v = 1``; r and s, which alone decide the
-    bound, are applied from xi.  Each entry of r and s sums at most ``(M -
-    1)(N - 1) + 2`` nonzero terms, so Higham's gamma of one more term
-    (section 3.5), times their magnitudes, widens |r| and shrinks s; ``1 +
-    2**-50`` covers the scalar roundings after that.
+    v.  v is the solve's y, ``(I - R) y = 1`` on the grouped R lifted to each
+    buyer's group, the solve of ``(I - op) v = 1`` (a ValueError without
+    it); r and s, which alone decide the bound, are applied from xi.  Each
+    entry of r and s sums at most ``(M - 1)(N - 1) + 2`` nonzero terms, so
+    Higham's gamma of one more term (section 3.5), times their magnitudes,
+    widens |r| and shrinks s; ``1 + 2**-50`` covers the scalar roundings.
     """
+    if sol.y is None:
+        raise ValueError("the fixed-point certificate needs the solve's y = (I - R)^-1 1; this solution has none")
     n_buyers, n_sources = w.gamma.shape
-    group = _buyer_groups(w.xi)[1]
-    # I - R; R's diagonal is zero, so the ones are exact
-    a = np.negative(coupling_matrix(w.xi))
-    a.flat[::len(a) + 1] = 1.0
     terms = (n_buyers - 1) * (n_sources - 1) + 3
     widen = terms * 2.0 ** -53 / (1.0 - terms * 2.0 ** -53)
+    v = sol.y
     # non-finite values fail the tests below and certify nothing
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # in units of the power of two above 1 + max|d|, exact up to
@@ -210,10 +210,6 @@ def fixed_point_certificate(sol: EquilibriumSolution, w: SeparableWeights) -> fl
         top = 1.0 + np.abs(sol.d).max()
         unit = np.frexp(top)[1]
         d, gamma = np.ldexp(sol.d, -unit), np.ldexp(w.gamma, -unit)
-        try:
-            v = np.linalg.solve(a, np.ones(len(a))).reshape(-1, n_sources)[group]
-        except np.linalg.LinAlgError:
-            return np.inf
         op_d, op_abs_d, op_v = _apply_op(w.xi, np.stack([d, np.abs(d), v]))
         r, s = d - op_d - gamma, v - op_v
         r_hi = np.abs(r) + widen * (np.abs(d) + op_abs_d + np.abs(gamma))

@@ -559,8 +559,8 @@ def test_slopes_that_overflow_are_rejected_without_a_warning(tmp_path, capsys):
 @pytest.mark.parametrize("command, markets, x1, code, built", [
     pytest.param("solve", 1, 0.0, 0, 1, id="solve-1"),
     pytest.param("welfare", 1, 0.0, 0, 1, id="welfare-1"),
-    # the fixed-point certificate takes its v from a build of its own
-    pytest.param("check", 1, 0.0, 0, 2, id="check-1"),
+    # the fixed-point certificate takes its v from the solve
+    pytest.param("check", 1, 0.0, 0, 1, id="check-1"),
     pytest.param("sweep", 3, (-1.0, 0.0), 0, 1, id="sweep-3"),
     # a solved row, a weighted row past the gate, and coincident sources (a
     # weights error with xi, past the gate): one batch, one build
@@ -572,8 +572,8 @@ def test_slopes_that_overflow_are_rejected_without_a_warning(tmp_path, capsys):
     pytest.param("check", 1, 1.0 - 5e-5, 2, 1, id="check-past_gate"),
 ])
 def test_coupling_matrix_built_once_per_market(tmp_path, monkeypatch, command, markets, x1, code, built):
-    # the radius and the solve share one build; a sweep builds one stack for
-    # all of its markets; check builds once more for its certificate
+    # the radius, the solve and check's certificate share one build; a sweep
+    # builds one stack for all of its markets
     calls = []
     real = datamarket.equilibrium.coupling_matrix
 
@@ -583,7 +583,6 @@ def test_coupling_matrix_built_once_per_market(tmp_path, monkeypatch, command, m
 
     monkeypatch.setattr(datamarket.equilibrium, "coupling_matrix", counted)
     monkeypatch.setattr(datamarket.cli, "coupling_matrix", counted)
-    monkeypatch.setattr(datamarket.oracle, "coupling_matrix", counted)
     if command == "sweep":  # x1 is the swept range of sources[0].x
         spec = str(write_sweep(tmp_path, market_to_config(two_firm_market(0.0)), *x1, markets))
         argv = ["sweep", spec, "--out", str(tmp_path / "rows.csv")]
@@ -846,13 +845,14 @@ def test_fixed_point_iteration_does_not_use_the_solves_matrix(monkeypatch, capsy
     cfg = os.path.join(ROOT, "configs", "two_firm.json")
     assert main(["check", cfg]) == 1
     assert re.fullmatch(r"error: fixed-point residual \S+ exceeds 1e-08\n", capsys.readouterr().err)
-    # with the residual limit lifted, the fixed-point certificate builds its
-    # operator from xi, so it cannot certify the solve and says so
+    # with the residual limit lifted, the fixed-point certificate takes its
+    # v from that solve but applies the map from xi, so it cannot certify
+    # the solve and says so
     monkeypatch.setattr(datamarket.equilibrium, "_RESIDUAL_HARD_LIMIT", np.inf)
     assert main(["check", cfg]) == 3
     captured = capsys.readouterr()
-    assert "fixed point: within 0.793 of the exact solution\n" in captured.out
-    assert "  - the solve is not certified within 1e-8 of the fixed point (0.793)\n" in captured.err
+    assert "fixed point: within 1.19 of the exact solution\n" in captured.out
+    assert "  - the solve is not certified within 1e-8 of the fixed point (1.19)\n" in captured.err
 
 
 def test_check_bad_perturb_flag(tmp_path):
@@ -881,6 +881,22 @@ def test_check_fixed_point_near_the_gate(tmp_path, capsys, x, code, bound, err):
     captured = capsys.readouterr()
     assert f"\nfixed point: within {bound} of the exact solution\n" in captured.out
     assert captured.err == err
+
+
+def test_check_prints_a_z_that_rounds_to_zero_as_plus_zero(tmp_path, capsys):
+    # two_firm with source 1 at 0.99: buyer 1's z on source 2 is a negative
+    # rounding residue, whose sign says nothing
+    doc = json.loads(open(os.path.join(ROOT, "configs", "two_firm.json")).read())
+    doc["sources"][0]["x"] = 0.99
+    m = market_from_config(doc)
+    w = compute_weights(m)
+    assert np.signbit(payment_moments(complete_solution(solve_equilibrium_d(w, m), w), m).z_score[0, 1])
+    cfg = tmp_path / "two_firm_0.99.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["check", str(cfg)]) == 0
+    out = capsys.readouterr().out
+    assert re.search(r"^payment buyer 1 source 2: empirical \S+ analytic \S+ z \+0\.00$", out, re.M)
+    assert "z -0.00" not in out
 
 
 def test_check_overflowing_slopes_exit_1(tmp_path, capsys):

@@ -452,14 +452,25 @@ def _max_rel_err(got, want):
 
 
 def test_solve_rows_without_shared_blocks_is_the_dense_solve_bit_for_bit():
+    # with no shared block R is A, buyer-major: d and y are one LU solve of
+    # I - A for the two columns [gamma, 1], bit for bit, and within rounding
+    # of the source-major dense solve
     rng = np.random.default_rng(53)
     for n, degrees in ((3, [1, 2]), (5, [2, 1, 3]), (6, [3, 1]), (8, [1, 2, 3]), (4, [1])):
         xi = _stacked_xi(rng, n, degrees, 3)
         assert len(datamarket.equilibrium._buyer_groups(xi)[0]) == len(degrees)
-        (sol, errors), (want, want_errors) = _solve_both(rng, xi)
+        gamma = rng.uniform(0.1, 1.0, xi.shape[:-1])
+        alphas = rng.uniform(0.5, 2.0, (3, n))
+        sol, errors = solve_rows(xi, gamma, alphas)
+        want, want_errors = _solve_rows_dense(_dense_coupling_matrix(xi), gamma, alphas)
         assert errors == want_errors == [None] * 3
+        A = _group_major(_dense_coupling_matrix(xi), n)
+        rhs = np.stack([gamma.reshape(3, -1), np.ones((3, len(degrees) * n))], axis=-1)
+        dense = np.linalg.solve(np.eye(len(degrees) * n) - A, rhs).reshape(3, len(degrees), n, 2)
+        assert sol.d.tobytes() == dense[..., 0].tobytes()
+        assert sol.y.tobytes() == dense[..., 1].tobytes()
         for field in ("d", "d_total", "efforts", "variances"):
-            assert getattr(sol, field).tobytes() == getattr(want, field).tobytes()
+            assert _max_rel_err(getattr(sol, field), getattr(want, field)) <= 1e-12
         assert (sol.residual <= 1e-14).all()
 
 
@@ -486,6 +497,20 @@ def test_solve_rows_with_shared_blocks_matches_the_dense_solve():
     assert coupling_matrix(xi).shape[-1] == 12 and coupling_matrix(xi[:1]).shape[-1] == 8
     assert errors == want_errors == [None]
     assert _max_rel_err(sol.d, want.d) <= 1e-12
+
+
+def test_solve_rows_y_solves_the_full_system_on_shared_blocks():
+    # y, solved on the grouped R and lifted to buyers, is (I - A)^-1 1 with A
+    # applied from xi, and positive below the gate
+    rng = np.random.default_rng(67)
+    for n, degrees in ((3, [1, 1]), (5, [1, 1, 2]), (6, [2, 1, 2, 2]), (8, [1, 1, 1, 1])):
+        xi = _stacked_xi(rng, n, degrees, 4)
+        assert len(datamarket.equilibrium._buyer_groups(xi)[0]) < len(degrees)
+        sol, errors = solve_rows(xi, rng.uniform(0.1, 1.0, xi.shape[:-1]), np.ones((4, n)))
+        assert errors == [None] * 4
+        assert sol.y.shape == sol.d.shape and (sol.y > 0.0).all()
+        residual = sol.y - datamarket.equilibrium._apply_op(xi, sol.y) - 1.0
+        assert (np.abs(residual).max(axis=(-2, -1)) <= 1e-13 * sol.y.max(axis=(-2, -1))).all()
 
 
 @settings(max_examples=60, deadline=None)

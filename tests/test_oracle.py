@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
+import datamarket.equilibrium
 import datamarket.oracle
 from datamarket.cli import market_from_config
 from datamarket.oracle import _loo_residual_operator
@@ -347,6 +348,20 @@ def test_convex_solve_decides_what_the_closed_form_leaves_open(monkeypatch):
     saving = rep.cost_eq - _retightened_cost(1, rep.argmin_d, pert, w, m)
     assert saving == pytest.approx(rep.improvement, rel=1e-9)
 
+
+def test_convex_solve_closes_the_bracket_on_books_ulps_apart():
+    # the book above with one slope moved 1-3 ulps up or down: near the dual
+    # optimum the bound is flat to its last ulp, and the bracket still closes
+    m, w, pert = _convex_solve_book()
+    for j, i in np.ndindex(pert.d.shape):
+        for ulps in (-3, -2, -1, 1, 2, 3):
+            d = pert.d.copy()
+            for _ in range(abs(ulps)):
+                d[j, i] = np.nextafter(d[j, i], ulps * np.inf)
+            rep = best_response_certificate(solution_from_d(d, w, m), 1, w, m)
+            assert rep.improvable
+            assert rep.bound - rep.improvement <= 1e-12 * (1.0 + abs(rep.cost_eq)), (j, i, ulps)
+
 # ---------------------------------------------------------------------------
 # fixed-point certificate, and the iteration it replaced as the reference
 # ---------------------------------------------------------------------------
@@ -530,29 +545,46 @@ def test_fixed_point_certificate_matches_the_dense_reference(solved_suite):
 
 
 @pytest.mark.parametrize("change", ["half", "one_entry_doubled"])
-def test_fixed_point_certificate_is_sound_for_any_v(monkeypatch, change):
-    # v from a wrong grouped matrix still bounds the exact error, or
+def test_fixed_point_certificate_is_sound_for_any_v(change):
+    # v solved on a wrong grouped matrix still bounds the exact error, or
     # certifies nothing: r and s come from xi
-    real = coupling_matrix
-
-    def wrong(xi):
-        R = real(xi)
+    def wrong_y(w):
+        R = coupling_matrix(w.xi)
         if change == "half":
-            return 0.5 * R
-        R.flat[np.argmax(R)] *= 2.0
-        return R
+            R *= 0.5
+        else:
+            R.flat[np.argmax(R)] *= 2.0
+        group = datamarket.equilibrium._buyer_groups(w.xi)[1]
+        return np.linalg.solve(np.eye(len(R)) - R, np.ones(len(R))).reshape(-1, w.gamma.shape[1])[group]
 
-    monkeypatch.setattr(datamarket.oracle, "coupling_matrix", wrong)
     books = [_solved(two_firm_market(0.5))] + _shared_block_markets(3, 47)
     certified = 0
     for w, sol in books:
         exact = _solve_rows_dense(_dense_coupling_matrix(w.xi[None]), w.gamma[None],
                                   np.ones((1, w.gamma.shape[1])))[0].d[0]
+        y = wrong_y(w)
         for d in (sol.d, sol.d + np.eye(*sol.d.shape) * 1e-6):
-            bound = fixed_point_certificate(replace(sol, d=d), w)
+            bound = fixed_point_certificate(replace(sol, d=d, y=y), w)
             assert bound == np.inf or bound >= np.abs(d - exact).max() / (1.0 + np.abs(d).max())
             certified += bound < np.inf
     assert certified >= 4
+
+
+def test_fixed_point_certificate_needs_the_solves_y(monkeypatch):
+    # v is the solve's y: the certificate builds no R, groups no buyers and
+    # solves nothing; slopes rebuilt from d alone carry no y
+    m = two_firm_market(0.0)
+    w, sol = _solved(m)
+
+    def forbidden(*args):
+        raise AssertionError("the certificate repeats the solve's work")
+
+    for module, name in ((np.linalg, "solve"), (datamarket.equilibrium, "coupling_matrix"),
+                         (datamarket.equilibrium, "_buyer_groups")):
+        monkeypatch.setattr(module, name, forbidden)
+    assert fixed_point_certificate(sol, w) <= 1e-12
+    with pytest.raises(ValueError, match=r"needs the solve's y"):
+        fixed_point_certificate(solution_from_d(sol.d, w, m), w)
 
 
 def test_fixed_point_certificate_memory_on_a_wide_market():
