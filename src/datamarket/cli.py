@@ -32,7 +32,6 @@ from .market import (
 )
 from .estimators import (
     GammaNegativeError,
-    SeparableWeights,
     SingularDesignError,
     compute_weights,
     weight_rows,
@@ -437,8 +436,7 @@ def _sweep_table(m: MarketInstance, values: np.ndarray, column: str, index: int)
     ok &= weighted
     solved = ok[has_xi]
 
-    rows_w = SeparableWeights(beta=w.beta[ok], xi=w.xi[ok], gamma=w.gamma[ok])
-    rep, welfare_errors = welfare_rows(sol.efforts[solved], rows_w, alphas[ok], etas[ok])
+    rep, welfare_errors = welfare_rows(sol.efforts[solved], w.xi[ok], w.gamma[ok], alphas[ok], etas[ok])
     for err in welfare_errors:
         if isinstance(err, NumericFailure):
             raise err

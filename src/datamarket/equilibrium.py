@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .market import MarketInstance, source_response
-from .estimators import SeparableWeights
+from .estimators import SeparableWeights, _first_row
 
 __all__ = [
     "RHO_EXISTENCE_THRESHOLD",
@@ -222,7 +222,8 @@ class CPolytope:
 class EquilibriumSolution:
     """Equilibrium slopes and everything they induce.
 
-    d is (M, N) buyer-major; d_total, efforts and variances are per source.
+    d is (M, N) buyer-major; d_total, efforts and variances are per source,
+    and residual is d's ``max|d - A d - gamma| / (1 + max|d|)``.
     ``solve_rows`` sets rho, the coupling's spectral radius, and y, the
     certificate's ``(I - R)^-1 1`` lifted to buyers like d, with a leading
     row axis on every field for a stack; ``solution_from_d`` leaves both None
@@ -239,15 +240,18 @@ class EquilibriumSolution:
     c_polytope: CPolytope | None = None
 
 
-def _induced_quantities(d: np.ndarray, alphas: np.ndarray) -> tuple:
-    """Total slopes, efforts and variances of stacked slopes ``d[r, j, i]``.
-
-    Returns them with a list holding, per row, the ValueError that makes the
-    row's efforts undefined, or None.
+def _solution_rows(d: np.ndarray, xi: np.ndarray, gamma: np.ndarray, alphas: np.ndarray,
+                   rho=None, y=None) -> tuple:
+    """The EquilibriumSolution of stacked slopes ``d[r, j, i]``, with totals,
+    efforts, variances and the residual, and per row the ValueError that
+    makes the row's efforts undefined, or None.  rho and y are passed on.
     """
-    # a vanishing eta can push the total to inf; the check below reports it
-    with np.errstate(over="ignore"):
+    # a vanishing eta can push the total to inf, and slopes that overflowed
+    # make the residual NaN; the checks below and in solve_rows report both
+    with np.errstate(over="ignore", invalid="ignore"):
         d_total = d.sum(axis=-2)
+        scale = 1.0 + np.abs(d).max(axis=(-2, -1), initial=0.0)
+        residual = np.abs(d - _apply_op(xi, d) - gamma).max(axis=(-2, -1)) / scale
     efforts, variances, ok = source_response(d_total, alphas)
     errors = [None] * len(d_total)
     for r in np.flatnonzero(~ok.all(axis=-1)):
@@ -257,7 +261,8 @@ def _induced_quantities(d: np.ndarray, alphas: np.ndarray) -> tuple:
             errors[r] = ValueError(f"source {i} attracts total slope {t:.6g}; its effort is undefined")
         else:
             errors[r] = ValueError(f"source {i} has alpha {a:.6g} at total slope {t:.6g}; its effort overflows")
-    return d_total, efforts, variances, errors
+    return EquilibriumSolution(d=d, d_total=d_total, efforts=efforts, variances=variances,
+                               residual=residual, rho=rho, y=y), errors
 
 
 def _apply_op(xi: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -280,11 +285,13 @@ def solve_rows(xi: np.ndarray, gamma: np.ndarray, alphas: np.ndarray) -> tuple:
     ``I - R`` is factored once, group-major like R, for the group means
     ``(I - R) m = mean(gamma)`` and the certificate's ``y = (I - R)^-1 1``;
     each buyer's deviation from its group's mean solves ``(I + X_g) e =
-    gamma - mean``, one stacked solve per group of two or more buyers.  The
-    residual is the full system's, from xi.  Returns an EquilibriumSolution
-    whose fields, rho and y among them, carry the leading row axis, and per
-    row the error ``solve_equilibrium_d`` raises on it, or None: the first
-    that applies of NoEquilibriumError, NumericFailure and ValueError.
+    gamma - mean``, one stacked solve per group of two or more buyers.
+    Returns an EquilibriumSolution whose fields, rho and y among them, carry
+    the leading row axis, with the slopes clamped at 0 and the residual
+    theirs, the full system's from xi; and per row the error
+    ``solve_equilibrium_d`` raises on it, or None: the first that applies of
+    NoEquilibriumError (the gate), NumericFailure (a negative slope, then
+    the residual) and ValueError.
     """
     n_rows, _, n_sources = gamma.shape
     members, group = _buyer_groups(xi)
@@ -301,10 +308,9 @@ def solve_rows(xi: np.ndarray, gamma: np.ndarray, alphas: np.ndarray) -> tuple:
     with np.errstate(over="ignore", invalid="ignore"):
         rhs = np.ones((n_rows, len(members), n_sources, 2))  # [mean(gamma), 1], index g * N + q
         mean = rhs[..., 0]
-        mean[...] = gamma[:, [k[0] for k in members]]
+        # each term divided first, so that a mean of finite gammas stays finite
         for g, k in enumerate(members):
-            if len(k) > 1:  # each term divided first, so that a mean of finite gammas stays finite
-                mean[:, g] = (gamma[:, k] / len(k)).sum(axis=1)
+            mean[:, g] = (gamma[:, k] / len(k)).sum(axis=1)
         solved = np.linalg.solve(eye_minus_r, rhs.reshape(n_rows, n, 2)).reshape(rhs.shape)
         d, y = solved[..., 0][:, group], solved[..., 1][:, group]  # (R, M, N) buyer-major
         for g, k in enumerate(members):
@@ -313,42 +319,31 @@ def solve_rows(xi: np.ndarray, gamma: np.ndarray, alphas: np.ndarray) -> tuple:
                 eye_plus_x[past] = 0.0
                 eye_plus_x[..., np.arange(n_sources), np.arange(n_sources)] = 1.0
                 d[:, k] += np.linalg.solve(eye_plus_x, np.swapaxes(gamma[:, k] - mean[:, g, None], -1, -2)).swapaxes(-1, -2)
-        scale = 1.0 + np.abs(d).max(axis=(-2, -1), initial=0.0)
-        residual = np.abs(d - _apply_op(xi, d) - gamma).max(axis=(-2, -1)) / scale
-    lowest = d.min(axis=(-2, -1), initial=0.0)
-    off_limit = ~(residual <= _RESIDUAL_HARD_LIMIT)
+        lowest = d.min(axis=(-2, -1), initial=0.0)
+        negative = lowest < -1e-12 * (1.0 + np.abs(d).max(axis=(-2, -1), initial=0.0))
+    sol, induced_errors = _solution_rows(np.maximum(d, 0.0, out=d), xi, gamma, alphas, rho=rho, y=y)
+    off_limit = ~(sol.residual <= _RESIDUAL_HARD_LIMIT)
     errors = [None] * n_rows
-    for r in np.flatnonzero(past | off_limit | (lowest < -1e-12 * scale)):
+    for r in np.flatnonzero(past | negative | off_limit):
         if past[r]:
             errors[r] = NoEquilibriumError(float(rho[r]))
-        elif off_limit[r]:
-            errors[r] = NumericFailure(
-                f"fixed-point residual {residual[r]:.3g} exceeds {_RESIDUAL_HARD_LIMIT:g}")
-        else:
+        elif negative[r]:
             errors[r] = NumericFailure(f"negative slope {lowest[r]:.3g} in the solved system")
-    d = np.maximum(d, 0.0)
-
-    d_total, efforts, variances, induced_errors = _induced_quantities(d, alphas)
-    sol = EquilibriumSolution(d=d, d_total=d_total, efforts=efforts,
-                              variances=variances, residual=residual, rho=rho, y=y)
+        else:
+            errors[r] = NumericFailure(
+                f"fixed-point residual {sol.residual[r]:.3g} exceeds {_RESIDUAL_HARD_LIMIT:g}")
     return sol, [e or i for e, i in zip(errors, induced_errors)]
 
 
 def solve_equilibrium_d(w: SeparableWeights, m: MarketInstance) -> EquilibriumSolution:
     """Solve the market's stacked best-response system and validate the result.
 
-    ``solve_rows`` on the one market: raises NoEquilibriumError when the
-    spectral radius certifies the system has no nonnegative solution, and
-    NumericFailure when the linear algebra disagrees with the model beyond
-    hard limits.
+    Row 0 of ``solve_rows`` on the one market: raises NoEquilibriumError
+    when the spectral radius certifies the system has no nonnegative
+    solution, and NumericFailure when the linear algebra disagrees with the
+    model beyond hard limits.
     """
-    alphas = np.asarray(m.alphas(), dtype=float)
-    sol, errors = solve_rows(w.xi[None], w.gamma[None], alphas[None])
-    if errors[0] is not None:
-        raise errors[0]
-    return EquilibriumSolution(d=sol.d[0], d_total=sol.d_total[0], efforts=sol.efforts[0],
-                               variances=sol.variances[0], residual=float(sol.residual[0]),
-                               rho=float(sol.rho[0]), y=sol.y[0])
+    return _first_row(*solve_rows(w.xi[None], w.gamma[None], np.array([m.alphas()], dtype=float)))
 
 
 def complete_solution(sol: EquilibriumSolution, w: SeparableWeights) -> EquilibriumSolution:
@@ -386,13 +381,5 @@ def solution_from_d(d: np.ndarray, w: SeparableWeights, m: MarketInstance) -> Eq
     residual is ``max|d - A d - gamma| / (1 + max|d|)``, d's distance from
     the fixed point of the best-response map, with A applied from xi.
     """
-    d = np.asarray(d, dtype=float)
-    alphas = np.asarray(m.alphas(), dtype=float)
-    d_total, efforts, variances, errors = _induced_quantities(d[None], alphas[None])
-    if errors[0] is not None:
-        raise errors[0]
-    scale = 1.0 + float(np.abs(d).max(initial=0.0))
-    residual = float(np.abs(d - _apply_op(w.xi, d) - w.gamma).max()) / scale
-    sol = EquilibriumSolution(d=d, d_total=d_total[0], efforts=efforts[0],
-                              variances=variances[0], residual=residual)
-    return complete_solution(sol, w)
+    d, alphas = np.asarray(d, dtype=float)[None], np.array([m.alphas()], dtype=float)
+    return complete_solution(_first_row(*_solution_rows(d, w.xi[None], w.gamma[None], alphas)), w)

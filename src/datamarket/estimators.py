@@ -240,6 +240,16 @@ def weight_rows(m: MarketInstance, xs: np.ndarray, etas: np.ndarray) -> tuple:
     return SeparableWeights(beta=beta, xi=xi, gamma=gamma), errors
 
 
+def _first_row(rows, errors):
+    """Row 0 of a stacked stage's ``(rows, errors)``, as its one-market call
+    returns it: row 0's error is raised, or every field of ``rows`` is cut
+    to row 0, a field of one number per row to a float and None kept."""
+    if errors[0] is not None:
+        raise errors[0]
+    return type(rows)(**{name: a if a is None else float(a[0]) if a.ndim == 1 else a[0]
+                         for name, a in vars(rows).items()})
+
+
 def compute_weights(m: MarketInstance) -> SeparableWeights:
     """Reduce a market to its separable weight arrays.
 
@@ -250,7 +260,5 @@ def compute_weights(m: MarketInstance) -> SeparableWeights:
     leave-one-out tensor as ``xi`` when that fit succeeded, since existence
     depends on it alone.
     """
-    w, errors = weight_rows(m, np.array([m.locations()], dtype=float), np.array([m.etas()], dtype=float))
-    if errors[0] is not None:
-        raise errors[0]
-    return SeparableWeights(beta=w.beta[0], xi=w.xi[0], gamma=w.gamma[0])
+    xs, etas = np.array([m.locations()], dtype=float), np.array([m.etas()], dtype=float)
+    return _first_row(*weight_rows(m, xs, etas))

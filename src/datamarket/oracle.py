@@ -274,12 +274,14 @@ def payment_moments(sol: EquilibriumSolution, m: MarketInstance) -> PaymentCheck
     ``L`` comes from normal equations, whose rounding grows with the square
     of the largest condition number kappa among the buyer's designs.  Read
     as ``(8 kappa)**2 * 2**-53``, it allows each entry of op an error of
-    ``8 kappa 2**-53 * max_l |op[i, l]|``; an entry that is exactly zero, as
-    where xi is zero, adds up to ``tolerance * 2**-53 * max_l op[i, l]**2``
-    per unit of variance to ``E[r_i**2]``, which dwarfs L where a variance
-    nearly vanishes.  So the gap's unit is ``tolerance * (|L| + |d| *
-    2**-53 * max_l op[i, l]**2 * sum(variances))``.  ``sol`` must carry its
-    payment polytope (``complete_solution`` or ``solution_from_d``).
+    ``8 kappa 2**-53 * max_l |op[i, l]|``.  An entry within that of zero
+    counts as zero in ``E[r_i**2]``, so that an exact zero, as where xi is
+    zero, adds no rounding where a variance nearly vanishes, and L with it.
+    That moves ``E[r_i**2]`` by at most ``tolerance * 2**-53 * max_l
+    op[i, l]**2`` per unit of variance, so the gap's unit is ``tolerance *
+    (|L| + |d| * 2**-53 * max_l op[i, l]**2 * sum(variances))``.  ``sol``
+    must carry its payment polytope (``complete_solution`` or
+    ``solution_from_d``).
     """
     xs = np.asarray(m.locations(), dtype=float)
     degrees = np.array([b.estimator.degree for b in m.buyers])
@@ -290,8 +292,9 @@ def payment_moments(sol: EquilibriumSolution, m: MarketInstance) -> PaymentCheck
     for g in set(degrees.tolist()):
         op, kappa = _loo_residual_operator(xs, g)
         square = op * op
-        mean_square[degrees == g] = square @ sol.variances
         rounding[degrees == g] = 2.0 ** -53 * square.max(axis=1) * sol.variances.sum()
+        square[square <= (8.0 * kappa * 2.0 ** -53) ** 2 * square.max(axis=1, keepdims=True)] = 0.0
+        mean_square[degrees == g] = square @ sol.variances
         tolerance[degrees == g] = 1e-10 + 64.0 * kappa * kappa * 2.0 ** -53
     penalty = sol.d * mean_square
     gap = poly.L - penalty

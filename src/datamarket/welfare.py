@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .market import MarketInstance, source_response
-from .estimators import SeparableWeights
+from .estimators import SeparableWeights, _first_row
 from .equilibrium import EquilibriumSolution, NumericFailure, _apply_op
 
 __all__ = [
@@ -50,16 +50,16 @@ def _social_loss(efforts: np.ndarray, weights: np.ndarray, alphas: np.ndarray) -
     return (weights * np.exp(-2.0 * alphas * efforts)).sum(axis=-1) + efforts.sum(axis=-1)
 
 
-def welfare_rows(efforts: np.ndarray, w: SeparableWeights, alphas: np.ndarray,
+def welfare_rows(efforts: np.ndarray, xi: np.ndarray, gamma: np.ndarray, alphas: np.ndarray,
                  etas: np.ndarray) -> tuple:
     """Equilibrium against optimal welfare for a stack of solved markets.
 
     Every argument carries a leading row axis: equilibrium efforts (R, N),
-    the rows' weights, alphas (R, N) and buyer etas (R, M).  Returns a
-    WelfareReport whose fields carry that axis, and per row the error
-    ``price_of_anarchy`` raises on it, or None.
+    the rows' xi (R, M, N, N) and gamma (R, M, N), alphas (R, N) and buyer
+    etas (R, M).  Returns a WelfareReport whose fields carry that axis, and
+    per row the error ``price_of_anarchy`` raises on it, or None.
     """
-    weights = w.gamma.sum(axis=-2)
+    weights = gamma.sum(axis=-2)
     # The separable, convex loss is least where 2*alpha*G*exp(-2*alpha*e) = 1:
     # the effort a source would settle at under total slope G.  A source
     # with G = 0 gives log(0); its row is reported below, not used.
@@ -71,7 +71,7 @@ def welfare_rows(efforts: np.ndarray, w: SeparableWeights, alphas: np.ndarray,
         gap = efforts - efforts_opt
         below = ~(gap.min(axis=-1) > -1e-9 * (1.0 + np.abs(efforts_opt).max(axis=-1)))
         poa = loss_eq / loss_opt
-        floor = _apply_op(w.xi, w.gamma).sum(axis=-2)
+        floor = _apply_op(xi, gamma).sum(axis=-2)
 
     coupled = (floor > 1e-9 * weights).any(axis=-1)
     no_oversupply = coupled & ~(gap.max(axis=-1) > 0.0)
@@ -99,7 +99,8 @@ def welfare_rows(efforts: np.ndarray, w: SeparableWeights, alphas: np.ndarray,
 
 def price_of_anarchy(sol: EquilibriumSolution, w: SeparableWeights,
                      m: MarketInstance) -> WelfareReport:
-    """Compare equilibrium welfare against the social optimum.
+    """Compare equilibrium welfare against the social optimum: row 0 of
+    ``welfare_rows`` on the one market.
 
     Equilibrium slopes weakly exceed the adjusted loss weights, so effort is
     weakly over-supplied everywhere.  As A >= 0, ``d = A d + gamma >= gamma
@@ -109,10 +110,5 @@ def price_of_anarchy(sol: EquilibriumSolution, w: SeparableWeights,
     rounding and the ratio exceeds one.  Both facts are checked rather than
     trusted: a breach raises NumericFailure.
     """
-    stacked = SeparableWeights(beta=w.beta[None], xi=w.xi[None], gamma=w.gamma[None])
-    rep, errors = welfare_rows(np.asarray(sol.efforts, dtype=float)[None], stacked,
-                               np.array([m.alphas()], dtype=float), np.array([m.etas()], dtype=float))
-    if errors[0] is not None:
-        raise errors[0]
-    return WelfareReport(efforts_opt=rep.efforts_opt[0], loss_eq=float(rep.loss_eq[0]),
-                         loss_opt=float(rep.loss_opt[0]), poa=float(rep.poa[0]))
+    efforts, alphas, etas = (np.array([v], dtype=float) for v in (sol.efforts, m.alphas(), m.etas()))
+    return _first_row(*welfare_rows(efforts, w.xi[None], w.gamma[None], alphas, etas))

@@ -1119,7 +1119,9 @@ def test_check_ill_conditioned_market_passes(tmp_path, capsys):
 def test_check_passes_a_decoupled_market_with_a_vanishing_variance(tmp_path, capsys, alpha):
     # xi[j, 0, 1] is exactly 0, but the computed op[0, 1] is about 1.6e-16:
     # its square times source 2's variance dwarfs source 1's floor, which
-    # the huge alpha shrinks toward zero
+    # the huge alpha shrinks toward zero.  That entry is within op's error
+    # allowance of zero, so it counts as zero and the printed mean is the
+    # floor's, not rounding
     with open(os.path.join(ROOT, "configs", "two_firm_decoupled.json")) as f:
         doc = json.load(f)
     doc["sources"][0]["alpha"] = alpha
@@ -1128,8 +1130,11 @@ def test_check_passes_a_decoupled_market_with_a_vanishing_variance(tmp_path, cap
     assert main(["check", str(cfg)]) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
-    zs = [float(z) for z in re.findall(r"^payment buyer \d source \d: .* z (\S+)$", captured.out, re.M)]
-    assert len(zs) == 4 and max(map(abs, zs)) <= 0.01
+    lines = re.findall(r"^payment buyer \d source \d: empirical (\S+) analytic (\S+) z (\S+)$",
+                       captured.out, re.M)
+    assert len(lines) == 4 and max(abs(float(z)) for _, _, z in lines) <= 0.01
+    for empirical, analytic, _ in lines:
+        assert float(empirical) == pytest.approx(float(analytic), rel=1e-9, abs=0.0)
     m = market_from_config(doc)
     w = compute_weights(m)
     sol = complete_solution(solve_equilibrium_d(w, m), w)

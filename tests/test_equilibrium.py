@@ -25,10 +25,13 @@ from datamarket import (
     complete_solution,
     compute_weights,
     coupling_matrix,
+    price_of_anarchy,
     solution_from_d,
     solve_equilibrium_d,
     solve_rows,
     spectral_radius,
+    weight_rows,
+    welfare_rows,
 )
 
 from datamarket.cli import market_from_config
@@ -200,7 +203,9 @@ def _dense_coupling_matrix(xi):
 
 def _solve_rows_dense(A, gamma, alphas):
     """Reference: solve_rows as it ran on the dense A, with one LU solve of
-    ``I - A`` per row and the residual taken from A."""
+    ``I - A`` per row and the residual taken from A on the slopes before the
+    clamp at 0, checked ahead of a negative slope.  That residual is
+    solve_rows' only where nothing was clamped."""
     n_rows, n_buyers, n_sources = gamma.shape
     n = n_sources * n_buyers
     gamma_vec = np.swapaxes(gamma, -1, -2).reshape(n_rows, n)
@@ -221,10 +226,11 @@ def _solve_rows_dense(A, gamma, alphas):
         else:
             errors[r] = NumericFailure(f"negative slope {lowest[r]:.3g} in the solved system")
     d = np.maximum(dvec, 0.0).reshape(n_rows, n_sources, n_buyers).swapaxes(-1, -2)
-    d_total, efforts, variances, induced_errors = datamarket.equilibrium._induced_quantities(d, alphas)
-    sol = datamarket.equilibrium.EquilibriumSolution(
-        d=d, d_total=d_total, efforts=efforts, variances=variances, residual=residual)
-    return sol, [e or i for e, i in zip(errors, induced_errors)]
+    # totals, efforts and variances from the package's builder: with xi = 0
+    # and gamma = d its residual is 0, and A's replaces it
+    no_xi = np.zeros(d.shape + d.shape[-1:])
+    sol, induced_errors = datamarket.equilibrium._solution_rows(d, no_xi, d, alphas)
+    return dataclasses.replace(sol, residual=residual), [e or i for e, i in zip(errors, induced_errors)]
 
 
 def _group_major(A, n_sources):
@@ -689,6 +695,47 @@ def test_fixed_point_residual(solved_suite):
         dvec = d.T.reshape(-1)
         want = np.abs(dvec - A @ dvec - gamma_vec).max() / (1.0 + np.abs(d).max())
         assert solution_from_d(d, w, m).residual == pytest.approx(want, rel=1e-9, abs=1e-15)
+
+
+@pytest.mark.parametrize("stage", ["compute_weights", "solve_equilibrium_d", "price_of_anarchy", "solution_from_d"])
+def test_one_market_calls_are_row_0_of_their_stacked_stage(stage, solved_suite):
+    # a one-market call is its stacked stage on that market alone: it raises
+    # row 0's error, or returns every field at row 0, bit for bit, with a
+    # field of one number per row as a float
+    for m, w, sol in solved_suite[:40] + [(two_firm_market(0.0, etas=(2.0, 2.0)), None, None)]:
+        if w is None:
+            w = compute_weights(m)
+            sol = solve_equilibrium_d(w, m)
+        xs, alphas, etas = (np.array([v], dtype=float) for v in (m.locations(), m.alphas(), m.etas()))
+        d = sol.d * 1.05  # off the fixed point, so that the residual is not rounding
+        call, stacked = {
+            "compute_weights": (lambda: compute_weights(m), lambda: weight_rows(m, xs, etas)),
+            "solve_equilibrium_d": (lambda: solve_equilibrium_d(w, m),
+                                    lambda: solve_rows(w.xi[None], w.gamma[None], alphas)),
+            "price_of_anarchy": (lambda: price_of_anarchy(sol, w, m), lambda: welfare_rows(
+                sol.efforts[None], w.xi[None], w.gamma[None], alphas, etas)),
+            # complete_solution attaches the payment polytope to row 0
+            "solution_from_d": (lambda: dataclasses.replace(solution_from_d(d, w, m), c_polytope=None),
+                                lambda: datamarket.equilibrium._solution_rows(
+                                    d[None], w.xi[None], w.gamma[None], alphas)),
+        }[stage]
+        rows, errors = stacked()
+        if errors[0] is not None:
+            with pytest.raises(type(errors[0])) as err:
+                call()
+            assert str(err.value) == str(errors[0])
+            continue
+        one = call()
+        assert type(one) is type(rows)
+        for field in dataclasses.fields(rows):
+            got, want = getattr(one, field.name), getattr(rows, field.name)
+            if want is None:
+                assert got is None
+            elif want.ndim == 1:
+                assert type(got) is float and np.float64(got).tobytes() == want[0].tobytes()
+            else:
+                assert type(got) is np.ndarray and got.shape == want.shape[1:]
+                assert got.tobytes() == want[0].tobytes()
 
 
 # ---------------------------------------------------------------------------

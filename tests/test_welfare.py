@@ -6,7 +6,6 @@ import pytest
 
 from datamarket import (
     NumericFailure,
-    SeparableWeights,
     UndefinedPoaError,
     compute_weights,
     price_of_anarchy,
@@ -24,8 +23,7 @@ def _solved(m):
 
 def _welfare_row(efforts, w, m):
     """welfare_rows on one market; it computes both losses for any effort profile."""
-    stacked = SeparableWeights(beta=w.beta[None], xi=w.xi[None], gamma=w.gamma[None])
-    rep, _ = welfare_rows(np.asarray(efforts, dtype=float)[None], stacked,
+    rep, _ = welfare_rows(np.asarray(efforts, dtype=float)[None], w.xi[None], w.gamma[None],
                           np.array([m.alphas()], dtype=float), np.array([m.etas()], dtype=float))
     return rep
 
@@ -162,8 +160,8 @@ def test_welfare_rows_name_the_first_undefined_cause():
     zero = compute_weights(two_firm_market(0.0, delta=1.0))
     rows = [(w, (1.0, 1.0), (1.0, 1.0)), (w, (1.0, 2.0), (1.0, 1.0)), (zero, (1.0, 1.0), (1.0, 1.0)),
             (zero, (3.0, 1.0), (1.0, 1.0)), (w, (1.0, 1.0), (0.01, 0.01))]
-    stacked = SeparableWeights(*(np.stack([getattr(r[0], f) for r in rows]) for f in ("beta", "xi", "gamma")))
-    _, errors = welfare_rows(np.tile(sol.efforts, (len(rows), 1)), stacked,
+    xi, gamma = (np.stack([getattr(r[0], f) for r in rows]) for f in ("xi", "gamma"))
+    _, errors = welfare_rows(np.tile(sol.efforts, (len(rows), 1)), xi, gamma,
                              np.array([r[2] for r in rows]), np.array([r[1] for r in rows]))
     assert errors[0] is None
     assert all(type(e) is UndefinedPoaError for e in errors[1:])
