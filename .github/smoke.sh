@@ -69,7 +69,41 @@ print(json.dumps({
     "feature_domain": [-1.0, 1.0],
 }))
 EOF
-expect 0 solve "$tmp/wide.json"
+# rho in solve's --json-out must match max |eigvals| of the R rebuilt
+# from the emitted xi, within 1e-12 relative
+check_rho() {
+  python - "$1" <<'EOF' || exit 1
+import json, sys
+import numpy as np
+from datamarket import coupling_matrix
+doc = json.load(open(sys.argv[1]))
+want = float(np.abs(np.linalg.eigvals(coupling_matrix(np.array(doc["xi"])))).max())
+if not abs(doc["rho"] - want) <= 1e-12 * want:
+    sys.exit(f"datamarket solve --json-out {sys.argv[1]}: rho {doc['rho']!r}, want {want!r} within 1e-12 relative")
+EOF
+}
+expect 0 solve "$tmp/wide.json" --json-out "$tmp/wide.out.json"
+check_rho "$tmp/wide.out.json"
+# 160 sources and buyers of degrees 1 and 2: R is 320 wide and 2-cyclic,
+# so -rho is an eigenvalue too, and Noda's iteration must start from
+# the Ritz vector of +rho
+python - > "$tmp/grid160.json" <<'EOF'
+import json
+n = 160
+print(json.dumps({
+    "sources": [{"x": -1.0 + (2 * i + 1) / n, "alpha": 1.0} for i in range(n)],
+    "buyers": [{"estimator": {"kind": "polynomial-regression", "degree": d},
+                "value_dist": {"kind": "uniform", "params": {"lo": -1.0, "hi": 1.0}},
+                "delta": [0.0] * 2} for d in (1, 2)],
+    "feature_domain": [-1.0, 1.0],
+}))
+EOF
+rc=0
+timeout 60 python -W error::RuntimeWarning -m datamarket solve "$tmp/grid160.json" --json-out "$tmp/grid160.out.json" > "$tmp/out" 2> "$tmp/err" || rc=$?
+if [ "$rc" != 0 ] || [ -s "$tmp/err" ]; then
+  echo "datamarket solve on 160 sources and 2 buyers: exit $rc (want 0), stderr:"; cat "$tmp/err"; exit 1
+fi
+check_rho "$tmp/grid160.out.json"
 # sources at -1, 0 and 1 and buyers of degrees 1 and 2: the exact
 # radius is 1/sqrt(2), a clustered root that eigvals meets on the
 # group-major R and misses by 1.2e-8 on a source-major one

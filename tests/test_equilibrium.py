@@ -119,6 +119,24 @@ def _count_eigvals(monkeypatch):
     return calls
 
 
+def _count_solves(monkeypatch):
+    calls = []
+    real = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: calls.append(a.shape) or real(a, b))
+    return calls
+
+
+def _isolated(rng, n):
+    """Row 0 holds only its diagonal, the largest row sum: the first shift
+    from ones, ``I - a``, has a zero row, singular whatever the rounding."""
+    a = rng.uniform(0.0, 1.0, (n, n)) / n
+    a[0] = 0.0
+    a[0, 0] = 1.0
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(np.eye(n) - a, np.ones(n))
+    return a
+
+
 def test_large_radius_matches_eigvals_without_calling_it(monkeypatch):
     # Noda's iteration on market R at or above the crossover, and on random
     # irreducible matrices, against dense eigvals computed beforehand
@@ -126,18 +144,31 @@ def test_large_radius_matches_eigvals_without_calling_it(monkeypatch):
     cases = []
     markets = [(24, [1, 2]), (24, [2, 1, 1, 2, 2]), (30, [1, 3, 2, 3]), (32, [1, 2, 3]),
                (40, [1, 2]), (40, [1, 2, 1, 2, 1])]
-    for n, degrees in markets * 3:
+    for n, degrees in markets * 3 + [(120, [1, 2, 2]), (240, [1, 2])]:
         cases.append(coupling_matrix(_loo_xi(np.sort(rng.uniform(-1.0, 1.0, n)), degrees)))
     for n in (40, 57, 100):
         a = rng.uniform(0.0, 1.0, (n, n)) * (rng.uniform(size=(n, n)) < 0.3)
         a[np.arange(n), np.roll(np.arange(n), 1)] = rng.uniform(0.1, 1.0, n)  # a cycle: irreducible
         cases.append(a)
+    # two buyers of two degrees: R is 2-cyclic, so -rho is an eigenvalue too,
+    # and the start must approximate the Perron vector, not its partner
+    cyclic = coupling_matrix(_loo_xi(-1.0 + (2.0 * np.arange(160) + 1.0) / 160, [1, 2]))
+    cases.append(cyclic)
+    # reducible, yet the Ritz start is positive and Noda answers
+    cases.append(_isolated(rng, 60))
     assert min(len(a) for a in cases) >= datamarket.equilibrium._NODA_MIN_SIZE
-    assert 80 in {len(a) for a in cases}
+    assert {80, 240, 320, 480} <= {len(a) for a in cases}
     want = [float(_dense_radius(a)) for a in cases]
+    assert np.abs(np.linalg.eigvals(cyclic) + want[-2]).min() <= 1e-12 * want[-2]
     calls = _count_eigvals(monkeypatch)
+    solves = _count_solves(monkeypatch)
     for a, rho in zip(cases, want):
+        solves.clear()
         assert abs(spectral_radius(a) - rho) <= 1e-12 * rho
+        # started from the Ritz vector, the bracket closes in at most two LU
+        # solves on these market R; from the vector of ones it takes 6 or 7
+        if len(a) in (80, 320):
+            assert len(solves) <= 2
     assert calls == []
 
 
@@ -151,15 +182,13 @@ def test_reducible_large_radius_falls_back_to_eigvals(monkeypatch):
     triangular[n // 2:, n // 2:] *= 0.5
     zero_row = rng.uniform(0.0, 1.0, (n, n))
     zero_row[7] = 0.0
-    # row 0 holds only its diagonal, the largest row sum: Noda's first
-    # shift, I - a, has a zero row, singular whatever the rounding
-    isolated = rng.uniform(0.0, 1.0, (n, n)) / n
-    isolated[0] = 0.0
-    isolated[0, 0] = 1.0
-    with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.solve(np.eye(n) - isolated, np.ones(n))
-    assert math.isnan(datamarket.equilibrium._noda_radius(isolated))
-    cases = [triangular, zero_row, np.zeros((n, n)), isolated]
+    # block diagonal with the radius 1 on its first 1x1 block: the Perron
+    # vector is e_0, so the Ritz start is not positive, and the start from
+    # ones meets a singular I - a
+    block = _isolated(rng, n)
+    block[1:, 0] = 0.0
+    assert math.isnan(datamarket.equilibrium._noda_radius(block))
+    cases = [triangular, zero_row, np.zeros((n, n)), block]
     want = [float(_dense_radius(a)) for a in cases]
     calls = _count_eigvals(monkeypatch)
     for a, rho in zip(cases, want):
