@@ -57,7 +57,7 @@ if [ "$statuses" != "ok no_equilibrium no_equilibrium " ]; then
   echo "datamarket sweep across the gate: statuses $statuses (want ok no_equilibrium no_equilibrium)"; exit 1
 fi
 # 24 sources and buyers of degrees 1 and 2: the radius matrix is 48
-# wide, past the crossover, so rho comes from Noda's iteration
+# wide, past the crossover, so rho comes from a Rayleigh-Ritz pair
 python - > "$tmp/wide.json" <<'EOF'
 import json
 n = 24
@@ -85,8 +85,8 @@ EOF
 expect 0 solve "$tmp/wide.json" --json-out "$tmp/wide.out.json"
 check_rho "$tmp/wide.out.json"
 # 160 sources and buyers of degrees 1 and 2: R is 320 wide and 2-cyclic,
-# so -rho is an eigenvalue too, and Noda's iteration must start from
-# the Ritz vector of +rho
+# so -rho is an eigenvalue too, and the Ritz pair read must be that of
+# +rho
 python - > "$tmp/grid160.json" <<'EOF'
 import json
 n = 160
@@ -172,8 +172,8 @@ if check > 1.2 * solve:
              f"over 1.2 times solve's {solve / 1024:.0f} MB")
 EOF
 # a 2,000-step sweep of 20 sources and buyers of degrees 1, 2 and 1:
-# R is 40 wide, so rho comes from Noda's iteration, and the 43 MB CSV
-# is written batch by batch
+# R is 40 wide, so rho comes from a Rayleigh-Ritz pair, and the 43 MB
+# CSV is written batch by batch
 python - > "$tmp/sweep20.json" <<'EOF'
 import json
 n = 20
@@ -195,6 +195,32 @@ lines=$( { wc -l < "$tmp/sweep20.csv"; } 2> /dev/null || echo none)
 if [ "$rc" != 0 ] || [ -s "$tmp/err" ] || [ "$lines" != 2001 ]; then
   echo "datamarket sweep of 20 sources and 3 buyers: exit $rc (want 0), $lines lines (want 2001), stderr:"; cat "$tmp/err"; exit 1
 fi
+# every 100th row that has a rho: the CSV rho must match max |eigvals|
+# of the R rebuilt from the row's xi cells, with ones on the diagonal,
+# within 1e-11 relative, the rounding of the 12-digit cells
+python - "$tmp/sweep20.csv" <<'EOF' || exit 1
+import csv, re, sys
+import numpy as np
+from datamarket import coupling_matrix
+with open(sys.argv[1], newline="") as fh:
+    rows = csv.reader(fh)
+    header = next(rows)
+    at = header.index("rho")
+    cells = [(k, [int(t) - 1 for t in m.groups()]) for k, name in enumerate(header)
+             if (m := re.fullmatch(r"xi_(\d+)_(\d+)_(\d+)", name))]
+    sampled = [row for row in rows if row[at]][::100]
+n = 1 + max(i for _, (i, _, _) in cells)
+mm = 1 + max(k for _, (_, _, k) in cells)
+for row in sampled:
+    xi = np.ones((mm, n, n))
+    for col, (i, l, k) in cells:
+        xi[k, i, l] = float(row[col])
+    want = float(np.abs(np.linalg.eigvals(coupling_matrix(xi))).max())
+    if not abs(float(row[at]) - want) <= 1e-11 * want:
+        sys.exit(f"datamarket sweep of 20 sources and 3 buyers at {row[0]}: rho {row[at]}, want {want!r} within 1e-11 relative")
+if len(sampled) < 20:
+    sys.exit(f"datamarket sweep of 20 sources and 3 buyers: {len(sampled)} rows with a rho checked, want 20")
+EOF
 # the two-firm market near the gate: its fixed point is certified at
 # x1 = 0.999 (rho = 1 - 2.5e-7) and not at x1 = 0.9999 (rho = 1 -
 # 2.5e-9), and check prints the fixed-point line either way

@@ -7,7 +7,8 @@ system ``d = A d + gamma`` whose nonnegative solution exists exactly when
 the spectral radius of A stays below one.  A is never built: buyers that
 share a xi block form a group, the group means of the slopes solve through
 the (N*G)-wide, group-major ``R = coupling_matrix(xi)``, whose radius is
-A's, and the deviations from them through the N-wide ``I + X_g``, at
+A's and is read off one certified Rayleigh-Ritz pair once R is 40 wide,
+and the deviations from them through the N-wide ``I + X_g``, at
 O((N*G)^3 + G*N^3) instead of O((N*M)^3) (README, "Equilibrium slopes");
 the same factorization gives the fixed-point certificate's ``(I - R)^-1 1``.
 Flat payments are pinned down only up to a polytope, which
@@ -41,21 +42,15 @@ __all__ = [
 RHO_EXISTENCE_THRESHOLD = 1.0 - 1e-9
 _RESIDUAL_HARD_LIMIT = 1e-8
 
-# Matrices this wide and wider get their radius from Noda's iteration: at
-# this size it first beats dense eigvals on market coupling matrices
-# (measured crossover in CHANGES.md).
-_NODA_MIN_SIZE = 40
-# Started from the Ritz vector, Noda's bracket closes in 0-3 solves on market
-# coupling matrices (6-8 from the vector of ones); a matrix that needs more
-# than the cap falls back to eigvals.
-_NODA_MAX_STEPS = 20
-# Width of the Krylov basis whose Rayleigh-Ritz Perron vector starts Noda's
-# iteration.
-_NODA_RITZ_BASIS = 12
-# Bracket widths, relative to its top: closed at rounding level, and narrow
-# enough to answer when rounding stops it from shrinking.
-_NODA_CLOSED = 4e-15
-_NODA_STALLED = 1e-13
+# Matrices this wide and wider get their radius from a Rayleigh-Ritz pair,
+# which answers with a Collatz-Wielandt bracket; from about 48 wide it is
+# also faster than dense eigvals (README, "The spectral radius").
+_RITZ_MIN_SIZE = 40
+# Width of the Krylov basis whose Ritz pair is read; narrower bases leave
+# the bracket open on market coupling matrices (README, "The spectral radius").
+_RITZ_BASIS = 24
+# Widest Collatz-Wielandt bracket answered, relative to its top.
+_RITZ_CLOSED = 1e-13
 
 
 class NoEquilibriumError(Exception):
@@ -127,20 +122,24 @@ def coupling_matrix(xi: np.ndarray) -> np.ndarray:
     return R.reshape(*lead, n, n)
 
 
-def _ritz_start(a: np.ndarray) -> np.ndarray:
-    """A strictly positive approximation of the Perron vector of a, or ones.
+def _ritz_radius(a: np.ndarray) -> float:
+    """Perron root of one nonnegative matrix from one certified Ritz pair, or NaN.
 
     Rayleigh-Ritz on the Krylov basis ``[1, a 1, a^2 1, ...]`` of
-    ``_NODA_RITZ_BASIS`` vectors, each scaled by its max: the real part of
-    the Ritz vector of the Ritz value with the largest real part (never the
-    -rho of a 2-cyclic a), scaled so that its largest-magnitude entry is +1.
-    A vector that is not strictly positive, as on a reducible a, gives way
-    to ones.
+    ``_RITZ_BASIS`` vectors, each scaled by its max, gives the Ritz pair
+    (theta, x) whose value has the largest real part (never the -rho of a
+    2-cyclic a); x is taken real and scaled so that its largest-magnitude
+    entry is +1.  For positive x, ``lo = min (a x)/x <= rho <= max (a x)/x =
+    hi`` (Collatz-Wielandt), so theta clipped to ``[lo, hi]`` is answered
+    once the bracket is at most ``_RITZ_CLOSED * hi`` wide.  NaN means no
+    answer: an x that is not strictly positive (a reducible a), a bracket
+    that stays wider (a periodic a, whose Ritz values miss the spectral
+    circle's other points), or a basis or bracket that is not finite.
     """
     n = len(a)
-    basis = np.empty((_NODA_RITZ_BASIS, n))
+    basis = np.empty((_RITZ_BASIS, n))
     basis[0] = 1.0
-    with np.errstate(all="ignore"):  # what is not finite ends in ones below
+    with np.errstate(all="ignore"):  # what is not finite ends in NaN below
         for j in range(1, len(basis)):
             np.matmul(a, basis[j - 1], out=basis[j])
             basis[j] /= basis[j].max()
@@ -148,60 +147,26 @@ def _ritz_start(a: np.ndarray) -> np.ndarray:
         try:
             values, vectors = np.linalg.eig(q.T @ a @ q)
         except np.linalg.LinAlgError:  # raised on a projection that is not finite
-            return np.ones(n)
-        x = q @ vectors[:, values.real.argmax()].real
+            return np.nan
+        top = values.real.argmax()
+        x = q @ vectors[:, top].real
         x /= x[np.abs(x).argmax()]
-    return x if x.min() > 0.0 else np.ones(n)  # NaN fails too
-
-
-def _noda_radius(a: np.ndarray) -> float:
-    """Perron root of one nonnegative matrix by Noda's iteration, or NaN.
-
-    For positive x, ``min (a x)/x <= rho <= max (a x)/x`` (Collatz-Wielandt);
-    ``lo`` and ``hi`` keep the tightest such bounds seen.  From the Ritz
-    vector of ``_ritz_start`` (ones when it is not positive), each step
-    solves ``(hi*I - a) y = x`` and sets ``x = y / max y``.  The midpoint is
-    returned once the bracket closes, or once it stops shrinking while
-    narrow.  NaN means no answer: an iterate that is not strictly positive
-    (a reducible a), ``hi <= 0``, a singular shifted matrix, a bracket that
-    stalls wide, or the step cap.  The start changes only how many solves
-    the bracket takes, since it holds for any positive x.
-    """
-    n = len(a)
-    shifted = np.negative(a)
-    diagonal = shifted.diagonal().copy()
-    x = _ritz_start(a)
-    lo, hi = 0.0, np.inf
-    with np.errstate(all="ignore"):  # a non-finite iterate ends in NaN below
-        for _ in range(_NODA_MAX_STEPS):
-            ratio = (a @ x) / x
-            new_lo, new_hi = max(lo, ratio.min()), min(hi, ratio.max())
-            if not 0.0 < new_hi < np.inf:
-                return np.nan
-            width = new_hi - new_lo
-            if width <= _NODA_CLOSED * new_hi or (new_lo == lo and new_hi == hi):
-                return 0.5 * (new_lo + new_hi) if width <= _NODA_STALLED * new_hi else np.nan
-            lo, hi = new_lo, new_hi
-            shifted.flat[::n + 1] = diagonal + hi
-            try:
-                y = np.linalg.solve(shifted, x)
-            except np.linalg.LinAlgError:
-                return np.nan
-            x = y / y.max()
-            if not x.min() > 0.0:  # NaN fails too
-                return np.nan
+        ratio = (a @ x) / x
+        lo, hi = ratio.min(), ratio.max()
+        if x.min() > 0.0 and hi - lo <= _RITZ_CLOSED * hi < np.inf:  # NaN fails too
+            return float(min(max(values.real[top], lo), hi))
     return np.nan
 
 
 def spectral_radius(a: np.ndarray):
     """Spectral radius of a nonnegative square matrix.
 
-    Matrices at least ``_NODA_MIN_SIZE`` wide take Noda's iteration, which
-    brackets the Perron root between Collatz-Wielandt bounds in a few linear
-    solves; a matrix it leaves without an answer, and every smaller one,
-    takes the largest modulus of its dense eigenvalues.  Leading axes hold a
-    stack of matrices; the result is then one radius per matrix instead of a
-    float, each equal to the one-matrix call.
+    Matrices at least ``_RITZ_MIN_SIZE`` wide take the Perron root from one
+    Rayleigh-Ritz pair, certified by a Collatz-Wielandt bracket; a matrix
+    whose bracket does not close, and every smaller one, takes the largest
+    modulus of its dense eigenvalues.  Leading axes hold a stack of
+    matrices; the result is then one radius per matrix instead of a float,
+    each equal to the one-matrix call.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
@@ -214,12 +179,12 @@ def spectral_radius(a: np.ndarray):
         if a.min() < 0.0:
             raise ValueError("spectral_radius expects a nonnegative matrix")
         n = a.shape[-1]
-        if n < _NODA_MIN_SIZE:
+        if n < _RITZ_MIN_SIZE:
             rho = np.abs(np.linalg.eigvals(a)).max(axis=-1)
         else:
             # one matrix at a time, so that a radius never depends on its stackmates
             mats = np.ascontiguousarray(a).reshape(-1, n, n)
-            rho = np.array([_noda_radius(mat) for mat in mats])
+            rho = np.array([_ritz_radius(mat) for mat in mats])
             dense = np.isnan(rho)
             if dense.any():
                 rho[dense] = np.abs(np.linalg.eigvals(mats[dense])).max(axis=-1)

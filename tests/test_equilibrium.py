@@ -126,9 +126,46 @@ def _count_solves(monkeypatch):
     return calls
 
 
+def _noda_reference(a):
+    """Reference: Perron root of one nonnegative matrix by Noda's iteration
+    from ones (T. Noda, *Numer. Math.* 17, 1971), or NaN, as spectral_radius
+    took it before it read one Ritz pair.  ``lo`` and ``hi`` keep the
+    tightest Collatz-Wielandt bounds seen; each step solves ``(hi*I - a) y =
+    x`` and sets ``x = y / max y``.  The midpoint is returned once the
+    bracket is 4e-15 wide, or once it stops shrinking within 1e-13; NaN
+    means an iterate that is not strictly positive, ``hi <= 0``, a singular
+    shifted matrix, a bracket that stalls wider, or 20 steps."""
+    n = len(a)
+    shifted = np.negative(a)
+    diagonal = shifted.diagonal().copy()
+    x = np.ones(n)
+    lo, hi = 0.0, np.inf
+    with np.errstate(all="ignore"):
+        for _ in range(20):
+            ratio = (a @ x) / x
+            new_lo, new_hi = max(lo, ratio.min()), min(hi, ratio.max())
+            if not 0.0 < new_hi < np.inf:
+                return np.nan
+            width = new_hi - new_lo
+            if width <= 4e-15 * new_hi or (new_lo == lo and new_hi == hi):
+                return 0.5 * (new_lo + new_hi) if width <= 1e-13 * new_hi else np.nan
+            lo, hi = new_lo, new_hi
+            shifted.flat[::n + 1] = diagonal + hi
+            try:
+                y = np.linalg.solve(shifted, x)
+            except np.linalg.LinAlgError:
+                return np.nan
+            x = y / y.max()
+            if not x.min() > 0.0:
+                return np.nan
+    return np.nan
+
+
 def _isolated(rng, n):
     """Row 0 holds only its diagonal, the largest row sum: the first shift
-    from ones, ``I - a``, has a zero row, singular whatever the rounding."""
+    of Noda's iteration from ones, ``I - a``, has a zero row, singular
+    whatever the rounding, so ``_noda_reference`` leaves it without an
+    answer."""
     a = rng.uniform(0.0, 1.0, (n, n)) / n
     a[0] = 0.0
     a[0, 0] = 1.0
@@ -138,38 +175,67 @@ def _isolated(rng, n):
 
 
 def test_large_radius_matches_eigvals_without_calling_it(monkeypatch):
-    # Noda's iteration on market R at or above the crossover, and on random
+    # one Ritz pair on market R at or above the crossover, and on random
     # irreducible matrices, against dense eigvals computed beforehand
     rng = np.random.default_rng(41)
-    cases = []
-    markets = [(24, [1, 2]), (24, [2, 1, 1, 2, 2]), (30, [1, 3, 2, 3]), (32, [1, 2, 3]),
-               (40, [1, 2]), (40, [1, 2, 1, 2, 1])]
-    for n, degrees in markets * 3 + [(120, [1, 2, 2]), (240, [1, 2])]:
-        cases.append(coupling_matrix(_loo_xi(np.sort(rng.uniform(-1.0, 1.0, n)), degrees)))
+    markets = []
+    sizes = [(24, [1, 2]), (24, [2, 1, 1, 2, 2]), (30, [1, 3, 2, 3]), (32, [1, 2, 3]),
+             (40, [1, 2]), (40, [1, 2, 1, 2, 1])]
+    for n, degrees in sizes * 3 + [(120, [1, 2, 2]), (240, [1, 2])]:
+        markets.append(coupling_matrix(_loo_xi(np.sort(rng.uniform(-1.0, 1.0, n)), degrees)))
+    # two buyers of two degrees: R is 2-cyclic, so -rho is an eigenvalue too,
+    # and the Ritz pair read must be the Perron pair, not its partner
+    cyclic = coupling_matrix(_loo_xi(-1.0 + (2.0 * np.arange(160) + 1.0) / 160, [1, 2]))
+    markets.append(cyclic)
+    cases = list(markets)
     for n in (40, 57, 100):
         a = rng.uniform(0.0, 1.0, (n, n)) * (rng.uniform(size=(n, n)) < 0.3)
         a[np.arange(n), np.roll(np.arange(n), 1)] = rng.uniform(0.1, 1.0, n)  # a cycle: irreducible
         cases.append(a)
-    # two buyers of two degrees: R is 2-cyclic, so -rho is an eigenvalue too,
-    # and the start must approximate the Perron vector, not its partner
-    cyclic = coupling_matrix(_loo_xi(-1.0 + (2.0 * np.arange(160) + 1.0) / 160, [1, 2]))
-    cases.append(cyclic)
-    # reducible, yet the Ritz start is positive and Noda answers
+    # reducible, yet the Ritz vector is positive and closes the bracket
     cases.append(_isolated(rng, 60))
-    assert min(len(a) for a in cases) >= datamarket.equilibrium._NODA_MIN_SIZE
+    assert min(len(a) for a in cases) >= datamarket.equilibrium._RITZ_MIN_SIZE
     assert {80, 240, 320, 480} <= {len(a) for a in cases}
     want = [float(_dense_radius(a)) for a in cases]
-    assert np.abs(np.linalg.eigvals(cyclic) + want[-2]).min() <= 1e-12 * want[-2]
+    assert np.abs(np.linalg.eigvals(cyclic) + want[len(markets) - 1]).min() <= 1e-12 * want[len(markets) - 1]
+    # Noda's iteration from ones, the path this one replaced, on every market R
+    noda = [_noda_reference(a) for a in markets]
     calls = _count_eigvals(monkeypatch)
     solves = _count_solves(monkeypatch)
-    for a, rho in zip(cases, want):
-        solves.clear()
-        assert abs(spectral_radius(a) - rho) <= 1e-12 * rho
-        # started from the Ritz vector, the bracket closes in at most two LU
-        # solves on these market R; from the vector of ones it takes 6 or 7
-        if len(a) in (80, 320):
-            assert len(solves) <= 2
+    for k, (a, rho) in enumerate(zip(cases, want)):
+        got = spectral_radius(a)
+        assert abs(got - rho) <= 1e-12 * rho
+        if k < len(markets):
+            assert abs(got - noda[k]) <= 1e-13 * noda[k]
+    # no shifted solve is left: the pair alone answers
+    assert solves == []
     assert calls == []
+
+
+def test_huge_radius_stays_finite():
+    # rho near 1.28e308, close to the largest float: the answer is theta
+    # clipped to the bracket, so no midpoint of its ends overflows
+    a = np.random.default_rng(59).uniform(0.5, 1.0, (40, 40)) * 4.25e306
+    want = float(_dense_radius(a))
+    got = spectral_radius(a)
+    assert math.isfinite(got) and abs(got - want) <= 1e-12 * want
+
+
+def test_weighted_cycle_falls_back_to_eigvals(monkeypatch):
+    # a weighted 60-cycle is periodic: every eigenvalue lies on the spectral
+    # circle, so the Ritz vector is positive but its bracket stays wide
+    n = 60
+    w = np.random.default_rng(61).uniform(0.5, 1.0, n)
+    a = np.zeros((n, n))
+    a[np.arange(n), np.roll(np.arange(n), 1)] = w
+    exact = math.exp(math.fsum(np.log(w)) / n)
+    assert math.isnan(datamarket.equilibrium._ritz_radius(a))
+    with monkeypatch.context() as patch:
+        patch.setattr(datamarket.equilibrium, "_RITZ_CLOSED", 1.0)
+        assert not math.isnan(datamarket.equilibrium._ritz_radius(a))
+    calls = _count_eigvals(monkeypatch)
+    assert abs(spectral_radius(a) - exact) <= 1e-12 * exact
+    assert calls == [(1, n, n)]
 
 
 def test_reducible_large_radius_falls_back_to_eigvals(monkeypatch):
@@ -183,11 +249,10 @@ def test_reducible_large_radius_falls_back_to_eigvals(monkeypatch):
     zero_row = rng.uniform(0.0, 1.0, (n, n))
     zero_row[7] = 0.0
     # block diagonal with the radius 1 on its first 1x1 block: the Perron
-    # vector is e_0, so the Ritz start is not positive, and the start from
-    # ones meets a singular I - a
+    # vector is e_0, so the Ritz vector is not strictly positive
     block = _isolated(rng, n)
     block[1:, 0] = 0.0
-    assert math.isnan(datamarket.equilibrium._noda_radius(block))
+    assert math.isnan(datamarket.equilibrium._ritz_radius(block))
     cases = [triangular, zero_row, np.zeros((n, n)), block]
     want = [float(_dense_radius(a)) for a in cases]
     calls = _count_eigvals(monkeypatch)
